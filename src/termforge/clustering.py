@@ -100,6 +100,10 @@ def cosine_dissimilarity(a: np.ndarray, b: np.ndarray) -> float:
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     norms = np.linalg.norm(matrix, axis=1)
+    if not np.all(np.isfinite(norms)):
+        bad = np.flatnonzero(~np.isfinite(norms))[:5]
+        raise ValueError(f"non-finite rows at indices {bad.tolist()} (NaN, inf or a "
+                         "norm that overflows); fix or drop them before clustering")
     if np.any(norms == 0.0):
         bad = np.flatnonzero(norms == 0.0)[:5]
         raise ValueError(f"all-zero rows at indices {bad.tolist()}; drop them before clustering")
@@ -115,9 +119,15 @@ def pairwise_cosine_dissimilarity(matrix: np.ndarray) -> np.ndarray:
     return d
 
 
+def _count_distinct(normalized: np.ndarray) -> int:
+    # hashing row bytes needs no sort; + 0.0 turns -0.0 into 0.0 so the two
+    # zeros count as one value, as they compare equal
+    return len({row.tobytes() for row in normalized + 0.0})
+
+
 def distinct_row_count(matrix: np.ndarray) -> int:
     """Number of distinct directions (unique L2-normalized rows)."""
-    return int(np.unique(_normalize_rows(matrix), axis=0).shape[0])
+    return _count_distinct(_normalize_rows(matrix))
 
 
 def _kmeanspp_init(normalized: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,7 +186,7 @@ def kmeans(rep: Representation, config: KmeansConfig) -> Clustering:
     """
     normalized = _normalize_rows(rep.matrix)
     n = normalized.shape[0]
-    distinct = distinct_row_count(rep.matrix)
+    distinct = _count_distinct(normalized)
     if config.k > distinct:
         raise ValueError(f"k={config.k} exceeds the {distinct} distinct rows")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 
 class ConlluParseError(ValueError):
@@ -45,9 +45,6 @@ class Sentence:
     def token_at(self, index: int) -> Token:
         """Token by its 1-based CoNLL-U index."""
         return self.tokens[index - 1]
-
-    def children(self, head_index: int) -> list[Token]:
-        return [t for t in self.tokens if t.head == head_index]
 
 
 @dataclass(frozen=True)
@@ -240,10 +237,3 @@ def load_corpus(path: str | Path) -> Corpus:
             seen_docs.add(doc_id)
             documents.append((doc_id, sents))
     return Corpus(documents=tuple(documents))
-
-
-def iter_corpus_files(path: str | Path) -> Iterable[Path]:
-    path = Path(path)
-    if path.is_file():
-        return [path]
-    return sorted(path.glob("*.conllu"))

@@ -82,23 +82,36 @@ def _check_dissimilarity(d: np.ndarray, n: int) -> np.ndarray:
     return d
 
 
+def _cluster_sums(dissimilarity: np.ndarray, clustering: Clustering
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated d, ids, cluster sizes, the n x k one-hot assignment matrix
+    Z, and S = D @ Z, whose entry S[i, c] sums d from point i to cluster c."""
+    ids = clustering.cluster_ids()
+    d = _check_dissimilarity(dissimilarity, ids.size)
+    onehot = np.zeros((ids.size, clustering.n_clusters))
+    onehot[np.arange(ids.size), ids] = 1.0
+    sizes = np.bincount(ids, minlength=clustering.n_clusters)
+    return d, ids, sizes, onehot, d @ onehot
+
+
 def silhouette_width(dissimilarity: np.ndarray, clustering: Clustering) -> float:
     """Mean of s(i) = (b(i) - a(i)) / max(a(i), b(i)); singleton points
     contribute 0, as do points with a(i) = b(i) = 0."""
     if clustering.n_clusters < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    ids = clustering.cluster_ids()
-    d = _check_dissimilarity(dissimilarity, ids.size)
+    d, ids, sizes, _, sums = _cluster_sums(dissimilarity, clustering)
+    points = np.arange(ids.size)
+    own_size = sizes[ids]
+    # the diagonal may be nonzero within tolerance; a(i) excludes d[i, i]
+    within = sums[points, ids] - np.diag(d)
+    a = within / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[points, ids] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(ids.size)
-    for i in range(ids.size):
-        own = ids == ids[i]
-        if own.sum() == 1:
-            continue                      # singleton convention: s = 0
-        own[i] = False
-        a = d[i, own].mean()
-        b = min(d[i, ids == c].mean() for c in range(clustering.n_clusters) if c != ids[i])
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0.0 else 0.0
+    scored = (own_size > 1) & (denom > 0.0)      # singletons and a = b = 0 score 0
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
 
 
@@ -108,22 +121,15 @@ def dunn2(dissimilarity: np.ndarray, clustering: Clustering) -> float:
     absent denominator yields +inf."""
     if clustering.n_clusters < 2:
         raise ValueError("dunn2 needs at least 2 clusters")
-    ids = clustering.cluster_ids()
-    d = _check_dissimilarity(dissimilarity, ids.size)
-    member_idx = [np.flatnonzero(ids == c) for c in range(clustering.n_clusters)]
+    _, _, sizes, onehot, sums = _cluster_sums(dissimilarity, clustering)
+    block_sums = onehot.T @ sums                 # Z.T @ D @ Z, k x k
+    c1, c2 = np.triu_indices(clustering.n_clusters, 1)
+    between = float(np.min(block_sums[c1, c2] / (sizes[c1] * sizes[c2])))
 
-    between = min(
-        float(d[np.ix_(member_idx[c1], member_idx[c2])].mean())
-        for c1 in range(clustering.n_clusters)
-        for c2 in range(c1 + 1, clustering.n_clusters))
-
-    within = 0.0
-    for idx in member_idx:
-        if idx.size < 2:
-            continue
-        block = d[np.ix_(idx, idx)]
-        # average over distinct unordered pairs
-        within = max(within, float(block.sum() / (idx.size * (idx.size - 1))))
+    # average over distinct unordered pairs, non-singleton clusters only
+    spread = sizes >= 2
+    pairs = sizes[spread] * (sizes[spread] - 1)
+    within = float(np.max(np.diag(block_sums)[spread] / pairs, initial=0.0))
     if within == 0.0:
         return math.inf
     return between / within

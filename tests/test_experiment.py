@@ -13,7 +13,6 @@ from termforge.experiment import (
     derive_seed,
     run_sweep,
     select_k,
-    thread_count,
 )
 from termforge.matrices import NP_VPC
 from util import make_rep
@@ -32,18 +31,6 @@ def test_derive_seed_separates_contexts():
     assert len(seeds) == 25
     assert derive_seed(0, "a", "b") != derive_seed(0, "b", "a")
     assert derive_seed(0, "x") != derive_seed(1, "x")
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("TERMFORGE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TERMFORGE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("TERMFORGE_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("TERMFORGE_THREADS", "lots")
-    with pytest.raises(ValueError, match="must be an integer"):
-        thread_count()
 
 
 # ------------------------------------------------------------------ config
@@ -99,14 +86,6 @@ def test_run_sweep_deterministic():
     a = run_sweep(sweep_rep(), sweep_gold(), small_config())
     b = run_sweep(sweep_rep(), sweep_gold(), small_config())
     assert a == b
-
-
-def test_run_sweep_thread_pool_matches_serial(monkeypatch):
-    monkeypatch.delenv("TERMFORGE_THREADS", raising=False)
-    serial = run_sweep(sweep_rep(), sweep_gold(), small_config())
-    monkeypatch.setenv("TERMFORGE_THREADS", "3")
-    pooled = run_sweep(sweep_rep(), sweep_gold(), small_config())
-    assert pooled == serial
 
 
 def test_run_sweep_means_recompute_from_cells():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from termforge.evaluation import (
@@ -290,13 +290,18 @@ def test_ari_exhaustive_against_pair_counting_n5():
 
 
 @given(st.integers(0, 500))
+@example(114)       # all singletons: dunn2 has no within pair and is inf
+@example(7)         # a point with a(i) = b(i) = 0 among nonzero distances
 def test_silhouette_and_dunn2_match_naive_oracles(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 12))
-    points = rng.random((n, 3)) + 0.05
+    # points drawn from a pool of at most n repeat, so zero distances occur
+    pool = rng.random((int(rng.integers(1, n + 1)), 3)) + 0.05
+    points = pool[rng.integers(0, len(pool), size=n)]
     diffs = points[:, None, :] - points[None, :, :]
     d = np.sqrt((diffs ** 2).sum(axis=2))
-    ids = rng.integers(0, 3, size=n).tolist()
+    # up to n clusters, so singleton clusters occur
+    ids = rng.integers(0, int(rng.integers(2, n + 1)), size=n).tolist()
     assume(len(set(ids)) >= 2)
     remap = {c: i for i, c in enumerate(sorted(set(ids)))}
     ids = [remap[c] for c in ids]

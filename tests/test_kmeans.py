@@ -64,10 +64,19 @@ def test_pairwise_rejects_zero_rows():
         pairwise_cosine_dissimilarity(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+def test_non_finite_rows_rejected():
+    m = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"non-finite rows at indices \[1, 3\]"):
+        pairwise_cosine_dissimilarity(m)
+    with pytest.raises(ValueError, match=r"non-finite rows at indices \[1, 3\]"):
+        kmeans(make_rep(m), KmeansConfig(k=2))
+
+
 def test_distinct_row_count_collapses_same_direction():
     m = np.array([[3.0, 4.0], [6.0, 8.0], [0.0, 1.0]])
     assert distinct_row_count(m) == 2
     assert distinct_row_count(np.eye(4)) == 4
+    assert distinct_row_count(np.array([[1.0, 0.0], [1.0, -0.0]])) == 1
 
 
 # -------------------------------------------------------------- k-means

@@ -151,8 +151,7 @@ def test_pipeline_without_gold(tmp_path, mini_corpus):
     assert first_row[3] == first_row[4] == first_row[5] == "NA"
 
 
-def test_pipeline_file_level_determinism(tmp_path, mini_corpus, mini_gold, monkeypatch):
-    monkeypatch.delenv("TERMFORGE_THREADS", raising=False)
+def test_pipeline_file_level_determinism(tmp_path, mini_corpus, mini_gold):
     a, b = tmp_path / "a", tmp_path / "b"
     run_pipeline(mini_corpus, mini_gold, tiny_config(), a)
     run_pipeline(mini_corpus, mini_gold, tiny_config(), b)
