@@ -3,13 +3,23 @@
 Plain numpy implementation so the training loop stays inspectable and
 bitwise-deterministic for a given seed (single-threaded).  The loss and its
 gradients live in a pure function, ``sgns_loss_and_grads``, which the tests
-probe with central finite differences.
+probe with central finite differences and which the trainer calls on a whole
+sentence's pairs at once.
 
 Sampling discipline, fixed so reruns reproduce exactly:
   * one ``default_rng(seed)`` drives everything, in this order: input matrix
-    init, then negative draws in corpus order;
+    init, then, for each sentence in corpus order (epoch by epoch), one
+    P x negatives block of uniforms for the sentence's P pairs, then the
+    redraws for negatives that equal their pair's positive context, in
+    row-major order, until none is left;
+  * uniforms map to words through the cumulative unigram^0.75 table
+    (word2vec's unigram table, as a ``searchsorted`` over the CDF);
   * the context window is fixed width (no random shrinking);
-  * negatives equal to the positive context are redrawn.
+  * updates are applied once per sentence, from the parameters as they stand
+    at the sentence's start (a per-sentence mini-batch); repeated words
+    accumulate their gradients;
+  * the learning rate decays linearly per pair, so the pairs of one
+    sentence each carry their own rate.
 """
 from __future__ import annotations
 
@@ -69,18 +79,22 @@ class EmbeddingTable:
 
 def sgns_loss_and_grads(center_vec: np.ndarray, out_rows: np.ndarray,
                         labels: np.ndarray):
-    """Negative-sampling loss for one center vector against a stack of
-    output rows (the true context first, noise words after).
+    """Negative-sampling loss for one center vector (shape ``(d,)``) against
+    a stack of output rows (shape ``(r, d)``: the true context first, noise
+    words after).  Leading axes index a batch of pairs: ``(..., d)`` centers
+    against ``(..., r, d)`` rows.
 
-    labels: 1.0 for the positive row, 0.0 for noise rows.
-    Returns (loss, grad wrt center_vec, grad wrt out_rows).
+    labels: 1.0 for the positive row, 0.0 for noise rows; shape ``(r,)`` or
+    ``(..., r)``.
+    Returns (loss summed over the batch, grad wrt center_vec, grad wrt
+    out_rows); the gradients have their argument's shape.
     """
-    scores = out_rows @ center_vec
+    scores = np.einsum("...rd,...d->...r", out_rows, center_vec)
     # -log sigma(s) for label 1, -log sigma(-s) for label 0, stably
     loss = float(np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -scores, scores))))
     residual = expit(scores) - labels
-    grad_center = out_rows.T @ residual
-    grad_out = np.outer(residual, center_vec)
+    grad_center = np.einsum("...rd,...r->...d", out_rows, residual)
+    grad_out = residual[..., :, None] * center_vec[..., None, :]
     return loss, grad_center, grad_out
 
 
@@ -101,12 +115,42 @@ def iter_window_pairs(sentence_length: int, window: int):
                 yield i, j
 
 
+def _draw_negatives(rng: np.random.Generator, cdf: np.ndarray,
+                    contexts: np.ndarray, negatives: int) -> np.ndarray:
+    """``len(contexts) x negatives`` word indices drawn from the cumulative
+    noise table ``cdf``; a draw equal to its row's context is redrawn."""
+    def draw(shape):
+        # a uniform at or above cdf[-1] (rounding) maps to the last word
+        return np.minimum(np.searchsorted(cdf, rng.random(shape), side="right"),
+                          len(cdf) - 1)
+
+    negs = draw((len(contexts), negatives))
+    clash = negs == contexts[:, None]
+    while clash.any():
+        negs[clash] = draw(int(clash.sum()))
+        clash = negs == contexts[:, None]
+    return negs
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)`` for a C-contiguous 2-D target, with
+    the same additions in the same order, run as one 1-D ``np.add.at`` over
+    element offsets, which numpy does several times faster than row updates."""
+    dim = target.shape[1]
+    offsets = (rows.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    np.add.at(target.reshape(-1), offsets, values.ravel())
+
+
 def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) -> EmbeddingTable:
     """Train skip-gram vectors over the corpus's lemma sequences.
 
     Vocabulary keeps lemmas with frequency >= min_count, ordered by
-    descending frequency (ties alphabetical).  The learning rate decays
-    linearly per training pair down to ``min_learning_rate``.
+    descending frequency (ties alphabetical).  Each sentence is one update:
+    the loss and gradients of all its (center, context) pairs are taken
+    from the parameters at the sentence's start and applied together.  The
+    learning rate decays linearly per training pair down to
+    ``min_learning_rate``.  The mean loss per pair of each epoch is logged
+    at INFO.
     """
     counts: Counter = Counter()
     raw_sentences: list[list[str]] = []
@@ -122,49 +166,56 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
             "lower the threshold or supply more text")
     vocab = {w: i for i, w in enumerate(words)}
 
-    # unigram^0.75 noise distribution over the kept vocabulary
-    noise = np.array([counts[w] for w in words], dtype=float) ** 0.75
-    noise /= noise.sum()
-
     # out-of-vocab tokens vanish before windowing, as in word2vec
-    sentences = [[vocab[w] for w in lemmas if w in vocab] for lemmas in raw_sentences]
+    sentences = [np.array([vocab[w] for w in lemmas if w in vocab], dtype=np.intp)
+                 for lemmas in raw_sentences]
     sentences = [s for s in sentences if len(s) >= 2]
-
-    window = config.window
-    pairs_per_pass = sum(
-        sum(1 for _ in iter_window_pairs(len(s), window)) for s in sentences)
-    total_pairs = pairs_per_pass * config.epochs
-    if total_pairs == 0:
+    if not sentences:
         raise ValueError("corpus has no sentence with two in-vocab tokens")
+    if len(words) < 2:
+        raise ValueError(f"vocabulary has only {words[0]!r}; negative sampling "
+                         "needs at least two words")
+
+    # (center, context) positions per sentence length, in iter_window_pairs order
+    positions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for n in {len(s) for s in sentences}:
+        pairs = np.array(list(iter_window_pairs(n, config.window)), dtype=np.intp)
+        positions[n] = (pairs[:, 0], pairs[:, 1])
+    pairs_per_pass = sum(len(positions[len(s)][0]) for s in sentences)
+    total_pairs = pairs_per_pass * config.epochs
+
+    # cumulative unigram^0.75 noise table over the kept vocabulary
+    noise = np.array([counts[w] for w in words], dtype=float) ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
 
     rng = np.random.default_rng(config.seed)
     w_in = (rng.random((len(words), config.dim)) - 0.5) / config.dim
     w_out = np.zeros((len(words), config.dim))
 
+    labels = np.zeros(1 + config.negatives)
+    labels[0] = 1.0
     lr0, lr_floor = config.learning_rate, config.min_learning_rate
     pairs_done = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
+        epoch_loss = 0.0
         for sent in sentences:
-            for i, j in iter_window_pairs(len(sent), window):
-                center, context = sent[i], sent[j]
-                lr = max(lr_floor, lr0 * (1.0 - pairs_done / total_pairs))
-                pairs_done += 1
+            center_pos, context_pos = positions[len(sent)]
+            centers, contexts = sent[center_pos], sent[context_pos]
+            n_pairs = len(centers)
+            negs = _draw_negatives(rng, cdf, contexts, config.negatives)
+            rows = np.concatenate((contexts[:, None], negs), axis=1)
+            lr = np.maximum(lr_floor, lr0 * (
+                1.0 - np.arange(pairs_done, pairs_done + n_pairs) / total_pairs))
+            pairs_done += n_pairs
 
-                negs = rng.choice(len(words), size=config.negatives, p=noise)
-                while True:
-                    clash = negs == context
-                    if not clash.any():
-                        break
-                    negs[clash] = rng.choice(len(words), size=int(clash.sum()), p=noise)
-
-                rows = np.concatenate(([context], negs))
-                labels = np.zeros(len(rows))
-                labels[0] = 1.0
-                _, grad_center, grad_out = sgns_loss_and_grads(
-                    w_in[center], w_out[rows], labels)
-                w_in[center] -= lr * grad_center
-                # np.add.at accumulates when a noise word repeats
-                np.add.at(w_out, rows, -lr * grad_out)
+            loss, grad_center, grad_out = sgns_loss_and_grads(
+                w_in[centers], w_out[rows], labels)
+            epoch_loss += loss
+            # accumulates when a word repeats within the sentence
+            _scatter_add(w_in, centers, -lr[:, None] * grad_center)
+            _scatter_add(w_out, rows, -lr[:, None, None] * grad_out)
+        log.info("train_skipgram: epoch %d/%d, mean loss per pair %.6f",
+                 epoch + 1, config.epochs, epoch_loss / pairs_per_pass)
 
     return EmbeddingTable(vocab=vocab, vectors=w_in)
 
@@ -216,4 +267,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, expected {n_cols}")
             vocab[parts[0]] = i
             vectors[i] = [float(v) for v in parts[1:]]
+            if not np.isfinite(vectors[i]).all():
+                raise ValueError(f"{path}: row {i} ({parts[0]}) has non-finite values")
     return EmbeddingTable(vocab=vocab, vectors=vectors)

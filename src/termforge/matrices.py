@@ -191,6 +191,11 @@ def make_representation(row_labels: tuple[str, ...] | list[str],
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != len(row_labels):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(row_labels)} labels")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = [lbl for lbl, ok in zip(row_labels, finite) if not ok]
+        raise ValueError(f"{provenance}: non-finite values in {len(bad)} row(s): "
+                         f"{', '.join(bad[:5])}{', ...' if len(bad) > 5 else ''}")
     nonzero = ~np.all(matrix == 0.0, axis=1)
     dropped = tuple(lbl for lbl, keep in zip(row_labels, nonzero) if not keep)
     if dropped:
@@ -255,4 +260,6 @@ def load_representation(path: str | Path, provenance: str | None = None) -> Repr
             if len(parsed) != n_cols:
                 raise ValueError(f"{path}: row {i} has {len(parsed)} values, expected {n_cols}")
             rows[i] = parsed
+            if not np.isfinite(rows[i]).all():
+                raise ValueError(f"{path}: row {i} ({key}) has non-finite values")
     return Representation(tuple(labels), rows, provenance or path.stem)

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from termforge.corpus import parse_conllu
 from termforge.embeddings import (
     EmbeddingTable,
     SkipgramConfig,
+    _draw_negatives,
+    _scatter_add,
     iter_window_pairs,
     load_embeddings,
     np_vectors,
@@ -75,36 +80,92 @@ def test_loss_is_stable_for_extreme_scores():
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(7)
     step = 1e-5
-    for _ in range(10):
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / max(1e-12, np.linalg.norm(a) + np.linalg.norm(b))
+
+    # ten single pairs, then batches of pairs along one or two leading axes
+    for batch in [()] * 10 + [(3,), (5,), (2, 3)]:
         dim = int(rng.integers(2, 10))
         n_rows = int(rng.integers(2, 6))
-        center = rng.standard_normal(dim)
-        out = rng.standard_normal((n_rows, dim))
+        center = rng.standard_normal(batch + (dim,))
+        out = rng.standard_normal(batch + (n_rows, dim))
         labels = np.zeros(n_rows)
         labels[0] = 1.0
         _, grad_center, grad_out = sgns_loss_and_grads(center, out, labels)
 
-        num_center = np.zeros(dim)
-        for d in range(dim):
-            bump = np.zeros(dim)
-            bump[d] = step
+        num_center = np.zeros_like(center)
+        for index in np.ndindex(center.shape):
+            bump = np.zeros_like(center)
+            bump[index] = step
             up, _, _ = sgns_loss_and_grads(center + bump, out, labels)
             down, _, _ = sgns_loss_and_grads(center - bump, out, labels)
-            num_center[d] = (up - down) / (2 * step)
+            num_center[index] = (up - down) / (2 * step)
         num_out = np.zeros_like(out)
-        for r in range(n_rows):
-            for d in range(dim):
-                bump = np.zeros_like(out)
-                bump[r, d] = step
-                up, _, _ = sgns_loss_and_grads(center, out + bump, labels)
-                down, _, _ = sgns_loss_and_grads(center, out - bump, labels)
-                num_out[r, d] = (up - down) / (2 * step)
-
-        def rel(a, b):
-            return np.linalg.norm(a - b) / max(1e-12, np.linalg.norm(a) + np.linalg.norm(b))
+        for index in np.ndindex(out.shape):
+            bump = np.zeros_like(out)
+            bump[index] = step
+            up, _, _ = sgns_loss_and_grads(center, out + bump, labels)
+            down, _, _ = sgns_loss_and_grads(center, out - bump, labels)
+            num_out[index] = (up - down) / (2 * step)
 
         assert rel(grad_center, num_center) < 1e-7
         assert rel(grad_out, num_out) < 1e-7
+
+
+def test_batched_loss_and_grads_match_per_pair_calls():
+    rng = np.random.default_rng(11)
+    n_pairs, n_rows, dim = 9, 6, 7
+    centers = rng.standard_normal((n_pairs, dim))
+    outs = rng.standard_normal((n_pairs, n_rows, dim))
+    labels = np.zeros(n_rows)
+    labels[0] = 1.0
+    loss, grad_center, grad_out = sgns_loss_and_grads(centers, outs, labels)
+    singles = [sgns_loss_and_grads(c, o, labels) for c, o in zip(centers, outs)]
+    assert abs(loss - sum(s[0] for s in singles)) < 1e-12
+    np.testing.assert_allclose(grad_center, np.stack([s[1] for s in singles]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad_out, np.stack([s[2] for s in singles]),
+                               rtol=0, atol=1e-12)
+
+
+# --------------------------------------------------------------- sampling
+
+def test_negative_sampler_frequencies_clashes_and_seed():
+    counts = np.array([60.0, 25.0, 10.0, 4.0, 1.0])
+    noise = counts ** 0.75
+    noise /= noise.sum()
+    cdf = np.cumsum(noise)
+    contexts = np.random.default_rng(0).integers(0, len(counts), 40_000)
+    negs = _draw_negatives(np.random.default_rng(5), cdf, contexts, 5)
+
+    assert negs.shape == (40_000, 5)
+    assert not np.any(negs == contexts[:, None])
+    # a draw equal to its context is redrawn, so given context c a word w != c
+    # comes up with probability noise[w] / (1 - noise[c])
+    expected = np.zeros(len(counts))
+    for c in contexts:
+        conditional = noise / (1.0 - noise[c])
+        conditional[c] = 0.0
+        expected += conditional
+    expected /= len(contexts)
+    observed = np.bincount(negs.ravel(), minlength=len(counts)) / negs.size
+    # 200k draws: one standard error is at most 0.0011, so 0.005 is >4 of them
+    np.testing.assert_allclose(observed, expected, rtol=0, atol=0.005)
+
+    again = _draw_negatives(np.random.default_rng(5), cdf, contexts, 5)
+    assert np.array_equal(negs, again)
+
+
+def test_scatter_add_matches_add_at_on_repeated_rows():
+    rng = np.random.default_rng(2)
+    rows = rng.integers(0, 4, (6, 3))
+    values = rng.standard_normal((6, 3, 5))
+    expected = rng.standard_normal((4, 5))
+    target = expected.copy()
+    np.add.at(expected, rows, values)
+    _scatter_add(target, rows, values)
+    assert np.array_equal(target, expected)
 
 
 # --------------------------------------------------------------- training
@@ -131,6 +192,58 @@ def test_no_trainable_pairs_raises():
     corpus = lemma_corpus(["a", "x"], ["a", "y"])
     with pytest.raises(ValueError, match="no sentence with two in-vocab tokens"):
         train_skipgram(corpus, SkipgramConfig(min_count=2))
+
+
+def test_single_word_vocab_raises():
+    corpus = lemma_corpus(["a", "a", "a"])
+    with pytest.raises(ValueError, match="needs at least two words"):
+        train_skipgram(corpus, SkipgramConfig(min_count=1))
+
+
+def planted_corpus():
+    """200 sentences: ``eat aX food`` for a0..a3, ``drive bX road`` for b0..b3."""
+    sentences = []
+    for i in range(200):
+        word = i // 2 % 4
+        sentences.append(["eat", f"a{word}", "food"] if i % 2 == 0
+                         else ["drive", f"b{word}", "road"])
+    return lemma_corpus(*sentences)
+
+
+PLANTED_CONFIG = SkipgramConfig(dim=10, window=2, epochs=10, min_count=1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_words_sharing_contexts_end_up_closer(seed):
+    table = train_skipgram(planted_corpus(), replace(PLANTED_CONFIG, seed=seed))
+    groups = [[f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]]
+    unit = {w: table.vector(w) / np.linalg.norm(table.vector(w))
+            for group in groups for w in group}
+    within = [unit[x] @ unit[y] for group in groups
+              for i, x in enumerate(group) for y in group[i + 1:]]
+    between = [unit[x] @ unit[y] for x in groups[0] for y in groups[1]]
+    assert np.mean(within) - np.mean(between) >= 0.5
+
+
+def logged_epoch_losses(caplog, corpus, config):
+    with caplog.at_level(logging.INFO, logger="termforge.embeddings"):
+        train_skipgram(corpus, config)
+    return [float(m.group(1)) for r in caplog.records
+            if (m := re.search(r"mean loss per pair ([0-9.]+)", r.getMessage()))]
+
+
+def test_epoch_loss_is_logged_and_falls(caplog):
+    losses = logged_epoch_losses(caplog, planted_corpus(), PLANTED_CONFIG)
+    assert len(losses) == PLANTED_CONFIG.epochs
+    assert losses[-1] < losses[0]
+
+
+def test_logged_loss_is_the_mean_over_every_pair(caplog):
+    # w_out starts at zero and a vanishing learning rate keeps it there, so
+    # each pair scores 0 against its context and its negatives
+    config = replace(PLANTED_CONFIG, epochs=2, learning_rate=1e-12, min_learning_rate=0.0)
+    losses = logged_epoch_losses(caplog, planted_corpus(), config)
+    assert losses == [round((1 + config.negatives) * math.log(2.0), 6)] * 2
 
 
 def test_training_is_bitwise_deterministic():
@@ -225,4 +338,12 @@ def test_load_rejects_malformed_files(tmp_path):
         load_embeddings(path)
     path.write_text("1 3\nword 1.0 2.0\n")
     with pytest.raises(ValueError, match="row 0 has 2 values, expected 3"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"2 2\ncat 1.0 2.0\ndog 0.5 {value}\n")
+    with pytest.raises(ValueError, match=r"emb\.txt: row 1 \(dog\) has non-finite values"):
         load_embeddings(path)

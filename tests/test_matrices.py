@@ -283,6 +283,12 @@ def test_make_representation_shape_check():
         make_representation(["a"], np.zeros((2, 2)), NP_VPC)
 
 
+def test_make_representation_rejects_non_finite_rows():
+    matrix = np.array([[1.0, 0.0], [np.nan, 1.0], [0.5, 2.0], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"NP_VPC: non-finite values in 2 row\(s\): b, d"):
+        make_representation(["a", "b", "c", "d"], matrix, NP_VPC)
+
+
 def test_representation_from_matrix(tmp_path):
     m = counts_matrix([[1, 0], [0, 3]])
     rep = representation_from_matrix(m, NP_VPC)
@@ -308,4 +314,11 @@ def test_load_representation_rejects_short_rows(tmp_path):
     path = tmp_path / "rep.txt"
     path.write_text("1 3\nkey\t1.0 2.0\n")
     with pytest.raises(ValueError, match="row 0 has 2 values, expected 3"):
+        load_representation(path)
+
+
+def test_load_representation_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "rep.txt"
+    path.write_text("2 2\njazz band\t1.0 2.0\nsolo\tnan 1.0\n")
+    with pytest.raises(ValueError, match=r"rep\.txt: row 1 \(solo\) has non-finite values"):
         load_representation(path)
