@@ -24,16 +24,15 @@ from .clustering import (ApConfig, KmeansConfig, MEDIAN_PREFERENCE,
 from .corpus import corpus_stats, load_corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
-from .experiment import (PipelineConfig, Selection, SweepConfig, run_pipeline,
-                         run_sweep, write_curves_csv, write_repetitions_csv)
-from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus, Role
-from .matrices import (MatrixKind, Thresholds, NP_VPC, NP_VPC_TFIDF,
-                       REPRESENTATIONS, apply_frequency_threshold,
-                       apply_value_threshold, build_role_matrix, load_matrix,
-                       load_representation, make_representation,
-                       merge_matrices, representation_from_matrix, save_matrix,
-                       save_representation, tfidf_weight)
-from .nmf import nmf, save_dense
+from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
+                         run_pipeline, run_sweep, write_curves_csv,
+                         write_repetitions_csv)
+from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
+from .matrices import (MatrixKind, Representation, Thresholds, NP_VPC, NP_VPC_TFIDF,
+                       REPRESENTATIONS, load_matrix, load_representation,
+                       make_representation, representation_from_matrix,
+                       save_matrix, save_representation)
+from .nmf import nmf
 
 log = logging.getLogger(__name__)
 
@@ -62,22 +61,15 @@ def _cmd_featurize(args) -> int:
     couples = read_couples_tsv(args.couples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    thresholds = Thresholds(args.sigma1, args.sigma2)
-    subj = build_role_matrix(couples, Role.SUBJECT)
-    obj = build_role_matrix(couples, Role.OBJECT)
-    merged = merge_matrices(subj, obj)
-    counts = apply_frequency_threshold(merged, thresholds)
-    weighted = apply_value_threshold(tfidf_weight(counts), thresholds)
-    save_matrix(subj, out / "subject.mtx")
-    save_matrix(obj, out / "object.mtx")
-    save_matrix(merged, out / "merged.mtx")
-    save_matrix(counts, out / "np_vpc.mtx")
-    save_matrix(weighted, out / "np_vpc_tfidf.mtx")
-    save_representation(representation_from_matrix(counts, NP_VPC),
-                        out / f"rep_{NP_VPC}.txt")
-    save_representation(representation_from_matrix(weighted, NP_VPC_TFIDF),
-                        out / f"rep_{NP_VPC_TFIDF}.txt")
-    log.info("matrices under %s: np_vpc %s, tfidf %s", out, counts.shape, weighted.shape)
+    matrices = build_matrices(couples, Thresholds(args.sigma1, args.sigma2))
+    names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
+    for name, matrix in zip(names, matrices):
+        save_matrix(matrix, out / f"{name}.mtx")
+    for name, matrix in ((NP_VPC, matrices.counts), (NP_VPC_TFIDF, matrices.tfidf)):
+        save_representation(representation_from_matrix(matrix, name),
+                            out / f"rep_{name}.txt")
+    log.info("matrices under %s: np_vpc %s, tfidf %s", out,
+             matrices.counts.shape, matrices.tfidf.shape)
     return 0
 
 
@@ -88,7 +80,8 @@ def _cmd_encode_nmf(args) -> int:
     rep = make_representation(counts.row_labels, pair.W, "NP_VPC_NMF")
     save_representation(rep, args.out)
     if args.h_out:
-        save_dense(pair.H, args.h_out)
+        save_representation(Representation(
+            tuple(str(i) for i in range(pair.H.shape[0])), pair.H, "H"), args.h_out)
     log.info("NMF: %d iterations, final error %s", pair.iterations_run,
              format_value(pair.final_error))
     return 0
@@ -114,11 +107,10 @@ def _cmd_encode_w2v(args) -> int:
 def _cmd_cluster(args) -> int:
     rep = load_representation(args.rep)
     if args.algorithm == "kmeans":
-        clustering = kmeans(rep, KmeansConfig(k=args.k, seed=args.seed,
-                                              max_iter=args.max_iter,
-                                              rel_tol=args.rel_tol))
-        config_echo = {"k": args.k, "seed": args.seed, "max_iter": args.max_iter,
-                       "rel_tol": args.rel_tol}
+        config = KmeansConfig(k=args.k, seed=args.seed, max_iter=args.max_iter,
+                              rel_tol=args.rel_tol)
+        clustering = kmeans(rep, config)
+        config_echo = dataclasses.asdict(config)
     else:
         preference = (MEDIAN_PREFERENCE if args.preference == MEDIAN_PREFERENCE
                       else float(args.preference))

@@ -32,7 +32,8 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Corpus
-from .matrices import NP_W2V, Representation
+from .matrices import (NP_W2V, Representation, load_representation,
+                       save_representation)
 
 log = logging.getLogger(__name__)
 
@@ -244,29 +245,15 @@ def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Header ``rows cols``, then one line per word: key then its reals,
-    all space-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vocab)} {table.dim}\n")
-        for word in table.words():
-            row = table.vectors[table.vocab[word]]
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    """One row per word, in vocabulary order, in the representation format
+    (``matrices.save_representation``)."""
+    words = table.words()
+    vectors = table.vectors[[table.vocab[w] for w in words]]
+    save_representation(Representation(words, vectors, "embeddings"), path)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad embedding header {header!r}")
-        n_rows, n_cols = int(header[0]), int(header[1])
-        vocab: dict[str, int] = {}
-        vectors = np.zeros((n_rows, n_cols))
-        for i in range(n_rows):
-            parts = fh.readline().rstrip("\n").split(" ")
-            if len(parts) != n_cols + 1:
-                raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, expected {n_cols}")
-            vocab[parts[0]] = i
-            vectors[i] = [float(v) for v in parts[1:]]
-            if not np.isfinite(vectors[i]).all():
-                raise ValueError(f"{path}: row {i} ({parts[0]}) has non-finite values")
-    return EmbeddingTable(vocab=vocab, vectors=vectors)
+    """Read ``save_embeddings`` output or a word2vec text table."""
+    rep = load_representation(path)
+    return EmbeddingTable(vocab={w: i for i, w in enumerate(rep.row_labels)},
+                          vectors=rep.matrix)

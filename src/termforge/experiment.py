@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -33,10 +34,11 @@ from .clustering import (ApConfig, KmeansConfig, affinity_propagation,
 from .corpus import Corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
 from .evaluation import GoldStandard, evaluate_clustering, format_value
-from .extraction import Role, SCHEMES, extract_corpus, write_couples_tsv
+from .extraction import (CoupleSet, Role, SCHEMES, extract_corpus,
+                         write_couples_tsv)
 from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
-                       REPRESENTATIONS, Representation, Thresholds,
-                       apply_frequency_threshold, apply_value_threshold,
+                       REPRESENTATIONS, CooccurrenceMatrix, Representation,
+                       Thresholds, apply_frequency_threshold, apply_value_threshold,
                        build_role_matrix, make_representation, merge_matrices,
                        representation_from_matrix, save_matrix,
                        save_representation, tfidf_weight)
@@ -291,6 +293,25 @@ class PipelineConfig:
                              f"expected one of {sorted(SCHEMES)}")
 
 
+class Matrices(NamedTuple):
+    subject: CooccurrenceMatrix
+    object: CooccurrenceMatrix
+    merged: CooccurrenceMatrix
+    counts: CooccurrenceMatrix   # merged, cut at sigma1
+    tfidf: CooccurrenceMatrix    # counts tf-idf weighted, cut at sigma2
+
+
+def build_matrices(couples: CoupleSet, thresholds: Thresholds) -> Matrices:
+    """The matrix stage: role counts, their merge, the sigma1 count cut and
+    the sigma2 cut of its tf-idf weighting."""
+    subj = build_role_matrix(couples, Role.SUBJECT)
+    obj = build_role_matrix(couples, Role.OBJECT)
+    merged = merge_matrices(subj, obj)
+    counts = apply_frequency_threshold(merged, thresholds)
+    return Matrices(subj, obj, merged, counts,
+                    apply_value_threshold(tfidf_weight(counts), thresholds))
+
+
 def build_representations(corpus: Corpus, config: PipelineConfig,
                           out_dir: Path | None = None) -> dict[str, Representation]:
     """Extraction, matrices and all requested encodings in one pass;
@@ -303,13 +324,10 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
         if out_dir is not None:
             write_couples_tsv(couples, out_dir / "couples.tsv", header=True)
 
-    thresholds = Thresholds(config.sweep.sigma1, config.sweep.sigma2)
     with _stage("matrices"):
-        subj = build_role_matrix(couples, Role.SUBJECT)
-        obj = build_role_matrix(couples, Role.OBJECT)
-        merged = merge_matrices(subj, obj)
-        counts = apply_frequency_threshold(merged, thresholds)
-        weighted = apply_value_threshold(tfidf_weight(counts), thresholds)
+        matrices = build_matrices(
+            couples, Thresholds(config.sweep.sigma1, config.sweep.sigma2))
+        counts, weighted = matrices.counts, matrices.tfidf
         if out_dir is not None:
             save_matrix(counts, out_dir / "np_vpc.mtx")
             save_matrix(weighted, out_dir / "np_vpc_tfidf.mtx")

@@ -234,7 +234,8 @@ def load_matrix(path: str | Path, kind: MatrixKind) -> CooccurrenceMatrix:
 
 def save_representation(rep: Representation, path: str | Path) -> None:
     """Labeled dense text: header ``rows cols``, then ``key<TAB>v1 v2 ...``
-    (NP keys may contain spaces, so the key is tab-separated)."""
+    (NP keys may contain spaces, so the key is tab-separated).  The one
+    writer of this format: embedding tables and NMF's H use it too."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rep.n_rows} {rep.matrix.shape[1] if rep.matrix.size else 0}\n")
@@ -243,9 +244,15 @@ def save_representation(rep: Representation, path: str | Path) -> None:
 
 
 def load_representation(path: str | Path, provenance: str | None = None) -> Representation:
+    """Read ``save_representation`` output.  A space in place of the tab
+    after the key is read too, so word2vec-style text tables load (their
+    keys cannot contain spaces)."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
+            raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
+                             "expected two non-negative integers 'rows cols'")
         n_rows, n_cols = int(header[0]), int(header[1])
         labels: list[str] = []
         rows = np.zeros((n_rows, n_cols), dtype=float)
@@ -262,4 +269,7 @@ def load_representation(path: str | Path, provenance: str | None = None) -> Repr
             rows[i] = parsed
             if not np.isfinite(rows[i]).all():
                 raise ValueError(f"{path}: row {i} ({key}) has non-finite values")
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: non-blank lines after the {n_rows} rows "
+                             "the header declares")
     return Representation(tuple(labels), rows, provenance or path.stem)

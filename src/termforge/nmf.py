@@ -90,25 +90,3 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
     return FactorPair(W=W, H=H, iterations_run=iterations,
                       final_error=history[-1], error_history=tuple(history))
 
-
-def save_factors(pair: FactorPair, w_path, h_path) -> None:
-    save_dense(pair.W, w_path)
-    save_dense(pair.H, h_path)
-
-
-def save_dense(matrix: np.ndarray, path) -> None:
-    """Header ``rows cols``, then one row per line of space-separated reals."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dense(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        n_rows, n_cols = (int(x) for x in fh.readline().split())
-        out = np.zeros((n_rows, n_cols), dtype=float)
-        for i in range(n_rows):
-            out[i] = [float(v) for v in fh.readline().split()]
-    return out

@@ -102,8 +102,10 @@ def test_encode_nmf_output(workdir):
     assert rep.row_labels == counts.row_labels
     assert rep.matrix.shape == (16, 5)
     assert np.all(rep.matrix >= 0)
-    h_lines = (workdir / "h.txt").read_text().splitlines()
-    assert h_lines[0] == "5 14"
+    h = load_representation(workdir / "h.txt")
+    assert h.row_labels == ("0", "1", "2", "3", "4")
+    assert h.matrix.shape == (5, 14)
+    assert np.all(h.matrix >= 0)
 
 
 def test_encode_w2v_output(workdir):
@@ -240,3 +242,8 @@ def test_errors_exit_one_with_message(tmp_path, workdir):
     code, _, err = run_cli(["featurize", str(workdir / "couples.tsv"),
                             "-o", str(tmp_path / "m"), "--sigma1", "1000"])
     assert code == 1 and "eliminated every row" in err
+
+    bad = tmp_path / "bad_rep.txt"
+    bad.write_text("3\nalpha\t1.0\n")
+    code, _, err = run_cli(["cluster", "ap", str(bad), "-o", str(tmp_path / "y.csv")])
+    assert code == 1 and f"error: {bad}: bad header '3'" in err

@@ -331,10 +331,29 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.vectors, table.vectors)
 
 
+def test_save_load_round_trip_lemma_with_space(tmp_path):
+    corpus = lemma_corpus(["new york", "city", "new york", "state", "city"])
+    table = train_skipgram(corpus, SkipgramConfig(dim=5, min_count=1, epochs=1))
+    assert "new york" in table.vocab
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    loaded = load_embeddings(path)
+    assert loaded.vocab == table.vocab
+    assert np.array_equal(loaded.vectors, table.vectors)
+
+
+def test_load_reads_a_space_after_the_word(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\ncat 1.0 2.0\ndog 0.5 -1.5\n")
+    loaded = load_embeddings(path)
+    assert loaded.vocab == {"cat": 0, "dog": 1}
+    assert np.array_equal(loaded.vectors, [[1.0, 2.0], [0.5, -1.5]])
+
+
 def test_load_rejects_malformed_files(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("not a header\n")
-    with pytest.raises(ValueError, match="bad embedding header"):
+    with pytest.raises(ValueError, match=r"emb\.txt: bad header 'not a header'"):
         load_embeddings(path)
     path.write_text("1 3\nword 1.0 2.0\n")
     with pytest.raises(ValueError, match="row 0 has 2 values, expected 3"):

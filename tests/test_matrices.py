@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,3 +323,26 @@ def test_load_representation_rejects_non_finite_values(tmp_path):
     path.write_text("2 2\njazz band\t1.0 2.0\nsolo\tnan 1.0\n")
     with pytest.raises(ValueError, match=r"rep\.txt: row 1 \(solo\) has non-finite values"):
         load_representation(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "bad header ''"),
+    ("3\nkey\t1.0\n", "bad header '3'"),
+    ("1 2 3\nkey\t1.0 2.0\n", "bad header '1 2 3'"),
+    ("1 -2\nkey\t1.0 2.0\n", "bad header '1 -2'"),
+    ("1 x\nkey\t1.0 2.0\n", "bad header '1 x'"),
+    ("1 2\nkey\t1.0 2.0\nextra\t3.0 4.0\n", "non-blank lines after the 1 rows"),
+    ("0 2\n\nkey\t1.0 2.0\n", "non-blank lines after the 0 rows"),
+], ids=["empty", "one-field", "three-fields", "negative", "not-a-number",
+        "extra-row", "row-after-blank"])
+def test_load_representation_rejects_malformed_layout(tmp_path, text, message):
+    path = tmp_path / "rep.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_representation(path)
+
+
+def test_load_representation_ignores_trailing_blank_lines(tmp_path):
+    path = tmp_path / "rep.txt"
+    path.write_text("1 2\nkey\t1.0 2.0\n\n  \n")
+    assert load_representation(path).row_labels == ("key",)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from termforge.matrices import MatrixKind
-from termforge.nmf import load_dense, nmf, reconstruction_error, save_factors
+from termforge.nmf import nmf, reconstruction_error
 from test_matrices import counts_matrix
 
 
@@ -127,11 +127,3 @@ def test_reconstruction_error_shape_check():
     with pytest.raises(ValueError, match="shape mismatch"):
         reconstruction_error(np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 2)))
 
-
-def test_save_factors_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    M = rng.random((4, 5))
-    pair = nmf(M, rank=2, max_iter=10, tol=0.0, seed=6)
-    save_factors(pair, tmp_path / "w.txt", tmp_path / "h.txt")
-    assert np.array_equal(load_dense(tmp_path / "w.txt"), pair.W)
-    assert np.array_equal(load_dense(tmp_path / "h.txt"), pair.H)
