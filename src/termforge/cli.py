@@ -17,8 +17,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .clustering import (ApConfig, KmeansConfig, MEDIAN_PREFERENCE,
-                         affinity_propagation, kmeans,
+from .clustering import (AP_NOT_CONVERGED, ApConfig, KmeansConfig,
+                         MEDIAN_PREFERENCE, affinity_propagation, kmeans,
                          pairwise_cosine_dissimilarity, load_clustering,
                          save_clustering)
 from .corpus import corpus_stats, load_corpus
@@ -39,6 +39,30 @@ log = logging.getLogger(__name__)
 SELECT_NAMES = {"first-peak": Selection.FIRST_PEAK, "global": Selection.GLOBAL}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An omitted flag stays out of the namespace, so the config dataclass
+    (or ``nmf()``) it feeds supplies the default; subparsers inherit this."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given; lists become tuples."""
+    return {name: tuple(value) if isinstance(value, list) else value
+            for name, value in vars(args).items() if name in names}
+
+
+def _config(cls, args, **fixed):
+    """``cls`` built from the given flags named like its fields."""
+    return cls(**_given(args, {f.name for f in dataclasses.fields(cls)}), **fixed)
+
+
+def real_or_median(text: str) -> float | str:
+    """``--preference`` values; argparse names this type in its errors."""
+    return text if text == MEDIAN_PREFERENCE else float(text)
+
+
 def _cmd_stats(args) -> int:
     print("corpus,n_documents,n_sentences,n_words,words_per_document")
     for path in args.corpus:
@@ -50,8 +74,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_extract(args) -> int:
     corpus = load_corpus(args.corpus)
-    config = SCHEMES[args.scheme](root_only=args.root_only)
-    couples = extract_corpus(corpus, config)
+    config = _config(PipelineConfig, args)
+    couples = extract_corpus(corpus, SCHEMES[config.scheme](root_only=config.root_only))
     write_couples_tsv(couples, args.out, header=args.header)
     log.info("wrote %d couples to %s", len(couples), args.out)
     return 0
@@ -61,7 +85,7 @@ def _cmd_featurize(args) -> int:
     couples = read_couples_tsv(args.couples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrices = build_matrices(couples, Thresholds(args.sigma1, args.sigma2))
+    matrices = build_matrices(couples, _config(Thresholds, args))
     names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
     for name, matrix in zip(names, matrices):
         save_matrix(matrix, out / f"{name}.mtx")
@@ -75,8 +99,7 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_encode_nmf(args) -> int:
     counts = load_matrix(args.matrix, MatrixKind.MERGED_COUNTS)
-    pair = nmf(counts, rank=args.rank, max_iter=args.max_iter, tol=args.tol,
-               seed=args.seed)
+    pair = nmf(counts, **_given(args, ("rank", "max_iter", "tol", "seed")))
     rep = make_representation(counts.row_labels, pair.W, "NP_VPC_NMF")
     save_representation(rep, args.out)
     if args.h_out:
@@ -89,17 +112,13 @@ def _cmd_encode_nmf(args) -> int:
 
 def _cmd_encode_w2v(args) -> int:
     corpus = load_corpus(args.corpus)
-    config = SkipgramConfig(dim=args.dim, window=args.window,
-                            negatives=args.negatives, epochs=args.epochs,
-                            min_count=args.min_count,
-                            learning_rate=args.learning_rate, seed=args.seed)
-    table = train_skipgram(corpus, config)
+    table = train_skipgram(corpus, _config(SkipgramConfig, args))
     save_embeddings(table, args.out)
     if args.compose:
         keys = [line for line in Path(args.compose).read_text(encoding="utf-8").splitlines()
                 if line.strip()]
         rep = np_vectors(table, keys)
-        save_representation(rep, args.rep_out or "rep_NP_w2v.txt")
+        save_representation(rep, args.rep_out)
     log.info("trained %d vectors of dim %d", len(table.vocab), table.dim)
     return 0
 
@@ -107,22 +126,14 @@ def _cmd_encode_w2v(args) -> int:
 def _cmd_cluster(args) -> int:
     rep = load_representation(args.rep)
     if args.algorithm == "kmeans":
-        config = KmeansConfig(k=args.k, seed=args.seed, max_iter=args.max_iter,
-                              rel_tol=args.rel_tol)
+        config = _config(KmeansConfig, args)
         clustering = kmeans(rep, config)
-        config_echo = dataclasses.asdict(config)
     else:
-        preference = (MEDIAN_PREFERENCE if args.preference == MEDIAN_PREFERENCE
-                      else float(args.preference))
-        config = ApConfig(preference=preference, damping=args.damping,
-                          max_iter=args.max_iter,
-                          convergence_window=args.convergence_window)
+        config = _config(ApConfig, args)
         clustering = affinity_propagation(rep, config)
-        config_echo = dataclasses.asdict(config)
         if not clustering.converged:
-            print("warning: affinity propagation hit max_iter before the "
-                  "exemplar set stabilized", file=sys.stderr)
-    save_clustering(clustering, args.out, config=config_echo)
+            print(f"warning: {AP_NOT_CONVERGED}", file=sys.stderr)
+    save_clustering(clustering, args.out, config=dataclasses.asdict(config))
     log.info("%s: %d clusters over %d NPs", clustering.algorithm,
              clustering.n_clusters, len(clustering.labels))
     return 0
@@ -151,9 +162,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     rep = load_representation(args.rep, provenance=args.representation)
     gold = load_gold_standard(args.gold) if args.gold else None
-    config = SweepConfig(k_min=args.k_min, k_max=args.k_max,
-                         repetitions=args.reps, master_seed=args.seed)
-    result = run_sweep(rep, gold, config)
+    result = run_sweep(rep, gold, _config(SweepConfig, args))
     write_curves_csv(result, Path(args.out))
     if args.repetitions_out:
         write_repetitions_csv(result, Path(args.repetitions_out))
@@ -171,18 +180,9 @@ def _cmd_pipeline(args) -> int:
         except FileNotFoundError:
             print(f"error: [evaluation] gold standard not found: {args.gold}; "
                   "external indices will be NA", file=sys.stderr)
-    sweep = SweepConfig(k_min=args.k_min, k_max=args.k_max,
-                        repetitions=args.reps, master_seed=args.seed,
-                        selection=SELECT_NAMES[args.select],
-                        peak_floor=args.peak_floor,
-                        sigma1=args.sigma1, sigma2=args.sigma2,
-                        representations=tuple(args.representations))
-    config = PipelineConfig(sweep=sweep, scheme=args.scheme,
-                            root_only=args.root_only,
-                            nmf_rank=args.nmf_rank,
-                            w2v_dim=args.w2v_dim, w2v_window=args.w2v_window,
-                            w2v_epochs=args.w2v_epochs,
-                            w2v_min_count=args.w2v_min_count)
+    if "selection" in args:
+        args.selection = SELECT_NAMES[args.selection]
+    config = _config(PipelineConfig, args, sweep=_config(SweepConfig, args))
     report = run_pipeline(corpus, gold, config, args.out)
     log.info("report with %d rows written to %s", len(report.rows),
              Path(args.out) / "report.csv")
@@ -190,10 +190,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="termforge",
         description="Cluster domain terms by syntactic co-occurrence context.")
-    parser.add_argument("-v", "--verbose", action="store_true",
+    parser.add_argument("-v", "--verbose", action="store_true", default=False,
                         help="log progress details")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -204,19 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract (VPC, role, NP) couples")
     p.add_argument("corpus")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="spacy")
+    p.add_argument("--scheme", choices=sorted(SCHEMES))
     p.add_argument("--root-only", action="store_true",
                    help="only extract from root verbs")
-    p.add_argument("--header", action="store_true", help="write a header line")
+    p.add_argument("--header", action="store_true", default=False, help="write a header line")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("featurize", help="build and threshold co-occurrence matrices")
     p.add_argument("couples")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--sigma1", type=float, default=0.0,
-                   help="frequency-sum cutoff (strict >)")
-    p.add_argument("--sigma2", type=float, default=0.0,
-                   help="tf-idf-sum cutoff (strict >)")
+    p.add_argument("--sigma1", type=float, help="frequency-sum cutoff (strict >)")
+    p.add_argument("--sigma2", type=float, help="tf-idf-sum cutoff (strict >)")
     p.set_defaults(func=_cmd_featurize)
 
     enc = sub.add_parser("encode", help="dense encodings (NMF or word vectors)")
@@ -225,25 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = enc_sub.add_parser("nmf", help="factorize a counts matrix")
     p.add_argument("matrix", help="MatrixMarket file with .rows/.cols sidecars")
     p.add_argument("-o", "--out", required=True, help="labeled W output")
-    p.add_argument("--h-out", help="optional H output")
-    p.add_argument("--rank", type=int, default=100)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--h-out", default=None, help="optional H output")
+    p.add_argument("--rank", type=int)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_encode_nmf)
 
     p = enc_sub.add_parser("w2v", help="train skip-gram vectors")
     p.add_argument("corpus")
     p.add_argument("-o", "--out", required=True, help="embedding table output")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--compose", help="file of NP keys to compose vectors for")
-    p.add_argument("--rep-out", help="composed representation output path")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--negatives", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--min-count", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--compose", default=None, help="file of NP keys to compose vectors for")
+    p.add_argument("--rep-out", default="rep_NP_w2v.txt",
+                   help="composed representation output path")
     p.set_defaults(func=_cmd_encode_w2v)
 
     clu = sub.add_parser("cluster", help="cluster a representation file")
@@ -253,61 +252,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--rel-tol", type=float)
     p.set_defaults(func=_cmd_cluster)
 
     p = clu_sub.add_parser("ap", help="affinity propagation")
     p.add_argument("rep")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--preference", default=MEDIAN_PREFERENCE,
-                   help="real value or 'median'")
-    p.add_argument("--damping", type=float, default=0.9)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--convergence-window", type=int, default=50)
+    p.add_argument("--preference", type=real_or_median,
+                   help=f"real value or '{MEDIAN_PREFERENCE}'")
+    p.add_argument("--damping", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--convergence-window", type=int)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("evaluate", help="validity indices for one clustering")
     p.add_argument("clustering")
     p.add_argument("rep")
     p.add_argument("gold")
-    p.add_argument("--representation", help="name for the output row")
+    p.add_argument("--representation", default=None, help="name for the output row")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="K-Means k sweep over one representation")
     p.add_argument("rep")
     p.add_argument("-o", "--out", required=True, help="curves CSV output")
-    p.add_argument("--gold")
-    p.add_argument("--representation", help="representation name for seeds")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=50)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repetitions-out", help="raw per-repetition CSV")
+    p.add_argument("--gold", default=None)
+    p.add_argument("--representation", default=None, help="representation name for seeds")
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--reps", dest="repetitions", type=int, metavar="REPS")
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
+    p.add_argument("--repetitions-out", default=None, help="raw per-repetition CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pipeline", help="full corpus-to-report workflow")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--gold")
+    p.add_argument("--gold", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma1", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=50)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--select", choices=sorted(SELECT_NAMES), default="first-peak")
-    p.add_argument("--peak-floor", type=float, default=0.9)
+    p.add_argument("--sigma1", type=float)
+    p.add_argument("--sigma2", type=float)
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--reps", dest="repetitions", type=int, metavar="REPS")
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
+    p.add_argument("--select", dest="selection", choices=sorted(SELECT_NAMES))
+    p.add_argument("--peak-floor", type=float)
     p.add_argument("--root-only", action="store_true")
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="spacy")
-    p.add_argument("--representations", nargs="+", choices=REPRESENTATIONS,
-                   default=list(REPRESENTATIONS))
-    p.add_argument("--nmf-rank", type=int, default=100)
-    p.add_argument("--w2v-dim", type=int, default=100)
-    p.add_argument("--w2v-window", type=int, default=5)
-    p.add_argument("--w2v-epochs", type=int, default=5)
-    p.add_argument("--w2v-min-count", type=int, default=2)
+    p.add_argument("--scheme", choices=sorted(SCHEMES))
+    p.add_argument("--representations", nargs="+", choices=REPRESENTATIONS)
+    p.add_argument("--nmf-rank", type=int)
+    p.add_argument("--w2v-dim", type=int)
+    p.add_argument("--w2v-window", type=int)
+    p.add_argument("--w2v-epochs", type=int)
+    p.add_argument("--w2v-min-count", type=int)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

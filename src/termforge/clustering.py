@@ -69,6 +69,7 @@ class KmeansConfig:
 
 
 MEDIAN_PREFERENCE = "median"
+AP_NOT_CONVERGED = "affinity propagation hit max_iter before the exemplar set stabilized"
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
         a_new[idx, idx] = diag
         a = damping * a + (1.0 - damping) * a_new
 
-        exemplars = np.flatnonzero(np.diag(a + r) > 0.0)
+        exemplars = np.flatnonzero(a.diagonal() + r.diagonal() > 0.0)
         if prev_exemplars is not None and exemplars.size and \
                 np.array_equal(exemplars, prev_exemplars):
             stable += 1
@@ -297,7 +298,7 @@ def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> 
 
     r, a, converged = _ap_messages(s, config.damping, config.max_iter,
                                    config.convergence_window)
-    evidence = np.diag(a + r)
+    evidence = a.diagonal() + r.diagonal()
     exemplar_idx = np.flatnonzero(evidence > 0.0)
     if exemplar_idx.size == 0:
         exemplar_idx = np.array([int(np.argmax(evidence))])

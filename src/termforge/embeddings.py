@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .corpus import Corpus
 from .matrices import (NP_W2V, Representation, load_representation,
-                       save_representation)
+                       make_representation, save_representation)
 
 log = logging.getLogger(__name__)
 
@@ -225,7 +225,8 @@ def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
     """Compose one vector per NP key: single in-vocab word keeps its row,
     multiword keys take the mean over in-vocab components.  Keys with no
     in-vocab component are dropped (reported via the warning log and the
-    Representation's dropped_labels)."""
+    Representation's dropped_labels), as are all-zero composed vectors;
+    non-finite ones raise ``ValueError`` (``matrices.make_representation``)."""
     kept: list[str] = []
     rows: list[np.ndarray] = []
     dropped: list[str] = []
@@ -241,7 +242,8 @@ def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
                     len(dropped), ", ".join(dropped[:5]),
                     ", ..." if len(dropped) > 5 else "")
     matrix = np.vstack(rows) if rows else np.zeros((0, table.dim))
-    return Representation(tuple(kept), matrix, NP_W2V, tuple(dropped))
+    rep = make_representation(kept, matrix, NP_W2V)
+    return replace(rep, dropped_labels=tuple(dropped) + rep.dropped_labels)
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:

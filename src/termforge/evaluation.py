@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Clustering
+from .extraction import normalize_np_text
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ class IndexReport:
     coverage: float | None        # clustered terms found in gold / all clustered
 
 
-def normalize_term_key(term: str) -> str:
-    """Lowercase, single internal spaces; matches NP key construction."""
-    return " ".join(term.lower().split())
-
-
 def load_gold_standard(path: str | Path) -> GoldStandard:
     path = Path(path)
     mapping: dict[str, str] = {}
@@ -57,7 +53,7 @@ def load_gold_standard(path: str | Path) -> GoldStandard:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected term<TAB>label, got {line!r}")
-            term = normalize_term_key(parts[0])
+            term = normalize_np_text(parts[0])   # gold keys must match NP keys
             label = parts[1].strip()
             if not term or not label:
                 raise ValueError(f"{path}:{lineno}: empty term or label")
@@ -75,9 +71,10 @@ def _check_dissimilarity(d: np.ndarray, n: int) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (n, n):
         raise ValueError(f"dissimilarity shape {d.shape} does not match {n} labels")
-    if not np.allclose(np.diag(d), 0.0, atol=1e-12):
+    # "not <=" so that NaN fails too
+    if not np.abs(d.diagonal()).max(initial=0.0) <= 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
-    if not np.allclose(d, d.T, atol=1e-12):
+    if not np.abs(d - d.T).max(initial=0.0) <= 1e-12:
         raise ValueError("dissimilarity matrix must be symmetric")
     return d
 

@@ -28,8 +28,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .clustering import (ApConfig, KmeansConfig, affinity_propagation,
-                         distinct_row_count, kmeans,
+from .clustering import (AP_NOT_CONVERGED, ApConfig, KmeansConfig,
+                         affinity_propagation, distinct_row_count, kmeans,
                          pairwise_cosine_dissimilarity, save_clustering)
 from .corpus import Corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
@@ -235,9 +235,12 @@ def select_k(result: SweepResult, strategy: Selection = Selection.FIRST_PEAK,
     """Pick k from the combined curve.  Global: argmax (smallest k on ties).
     FirstPeak: the smallest strict local maximum (a plateau counts through
     its first k; endpoints never qualify) whose value reaches
-    peak_floor x global maximum, with Global as fallback."""
-    if len(result.rows) < 2:
-        raise ValueError("select_k needs at least 2 sweep rows")
+    peak_floor x global maximum, with Global as fallback.  A one-row sweep
+    selects its only k."""
+    if not result.rows:
+        raise ValueError("select_k needs at least 1 sweep row")
+    if len(result.rows) == 1:
+        return result.rows[0].k
     combined = combined_curve(result)
     ks = [row.k for row in result.rows]
     global_max = max(combined)
@@ -280,11 +283,11 @@ class PipelineConfig:
     nmf_rank: int = 100
     nmf_max_iter: int = 500
     nmf_tol: float = 1e-5
-    w2v_dim: int = 100
-    w2v_window: int = 5
-    w2v_negatives: int = 5
-    w2v_epochs: int = 5
-    w2v_min_count: int = 2
+    w2v_dim: int = SkipgramConfig.dim
+    w2v_window: int = SkipgramConfig.window
+    w2v_negatives: int = SkipgramConfig.negatives
+    w2v_epochs: int = SkipgramConfig.epochs
+    w2v_min_count: int = SkipgramConfig.min_count
     ap: ApConfig = ApConfig()
 
     def __post_init__(self) -> None:
@@ -366,35 +369,25 @@ REPETITIONS_HEADER = ("k", "repetition", "seed", "n_clusters",
                       "purity", "ari", "dunn2", "silhouette")
 
 
-def write_report_csv(report: Report, path: Path) -> None:
+def _write_table(path: Path, header: tuple[str, ...], records) -> None:
+    """CSV with ``header``; each column is the record attribute of that name."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(REPORT_HEADER) + "\n")
-        for row in report.rows:
-            fh.write(",".join([
-                row.clusterer, row.representation, str(row.n_clusters),
-                format_value(row.ratio), format_value(row.purity),
-                format_value(row.ari), format_value(row.dunn2),
-                format_value(row.silhouette)]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for record in records:
+            fh.write(",".join(format_value(getattr(record, column))
+                              for column in header) + "\n")
+
+
+def write_report_csv(report: Report, path: Path) -> None:
+    _write_table(path, REPORT_HEADER, report.rows)
 
 
 def write_curves_csv(result: SweepResult, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CURVES_HEADER) + "\n")
-        for row in result.rows:
-            fh.write(",".join([
-                str(row.k), format_value(row.purity), format_value(row.ari),
-                format_value(row.dunn2), format_value(row.silhouette)]) + "\n")
+    _write_table(path, CURVES_HEADER, result.rows)
 
 
 def write_repetitions_csv(result: SweepResult, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(REPETITIONS_HEADER) + "\n")
-        for rec in result.cells:
-            fh.write(",".join([
-                str(rec.k), str(rec.repetition), str(rec.seed),
-                str(rec.n_clusters), format_value(rec.purity),
-                format_value(rec.ari), format_value(rec.dunn2),
-                format_value(rec.silhouette)]) + "\n")
+    _write_table(path, REPETITIONS_HEADER, result.cells)
 
 
 def _config_dict(config: PipelineConfig) -> dict:
@@ -447,8 +440,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
         with _stage(f"ap:{name}"):
             clustering = affinity_propagation(rep, config.ap)
             if not clustering.converged:
-                warnings.append(f"{name}: affinity propagation hit max_iter "
-                                "before the exemplar set stabilized")
+                warnings.append(f"{name}: {AP_NOT_CONVERGED}")
             save_clustering(clustering, out / f"ap_{name}.csv",
                             config=dataclasses.asdict(config.ap))
             dissimilarity = pairwise_cosine_dissimilarity(rep.matrix)

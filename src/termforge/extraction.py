@@ -14,7 +14,7 @@ case-marked ``obl``/``nmod`` nominals).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import TextIO
@@ -79,6 +79,14 @@ class ExtractionConfig:
     root_only: bool = False
     root_labels: frozenset[str] = frozenset({"root"})
 
+    def __post_init__(self) -> None:
+        # dependency labels match case-insensitively: fold them once here
+        for field in fields(self):
+            labels = getattr(self, field.name)
+            if isinstance(labels, frozenset):
+                object.__setattr__(self, field.name,
+                                   frozenset(label.lower() for label in labels))
+
     @staticmethod
     def spacy(root_only: bool = False) -> "ExtractionConfig":
         return ExtractionConfig(root_only=root_only)
@@ -110,12 +118,11 @@ def normalize_np_text(text: str) -> str:
 def assemble_np(sentence: Sentence, head: Token, config: ExtractionConfig = DEFAULT_CONFIG) -> str:
     """Noun-phrase key for ``head``: the contiguous run of compound/flat/amod
     dependents immediately preceding the head, then the head, as lemmas."""
-    modifier_deprels = {d.lower() for d in config.np_modifier_labels}
     pieces: list[str] = []
     pos = head.index - 1
     while pos >= 1:
         tok = sentence.token_at(pos)
-        if tok.head == head.index and tok.deprel.lower() in modifier_deprels:
+        if tok.head == head.index and tok.deprel.lower() in config.np_modifier_labels:
             pieces.append(tok.lemma)
             pos -= 1
         else:
@@ -130,15 +137,6 @@ def extract_couples(sentence: Sentence, config: ExtractionConfig = DEFAULT_CONFI
 
     Sentences without a verbal head yield an empty list.
     """
-    subj = {d.lower() for d in config.subject_labels}
-    psubj = {d.lower() for d in config.passive_subject_labels}
-    obj = {d.lower() for d in config.object_labels}
-    prep = {d.lower() for d in config.preposition_labels}
-    pobj = {d.lower() for d in config.prep_object_labels}
-    obl = {d.lower() for d in config.oblique_labels}
-    case = {d.lower() for d in config.case_labels}
-    roots = {d.lower() for d in config.root_labels}
-
     children: dict[int, list[Token]] = {}
     for tok in sentence.tokens:
         children.setdefault(tok.head, []).append(tok)
@@ -147,24 +145,25 @@ def extract_couples(sentence: Sentence, config: ExtractionConfig = DEFAULT_CONFI
     for verb in sentence.tokens:
         if verb.upos != "VERB":
             continue
-        if config.root_only and verb.deprel.lower() not in roots:
+        if config.root_only and verb.deprel.lower() not in config.root_labels:
             continue
         base = Vpc(verb.lemma)
         for dep in children.get(verb.index, []):
             deprel = dep.deprel.lower()
-            if deprel in subj:
+            if deprel in config.subject_labels:
                 couples.append(Couple(base, Role.SUBJECT, assemble_np(sentence, dep, config), sentence.id))
-            elif deprel in obj or deprel in psubj:
+            elif deprel in config.object_labels \
+                    or deprel in config.passive_subject_labels:
                 # passive subjects are recorded as direct objects
                 couples.append(Couple(base, Role.OBJECT, assemble_np(sentence, dep, config), sentence.id))
-            elif deprel in prep:
+            elif deprel in config.preposition_labels:
                 fused = Vpc(verb.lemma, dep.lemma)
                 for grandchild in children.get(dep.index, []):
-                    if grandchild.deprel.lower() in pobj:
+                    if grandchild.deprel.lower() in config.prep_object_labels:
                         couples.append(Couple(fused, Role.OBJECT, assemble_np(sentence, grandchild, config), sentence.id))
-            elif deprel in obl:
+            elif deprel in config.oblique_labels:
                 for marker in children.get(dep.index, []):
-                    if marker.deprel.lower() in case:
+                    if marker.deprel.lower() in config.case_labels:
                         fused = Vpc(verb.lemma, marker.lemma)
                         couples.append(Couple(fused, Role.OBJECT, assemble_np(sentence, dep, config), sentence.id))
     return couples

@@ -5,15 +5,18 @@ import json
 import numpy as np
 import pytest
 
+from termforge import cli
 from termforge.cli import main
-from termforge.clustering import load_clustering
+from termforge.clustering import ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
-from termforge.embeddings import load_embeddings
-from termforge.extraction import extract_corpus, read_couples_tsv
+from termforge.embeddings import SkipgramConfig, load_embeddings
+from termforge.experiment import PipelineConfig, Selection, SweepConfig
+from termforge.extraction import ExtractionConfig, extract_corpus, read_couples_tsv
 from termforge.matrices import (
     MatrixKind,
     NP_VPC,
     NP_VPC_TFIDF,
+    Thresholds,
     load_matrix,
     load_representation,
 )
@@ -247,3 +250,125 @@ def test_errors_exit_one_with_message(tmp_path, workdir):
     bad.write_text("3\nalpha\t1.0\n")
     code, _, err = run_cli(["cluster", "ap", str(bad), "-o", str(tmp_path / "y.csv")])
     assert code == 1 and f"error: {bad}: bad header '3'" in err
+
+
+def test_pipeline_single_k_sweep(tmp_path, mini_corpus_path, mini_gold_path):
+    # k_min = k_max, and k_max clipped down to k_min by the 16 distinct rows
+    for k_min, k_max in (("3", "3"), ("16", "40")):
+        out = tmp_path / f"run{k_min}"
+        code, _, err = run_cli(["pipeline", "--corpus", str(mini_corpus_path),
+                                "--gold", str(mini_gold_path), "--out", str(out),
+                                "--sigma1", "2", "--sigma2", "0.5",
+                                "--k-min", k_min, "--k-max", k_max, "--reps", "1",
+                                "--representations", NP_VPC])
+        assert code == 0, err
+        km_row = (out / "report.csv").read_text().splitlines()[1].split(",")
+        assert km_row[:3] == ["KM", NP_VPC, k_min]
+
+
+# ------------------------------------------------- flags -> config objects
+
+class Captured(Exception):
+    """Raised by a stand-in library call, carrying its arguments."""
+
+
+def capture(monkeypatch, *names):
+    """Replace the library calls ``names`` in the cli module: the first
+    raises ``Captured`` with its arguments, the others return None."""
+    def fake(*args, **kwargs):
+        raise Captured(args, kwargs)
+    monkeypatch.setattr(cli, names[0], fake)
+    for name in names[1:]:
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
+
+
+def config_passed(argv):
+    """(positional args, keyword args) of the captured library call."""
+    with pytest.raises(Captured) as info:
+        main(argv)
+    return info.value.args
+
+
+def test_cli_defaults_are_the_config_defaults(monkeypatch, tmp_path):
+    capture(monkeypatch, "extract_corpus", "load_corpus")
+    (_, config), _ = config_passed(["extract", "c.conllu", "-o", "x"])
+    assert config == ExtractionConfig.spacy()
+
+    capture(monkeypatch, "build_matrices", "read_couples_tsv")
+    (_, config), _ = config_passed(["featurize", "c.tsv", "-o", str(tmp_path)])
+    assert config == Thresholds()
+
+    capture(monkeypatch, "nmf", "load_matrix")
+    assert config_passed(["encode", "nmf", "m.mtx", "-o", "w"]) == ((None,), {})
+
+    capture(monkeypatch, "train_skipgram", "load_corpus")
+    (_, config), _ = config_passed(["encode", "w2v", "c.conllu", "-o", "e"])
+    assert config == SkipgramConfig()
+
+    capture(monkeypatch, "kmeans", "load_representation")
+    (_, config), _ = config_passed(["cluster", "kmeans", "r", "-o", "x", "-k", "3"])
+    assert config == KmeansConfig(k=3)
+
+    capture(monkeypatch, "affinity_propagation", "load_representation")
+    (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x"])
+    assert config == ApConfig()
+
+    capture(monkeypatch, "run_sweep", "load_representation")
+    (_, _, config), _ = config_passed(["sweep", "r", "-o", "x"])
+    assert config == SweepConfig()
+
+    capture(monkeypatch, "run_pipeline", "load_corpus")
+    (_, _, config, _), _ = config_passed(["pipeline", "--corpus", "c", "--out", "o"])
+    assert config == PipelineConfig()
+
+
+def test_readme_quick_start_flags_match_the_library_example(monkeypatch):
+    capture(monkeypatch, "run_pipeline", "load_corpus", "load_gold_standard")
+    (_, _, config, _), _ = config_passed([
+        "pipeline", "--corpus", "data/mini/corpus.conllu",
+        "--gold", "data/mini/gold.tsv", "--out", "mini_run",
+        "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2", "--k-max", "10",
+        "--reps", "3", "--seed", "7",
+        "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3"])
+    assert config == PipelineConfig(
+        sweep=SweepConfig(k_min=2, k_max=10, repetitions=3, master_seed=7,
+                          sigma1=2.0, sigma2=0.5),
+        nmf_rank=10, w2v_dim=32, w2v_epochs=3)
+
+
+def test_cli_flags_convert_to_config_types(monkeypatch):
+    capture(monkeypatch, "run_pipeline", "load_corpus")
+    (_, _, config, _), _ = config_passed([
+        "pipeline", "--corpus", "c", "--out", "o", "--select", "global",
+        "--representations", NP_VPC_TFIDF, NP_VPC, "--seed", "11",
+        "--scheme", "ud", "--root-only"])
+    assert config.sweep.selection is Selection.GLOBAL
+    assert config.sweep.representations == (NP_VPC_TFIDF, NP_VPC)
+    assert config.sweep.master_seed == 11
+    assert (config.scheme, config.root_only) == ("ud", True)
+
+    capture(monkeypatch, "run_sweep", "load_representation")
+    (_, _, config), _ = config_passed(["sweep", "r", "-o", "x", "--seed", "5",
+                                       "--reps", "4"])
+    assert (config.master_seed, config.repetitions) == (5, 4)
+
+    capture(monkeypatch, "affinity_propagation", "load_representation")
+    (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x",
+                                    "--preference", "0.5"])
+    assert config.preference == 0.5 and isinstance(config.preference, float)
+
+    capture(monkeypatch, "nmf", "load_matrix")
+    _, kwargs = config_passed(["encode", "nmf", "m.mtx", "-o", "w",
+                               "--rank", "4", "--seed", "2"])
+    assert kwargs == {"rank": 4, "seed": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--corpus", "c", "--out", "o", "--select", "best"],
+    ["cluster", "ap", "r", "-o", "x", "--preference", "high"],
+])
+def test_cli_rejects_bad_flag_values(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "invalid" in capsys.readouterr().err

@@ -319,6 +319,16 @@ def test_np_vectors_empty_result():
     assert rep.dropped_labels == ("b", "c d")
 
 
+def test_np_vectors_drops_zero_vectors_and_rejects_non_finite():
+    table = table_from({"up": [1.0, 0.0], "down": [-1.0, 0.0], "side": [0.0, 1.0]})
+    rep = np_vectors(table, ["up down", "side", "nowhere"])
+    assert rep.row_labels == ("side",)
+    assert rep.dropped_labels == ("nowhere", "up down")
+    bad = table_from({"ok": [1.0, 0.0], "broken": [np.nan, 1.0]})
+    with pytest.raises(ValueError, match=r"NP_w2v: non-finite values in 1 row\(s\): broken"):
+        np_vectors(bad, ["ok", "broken"])
+
+
 # ---------------------------------------------------------- serialization
 
 def test_save_load_round_trip(tmp_path):

@@ -184,9 +184,11 @@ def test_select_k_constant_curve_is_flat_half():
     assert select_k(result, Selection.FIRST_PEAK) == 2
 
 
-def test_select_k_needs_two_rows():
-    with pytest.raises(ValueError, match="at least 2 sweep rows"):
-        select_k(curve_result([0.5]))
+def test_select_k_one_row_and_empty():
+    assert select_k(curve_result([0.5]), Selection.FIRST_PEAK) == 2
+    assert select_k(curve_result([0.5]), Selection.GLOBAL) == 2
+    with pytest.raises(ValueError, match="at least 1 sweep row"):
+        select_k(curve_result([]))
 
 
 def test_combined_curve_sums_normalized_indices():

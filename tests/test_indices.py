@@ -14,10 +14,10 @@ from termforge.evaluation import (
     evaluate_clustering,
     format_value,
     load_gold_standard,
-    normalize_term_key,
     purity,
     silhouette_width,
 )
+from termforge.extraction import normalize_np_text
 from util import (
     make_clustering,
     oracle_ari,
@@ -83,7 +83,7 @@ def test_gold_standard_empty_file(tmp_path):
 
 
 def test_normalize_term_key():
-    assert normalize_term_key("  Foo   BAR ") == "foo bar"
+    assert normalize_np_text("  Foo   BAR ") == "foo bar"
 
 
 # -------------------------------------------------------------- silhouette
@@ -131,6 +131,20 @@ def test_silhouette_validates_matrix():
         silhouette_width(asym, make_clustering([0, 1]))
     with pytest.raises(ValueError, match="does not match"):
         silhouette_width(np.zeros((3, 3)), make_clustering([0, 1]))
+    # the tolerance is an absolute 1e-12, not numpy's default rtol=1e-5
+    d = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 0.7], [0.9, 0.7, 0.0]])
+    three = make_clustering([0, 0, 1])
+    for i, j, bad_value, match in ((0, 2, 0.9 + 1e-7, "symmetric"),
+                                   (1, 1, 1e-7, "diagonal"),
+                                   (0, 1, np.nan, "symmetric")):
+        bad = d.copy()
+        bad[i, j] = bad_value
+        with pytest.raises(ValueError, match=match):
+            silhouette_width(bad, three)
+    within = d.copy()
+    within[0, 2] += 5e-13
+    within[2, 2] = 5e-13
+    silhouette_width(within, three)
 
 
 # ------------------------------------------------------------------- dunn2
