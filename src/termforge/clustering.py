@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,33 +227,50 @@ def kmeans(rep: Representation, config: KmeansConfig) -> Clustering:
                       objective_history=tuple(history), converged=converged)
 
 
+# n x n float64 arrays live at once during message passing: s_clean, s,
+# r, a and the scratch buffer of _ap_messages
+_AP_LIVE_ARRAYS = 5
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
                  window: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    # R and A are updated in place through one n x n scratch buffer; each
+    # damped update is r *= d; tmp *= 1 - d; r += tmp, which gives the same
+    # bits as d * r + (1 - d) * r_new
     n = s.shape[0]
     r = np.zeros((n, n))
     a = np.zeros((n, n))
+    tmp = np.empty((n, n))
     idx = np.arange(n)
     stable = 0
     prev_exemplars: np.ndarray | None = None
     converged = False
     for _ in range(max_iter):
         # responsibilities
-        as_ = a + s
-        first = np.argmax(as_, axis=1)
-        best = as_[idx, first]
-        as_[idx, first] = -np.inf
-        second = np.max(as_, axis=1)
-        r_new = s - best[:, None]
-        r_new[idx, first] = s[idx, first] - second
-        r = damping * r + (1.0 - damping) * r_new
+        np.add(a, s, out=tmp)
+        first = np.argmax(tmp, axis=1)
+        best = tmp[idx, first]
+        tmp[idx, first] = -np.inf
+        second = np.max(tmp, axis=1)
+        np.subtract(s, best[:, None], out=tmp)
+        tmp[idx, first] = s[idx, first] - second
+        tmp *= 1.0 - damping
+        r *= damping
+        r += tmp
         # availabilities
-        rp = np.maximum(r, 0.0)
-        rp[idx, idx] = r[idx, idx]
-        a_new = rp.sum(axis=0)[None, :] - rp
-        diag = a_new[idx, idx].copy()
-        a_new = np.minimum(a_new, 0.0)
-        a_new[idx, idx] = diag
-        a = damping * a + (1.0 - damping) * a_new
+        np.maximum(r, 0.0, out=tmp)
+        tmp[idx, idx] = r[idx, idx]
+        np.subtract(tmp.sum(axis=0), tmp, out=tmp)
+        own = tmp.diagonal().copy()
+        np.minimum(tmp, 0.0, out=tmp)
+        tmp[idx, idx] = own
+        tmp *= 1.0 - damping
+        a *= damping
+        a += tmp
 
         exemplars = np.flatnonzero(a.diagonal() + r.diagonal() > 0.0)
         if prev_exemplars is not None and exemplars.size and \
@@ -280,6 +298,12 @@ def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> 
         return Clustering(labels=(key,), assignment={key: 0}, n_clusters=1,
                           algorithm="affinity_propagation", exemplars={0: key},
                           objective=pref, converged=True)
+    need, available = _AP_LIVE_ARRAYS * n * n * 8, _physical_memory_bytes()
+    if need > available:
+        raise ValueError(
+            f"affinity propagation on n={n} rows needs about {need / 2**30:.1f} GiB "
+            f"for its n x n arrays, more than the {available / 2**30:.1f} GiB "
+            "of physical memory")
     s_clean = normalized @ normalized.T   # 1 - d equals the cosine itself
 
     if config.preference == MEDIAN_PREFERENCE:
@@ -291,10 +315,14 @@ def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> 
     s = s_clean.copy()
     np.fill_diagonal(s, preference)
     # constant-seeded eps-scale jitter: breaks the exact-degeneracy
-    # oscillation of duplicate rows without being visible at output scale
-    jitter_rng = np.random.default_rng(0)
-    s = s + (np.finfo(float).eps * np.abs(s) + np.finfo(float).tiny * 100) \
-        * jitter_rng.standard_normal((n, n))
+    # oscillation of duplicate rows without being visible at output scale;
+    # s += (eps * |s| + 100 * tiny) * noise, term by term in place
+    jitter = np.abs(s)
+    jitter *= np.finfo(float).eps
+    jitter += np.finfo(float).tiny * 100
+    jitter *= np.random.default_rng(0).standard_normal((n, n))
+    s += jitter
+    del jitter   # freed before _ap_messages allocates r, a and its scratch
 
     r, a, converged = _ap_messages(s, config.damping, config.max_iter,
                                    config.convergence_window)

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from termforge import clustering
 from termforge.clustering import (
     ApConfig,
     affinity_propagation,
     load_clustering,
     save_clustering,
 )
-from util import make_rep
+from termforge.experiment import PipelineError, run_pipeline
+from test_pipeline import tiny_config
+from util import make_rep, oracle_ap_messages, oracle_ap_similarity
 
 
 def three_orthogonal_groups():
@@ -130,6 +135,67 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_iter"):
         ApConfig(max_iter=0)
     ApConfig(preference=-3.5)  # explicit numeric preference is fine
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    base = rng.random((6, 4)) + 0.05
+    duplicates = np.vstack([base, base[:3], base[:2]])
+    yield "duplicate rows", duplicates, ApConfig()
+    yield "n=2", np.array([[1.0, 0.2], [0.3, 1.0]]), ApConfig()
+    yield "converges", three_orthogonal_groups().matrix, ApConfig()
+    yield "max_iter", rng.random((40, 5)) + 0.05, ApConfig(max_iter=25)
+    yield "numeric preference", rng.random((15, 3)) + 0.05, \
+        ApConfig(preference=-0.5, damping=0.7, convergence_window=10)
+
+
+def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
+    real = clustering._ap_messages
+    seen = []
+
+    def spy(s, damping, max_iter, window):
+        result = real(s, damping, max_iter, window)
+        seen.append((s.copy(), damping, max_iter, window, result))
+        return result
+
+    monkeypatch.setattr(clustering, "_ap_messages", spy)
+    outcomes = set()
+    for name, matrix, config in _oracle_cases():
+        seen.clear()
+        affinity_propagation(make_rep(matrix), config)
+        (s, damping, max_iter, window, (r, a, converged)), = seen
+        normalized = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+        sims = normalized @ normalized.T
+        preference = (float(np.median(sims[~np.eye(len(matrix), dtype=bool)]))
+                      if config.preference == "median" else config.preference)
+        assert np.array_equal(s, oracle_ap_similarity(matrix, preference)), name
+        r_ref, a_ref, converged_ref = oracle_ap_messages(s, damping, max_iter, window)
+        assert np.array_equal(r, r_ref), name
+        assert np.array_equal(a, a_ref), name
+        assert converged == converged_ref, name
+        outcomes.add(converged)
+    assert outcomes == {True, False}
+
+
+def test_memory_guard_rejects_before_allocating(monkeypatch):
+    monkeypatch.setattr(clustering, "_physical_memory_bytes", lambda: 4096)
+    rep = make_rep(np.random.default_rng(5).random((12, 3)) + 0.05)
+    with pytest.raises(ValueError, match=r"n=12 .*GiB"):
+        affinity_propagation(rep, ApConfig())
+    # 5 arrays of 11 x 11 float64 are 4840 bytes; 10 x 10 fit in 4096
+    affinity_propagation(make_rep(rep.matrix[:10]), ApConfig())
+    with pytest.raises(ValueError, match="n=11"):
+        affinity_propagation(make_rep(rep.matrix[:11]), ApConfig())
+
+
+def test_memory_guard_is_a_tagged_pipeline_error(monkeypatch, tmp_path, mini_corpus):
+    monkeypatch.setattr(clustering, "_physical_memory_bytes", lambda: 1024)
+    config = tiny_config(sweep=dataclasses.replace(tiny_config().sweep,
+                                                   representations=("NP_VPC",)))
+    with pytest.raises(PipelineError, match=r"\[ap:NP_VPC\] affinity propagation on n=") \
+            as exc:
+        run_pipeline(mini_corpus, None, config, tmp_path)
+    assert exc.value.stage == "ap:NP_VPC"
 
 
 # ---------------------------------------------------------- serialization

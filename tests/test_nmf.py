@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from termforge.matrices import MatrixKind
+from termforge.matrices import CooccurrenceMatrix, MatrixKind
 from termforge.nmf import nmf, reconstruction_error
 from test_matrices import counts_matrix
 
@@ -36,6 +36,51 @@ def test_matches_reference_updates_on_seeded_instance():
     assert np.max(np.abs(pair.H - H_ref)) < 1e-9
     err_ref = float(np.linalg.norm(M - W_ref @ H_ref, "fro"))
     assert abs(pair.final_error - err_ref) < 1e-9
+
+
+def sparse_counts(seed, shape=(30, 40)):
+    """Count-like matrix: about 80% zeros, small integer counts elsewhere."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, size=shape).astype(float)
+    counts[rng.random(shape) < 0.8] = 0.0
+    return counts
+
+
+def test_matches_reference_updates_on_sparse_counts():
+    dense = sparse_counts(12)
+    assert 0.75 < np.mean(dense == 0.0) < 0.85
+    W_ref, H_ref = oracle_updates(dense, rank=6, n_steps=60, seed=12)
+    pair = nmf(counts_matrix(dense), rank=6, max_iter=60, tol=0.0, seed=12)
+    assert pair.iterations_run == 60
+    assert np.max(np.abs(pair.W - W_ref)) < 1e-9
+    assert np.max(np.abs(pair.H - H_ref)) < 1e-9
+    err_ref = float(np.linalg.norm(dense - W_ref @ H_ref, "fro"))
+    assert abs(pair.final_error - err_ref) < 1e-9
+
+
+def test_cooccurrence_input_is_never_densified(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nmf made the count matrix dense")
+
+    for cls in (CooccurrenceMatrix, sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse, raising=False)
+        monkeypatch.setattr(cls, "todense", refuse, raising=False)
+    pair = nmf(counts_matrix(sparse_counts(3)), rank=4, max_iter=50, tol=0.0, seed=3)
+    assert pair.iterations_run == 50
+    assert pair.final_error > 1.0   # far from an exact fit
+
+
+def test_error_stays_non_increasing_near_an_exact_fit():
+    # exactly factorizable instances run long enough that the error gets
+    # close to zero, where the expanded form of the error cancels
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = (int(v) for v in rng.integers(3, 30, size=2))
+        k = int(rng.integers(1, 4))
+        M = rng.random((n, k)) @ rng.random((k, m))
+        history = nmf(M, rank=k, max_iter=3000, tol=0.0, seed=seed).error_history
+        for before, after in zip(history, history[1:]):
+            assert after <= before + 1e-10, (seed, before, after)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -89,6 +134,11 @@ def test_input_validation():
         nmf(np.ones((2, 2)), rank=0)
     with pytest.raises(ValueError, match="cannot factorize"):
         nmf(np.zeros((0, 3)), rank=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        dense = np.array([[bad, 1.0], [1.0, 1.0]])
+        for m in (dense, sp.csr_matrix(dense)):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                nmf(m, rank=1)
 
 
 def test_accepts_sparse_and_cooccurrence_inputs():
