@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.ma   # np.median loads it lazily; import it with the module, not mid-run
 
 from .matrices import Representation
 

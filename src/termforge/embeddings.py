@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
+import numpy.random   # numpy loads it lazily; import it with the module, not mid-run
 
 from .corpus import Corpus
 from .matrices import (NP_W2V, Representation, load_representation,
@@ -78,6 +78,14 @@ class EmbeddingTable:
         return tuple(ordered)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) elementwise, the formula of ``scipy.special.expit``.
+    Below about -709 exp(-x) overflows to inf, which gives exactly 0.0, so
+    that overflow is not warned about."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sgns_loss_and_grads(center_vec: np.ndarray, out_rows: np.ndarray,
                         labels: np.ndarray):
     """Negative-sampling loss for one center vector (shape ``(d,)``) against
@@ -93,7 +101,7 @@ def sgns_loss_and_grads(center_vec: np.ndarray, out_rows: np.ndarray,
     scores = np.einsum("...rd,...d->...r", out_rows, center_vec)
     # -log sigma(s) for label 1, -log sigma(-s) for label 0, stably
     loss = float(np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -scores, scores))))
-    residual = expit(scores) - labels
+    residual = sigmoid(scores) - labels
     grad_center = np.einsum("...rd,...r->...d", out_rows, residual)
     grad_out = residual[..., :, None] * center_vec[..., None, :]
     return loss, grad_center, grad_out

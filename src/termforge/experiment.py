@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .clustering import (AP_NOT_CONVERGED, ApConfig, KmeansConfig,
@@ -468,8 +467,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file()
                             and p.name != "manifest.json"),
         "warnings": warnings,
-        "versions": {"termforge": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"termforge": __version__, "numpy": np.__version__},
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

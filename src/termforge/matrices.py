@@ -16,8 +16,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .extraction import CoupleSet, Role
 
@@ -49,11 +47,60 @@ class Thresholds:
             raise ValueError("thresholds must be non-negative")
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed sparse rows on numpy arrays.  Row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with values ``data`` at
+    the same positions; no entry is duplicated and no zero is stored."""
+
+    indptr: np.ndarray    # n_rows + 1 offsets into indices and data
+    indices: np.ndarray   # column of each entry
+    data: np.ndarray      # float value of each entry
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_triplets(cls, rows, cols, values, shape: tuple[int, int]) -> Csr:
+        """Entry k is ``values[k]`` at ``(rows[k], cols[k])``; duplicates are
+        summed, then zeros dropped."""
+        n_rows, n_cols = (int(v) for v in shape)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                              and 0 <= cols.min() and cols.max() < n_cols):
+            raise ValueError(f"entry index out of range for shape {(n_rows, n_cols)}")
+        order = np.lexsort((cols, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
+        first = np.flatnonzero((np.diff(rows, prepend=-1) != 0)
+                               | (np.diff(cols, prepend=-1) != 0))
+        rows, cols, values = rows[first], cols[first], np.add.reduceat(values, first)
+        keep = values != 0
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=indptr[1:])
+        return cls(indptr, cols[keep], values[keep], (n_rows, n_cols))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def transpose(self) -> Csr:
+        return Csr.from_triplets(self.indices, self.row_ids(), self.data, self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.row_ids(), self.indices] = self.data
+        return dense
+
+
 @dataclass(frozen=True)
 class CooccurrenceMatrix:
     row_labels: tuple[str, ...]   # NP keys
     col_labels: tuple[str, ...]   # VPC keys
-    values: sp.csr_matrix         # non-negative, no stored zeros
+    values: Csr                   # non-negative
     kind: MatrixKind
 
     @property
@@ -61,20 +108,13 @@ class CooccurrenceMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     def toarray(self) -> np.ndarray:
-        return np.asarray(self.values.todense(), dtype=float)
+        return self.values.toarray()
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.values.sum(axis=1)).ravel()
+        return np.bincount(self.values.row_ids(), self.values.data, self.shape[0])
 
     def col_sums(self) -> np.ndarray:
-        return np.asarray(self.values.sum(axis=0)).ravel()
-
-
-def _make_csr(values: sp.spmatrix, shape: tuple[int, int]) -> sp.csr_matrix:
-    m = sp.csr_matrix(values, shape=shape)
-    m.eliminate_zeros()
-    m.sort_indices()
-    return m
+        return np.bincount(self.values.indices, self.values.data, self.shape[1])
 
 
 def build_role_matrix(couples: CoupleSet, role: Role) -> CooccurrenceMatrix:
@@ -84,12 +124,11 @@ def build_role_matrix(couples: CoupleSet, role: Role) -> CooccurrenceMatrix:
     cols = sorted({c.vpc.key for c in selected})
     row_index = {k: i for i, k in enumerate(rows)}
     col_index = {k: j for j, k in enumerate(cols)}
-    data = np.ones(len(selected), dtype=float)
-    i = np.array([row_index[c.np] for c in selected], dtype=int)
-    j = np.array([col_index[c.vpc.key] for c in selected], dtype=int)
-    values = sp.coo_matrix((data, (i, j)), shape=(len(rows), len(cols)))
+    i = [row_index[c.np] for c in selected]
+    j = [col_index[c.vpc.key] for c in selected]
+    values = Csr.from_triplets(i, j, np.ones(len(selected)), (len(rows), len(cols)))
     kind = MatrixKind.SUBJECT_COUNTS if role is Role.SUBJECT else MatrixKind.OBJECT_COUNTS
-    return CooccurrenceMatrix(tuple(rows), tuple(cols), _make_csr(values, (len(rows), len(cols))), kind)
+    return CooccurrenceMatrix(tuple(rows), tuple(cols), values, kind)
 
 
 def merge_matrices(subj: CooccurrenceMatrix, obj: CooccurrenceMatrix) -> CooccurrenceMatrix:
@@ -100,35 +139,33 @@ def merge_matrices(subj: CooccurrenceMatrix, obj: CooccurrenceMatrix) -> Cooccur
     cols = sorted(set(subj.col_labels) | set(obj.col_labels))
     row_index = {k: i for i, k in enumerate(rows)}
     col_index = {k: j for j, k in enumerate(cols)}
-    shape = (len(rows), len(cols))
-    total = sp.csr_matrix(shape, dtype=float)
+    i, j, data = [], [], []
     for part in (subj, obj):
-        if 0 in part.values.shape or part.values.nnz == 0:
-            continue
-        coo = part.values.tocoo()
-        i = np.array([row_index[part.row_labels[r]] for r in coo.row], dtype=int)
-        j = np.array([col_index[part.col_labels[c]] for c in coo.col], dtype=int)
-        total = total + sp.coo_matrix((coo.data, (i, j)), shape=shape).tocsr()
-    return CooccurrenceMatrix(tuple(rows), tuple(cols), _make_csr(total, shape), MatrixKind.MERGED_COUNTS)
+        row_map = np.array([row_index[k] for k in part.row_labels], dtype=np.intp)
+        col_map = np.array([col_index[k] for k in part.col_labels], dtype=np.intp)
+        i.append(row_map[part.values.row_ids()])
+        j.append(col_map[part.values.indices])
+        data.append(part.values.data)
+    values = Csr.from_triplets(np.concatenate(i), np.concatenate(j), np.concatenate(data),
+                               (len(rows), len(cols)))
+    return CooccurrenceMatrix(tuple(rows), tuple(cols), values, MatrixKind.MERGED_COUNTS)
 
 
 def _bidirectional_cut(m: CooccurrenceMatrix, cutoff: float, symbol: str) -> CooccurrenceMatrix:
-    row_keep = np.flatnonzero(m.row_sums() > cutoff)
-    col_keep = np.flatnonzero(m.col_sums() > cutoff)
-    sub = m.values[row_keep][:, col_keep] if row_keep.size and col_keep.size else sp.csr_matrix((row_keep.size, col_keep.size))
-    sub = sp.csr_matrix(sub)
-    sub.eliminate_zeros()
-    # drop rows/columns left entirely zero by the joint cut
-    nz_rows = np.flatnonzero(sub.getnnz(axis=1))
-    nz_cols = np.flatnonzero(sub.getnnz(axis=0))
-    sub = sub[nz_rows][:, nz_cols] if nz_rows.size and nz_cols.size else sp.csr_matrix((0, 0))
-    rows = tuple(m.row_labels[i] for i in row_keep[nz_rows]) if nz_rows.size else ()
-    cols = tuple(m.col_labels[j] for j in col_keep[nz_cols]) if nz_cols.size else ()
-    if not rows:
+    i, j, data = m.values.row_ids(), m.values.indices, m.values.data
+    inside = (m.row_sums() > cutoff)[i] & (m.col_sums() > cutoff)[j]
+    i, j, data = i[inside], j[inside], data[inside]
+    # rows/columns left entirely zero by the joint cut go too
+    kept_rows, i = np.unique(i, return_inverse=True)
+    kept_cols, j = np.unique(j, return_inverse=True)
+    if not kept_rows.size:
         raise ThresholdError(
             f"{symbol} > {cutoff} eliminated every row; lower {symbol}"
         )
-    return CooccurrenceMatrix(rows, cols, _make_csr(sub, (len(rows), len(cols))), m.kind)
+    rows = tuple(m.row_labels[r] for r in kept_rows)
+    cols = tuple(m.col_labels[c] for c in kept_cols)
+    return CooccurrenceMatrix(rows, cols, Csr.from_triplets(i, j, data, (len(rows), len(cols))),
+                              m.kind)
 
 
 def apply_frequency_threshold(m: CooccurrenceMatrix, t: Thresholds) -> CooccurrenceMatrix:
@@ -145,13 +182,12 @@ def tfidf_weight(m: CooccurrenceMatrix) -> CooccurrenceMatrix:
     if not m.kind.is_counts:
         raise ValueError(f"tfidf expects a counts matrix, got {m.kind}")
     n_cols = len(m.col_labels)
-    df = m.values.getnnz(axis=1)
-    weighted = m.values.tocoo(copy=True)
-    if weighted.nnz:
-        idf = np.log(n_cols / df[weighted.row])
-        weighted.data = weighted.data * idf
+    rows = m.values.row_ids()
+    df = np.diff(m.values.indptr)
+    weighted = m.values.data * np.log(n_cols / df[rows])
     return CooccurrenceMatrix(m.row_labels, m.col_labels,
-                              _make_csr(weighted, m.shape), MatrixKind.TFIDF)
+                              Csr.from_triplets(rows, m.values.indices, weighted, m.shape),
+                              MatrixKind.TFIDF)
 
 
 def apply_value_threshold(m: CooccurrenceMatrix, t: Thresholds) -> CooccurrenceMatrix:
@@ -212,9 +248,32 @@ def representation_from_matrix(m: CooccurrenceMatrix, provenance: str) -> Repres
 # ---------------------------------------------------------------------------
 # Serialization: MatrixMarket coordinate text plus .rows/.cols label sidecars.
 
+_MM_HEADER = "%%MatrixMarket matrix coordinate {} general"
+_MM_READABLE = [_MM_HEADER.format(field).lower().split() for field in ("real", "integer")]
+
+
+def _mm_real(value: float) -> str:
+    """``scipy.io.mmwrite``'s spelling of a real: the shortest digits that
+    round-trip, in scientific form with ``E`` and no ``E0`` (``6``,
+    ``2.387844936944869``, ``1.2E1``, ``1E-5``)."""
+    mantissa, exp = np.format_float_scientific(value, unique=True, trim="-",
+                                               exp_digits=1).split("e")
+    return mantissa + (f"E{int(exp)}" if int(exp) else "")
+
+
 def save_matrix(m: CooccurrenceMatrix, path: str | Path) -> None:
+    """Matrix Market coordinate text, byte-identical to ``scipy.io.mmwrite(
+    path, m, field="real")`` except that the header always says ``general``
+    (scipy writes a symmetric matrix under 100 rows as ``symmetric``)."""
     path = Path(path)
-    scipy.io.mmwrite(str(path), m.values.tocoo(), field="real")
+    v = m.values
+    # counts and tf-idf weights repeat few values: spell each distinct one once
+    distinct, which = np.unique(v.data, return_inverse=True)
+    spelled = [_mm_real(x) for x in distinct.tolist()]
+    lines = [f"{_MM_HEADER.format('real')}\n%\n{v.shape[0]} {v.shape[1]} {v.nnz}\n"]
+    lines += [f"{i} {j} {spelled[k]}\n" for i, j, k in
+              zip((v.row_ids() + 1).tolist(), (v.indices + 1).tolist(), which.tolist())]
+    path.write_text("".join(lines), encoding="utf-8")
     path.with_suffix(path.suffix + ".rows").write_text(
         "".join(f"{k}\n" for k in m.row_labels), encoding="utf-8")
     path.with_suffix(path.suffix + ".cols").write_text(
@@ -222,14 +281,37 @@ def save_matrix(m: CooccurrenceMatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path, kind: MatrixKind) -> CooccurrenceMatrix:
+    """Read ``save_matrix`` output, or any Matrix Market ``coordinate real``
+    or ``coordinate integer`` ``general`` file; duplicate entries are summed."""
     path = Path(path)
-    values = sp.csr_matrix(scipy.io.mmread(str(path)))
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.lower().split() not in _MM_READABLE:
+            raise ValueError(f"{path}: header {header.strip()!r} is not "
+                             f"{_MM_HEADER.format('real|integer')!r}")
+        line = fh.readline()
+        while line.startswith("%"):
+            line = fh.readline()
+        size = line.split()
+        if len(size) != 3 or not all(t.isdecimal() for t in size):
+            raise ValueError(f"{path}: bad size line {line.strip()!r}, expected 'rows cols entries'")
+        n_rows, n_cols, nnz = (int(t) for t in size)
+        fields = fh.read().split()
+    if len(fields) != 3 * nnz:
+        raise ValueError(f"{path}: the size line declares {nnz} entries, but "
+                         f"{len(fields)} fields follow it, not {3 * nnz}")
+    try:
+        values = Csr.from_triplets(np.array(fields[0::3], dtype=np.intp) - 1,
+                                   np.array(fields[1::3], dtype=np.intp) - 1,
+                                   np.array(fields[2::3], dtype=float), (n_rows, n_cols))
+    except ValueError as exc:   # malformed numbers, or a zero or too large index
+        raise ValueError(f"{path}: {exc}") from None
     rows = tuple(path.with_suffix(path.suffix + ".rows").read_text(encoding="utf-8").splitlines())
     cols = tuple(path.with_suffix(path.suffix + ".cols").read_text(encoding="utf-8").splitlines())
     if values.shape != (len(rows), len(cols)):
         raise ValueError(f"{path}: matrix shape {values.shape} does not match sidecar labels "
                          f"({len(rows)} rows, {len(cols)} cols)")
-    return CooccurrenceMatrix(rows, cols, _make_csr(values, values.shape), kind)
+    return CooccurrenceMatrix(rows, cols, values, kind)
 
 
 def save_representation(rep: Representation, path: str | Path) -> None:

@@ -5,10 +5,11 @@ multiplicative update rules (Lee and Seung).  Both factors stay elementwise
 non-negative by construction and the error is non-increasing across
 iterations, which the tests assert step by step via ``error_history``.
 
-The updates run on a CSR copy of M, so a sparse count matrix is never made
-dense: W^T M is computed as (M^T W)^T, and M H^T is one sparse-dense product
-per iteration that serves both the W update and the error.  The error comes
-from the expansion
+The updates run on M in compressed sparse rows, so a sparse count matrix is
+never made dense: W^T M and H M^T = (M H^T)^T each gather a factor's columns
+at M's entries and sum them per row of M^T or M (W is held transposed, so
+both gathers read contiguous rows), and H M^T serves both the W update and
+the error.  The error comes from the expansion
 
     ||M - WH||^2 = ||M||^2 - 2 <W, M H^T> + <W^T W, H H^T>,
 
@@ -26,9 +27,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .matrices import CooccurrenceMatrix
+from .matrices import CooccurrenceMatrix, Csr
 
 log = logging.getLogger(__name__)
 
@@ -45,24 +45,48 @@ class FactorPair:
     error_history: tuple[float, ...]  # error after init, then after each iteration
 
 
-def _as_csr(m) -> sp.csr_matrix:
-    """A float CSR copy of m with duplicate entries summed."""
+def _as_csr(m) -> Csr:
+    """m as a Csr with duplicate entries summed.  A scipy sparse matrix is
+    read through its ``tocoo()``, so scipy is never imported here."""
     if isinstance(m, CooccurrenceMatrix):
-        m = m.values
-    if not sp.issparse(m):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"cannot factorize matrix of shape {m.shape}")
-    M = sp.csr_matrix(m, dtype=float, copy=True)
-    M.sum_duplicates()
-    return M
+        return m.values
+    if hasattr(m, "tocoo"):
+        coo = m.tocoo()
+        return Csr.from_triplets(coo.row, coo.col, coo.data, coo.shape)
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"cannot factorize matrix of shape {m.shape}")
+    rows, cols = np.nonzero(m)
+    return Csr.from_triplets(rows, cols, m[rows, cols], m.shape)
 
 
-def _residual_norm(M: sp.coo_matrix, W: np.ndarray, H: np.ndarray) -> float:
-    """||M - WH||_F from the dense residual; M has no duplicate entries."""
+def _residual_norm(M: Csr, rows: np.ndarray, W: np.ndarray, H: np.ndarray) -> float:
+    """||M - WH||_F from the dense residual; ``rows`` is ``M.row_ids()``."""
     residual = W @ H
-    residual[M.row, M.col] -= M.data
+    residual[rows, M.indices] -= M.data
     return float(np.linalg.norm(residual))
+
+
+def _times_transpose(T: Csr, rank: int):
+    """The product X -> X T^T for C-contiguous ``rank x T.shape[1]`` arrays X:
+    X's columns are gathered at T's entries into a buffer made once, scaled by
+    the entries, and summed per row of T."""
+    # a zero entry after the last keeps every reduceat start inside the buffer
+    indices = np.append(T.indices, 0)
+    data = np.append(T.data, 0.0)
+    starts = T.indptr[:-1]
+    has_entries = np.diff(T.indptr) > 0
+    gathered = np.empty((rank, T.nnz + 1))
+
+    def product(X: np.ndarray) -> np.ndarray:
+        # the indices are in range, so "clip" only skips numpy's bounds check
+        X.take(indices, axis=1, out=gathered, mode="clip")
+        np.multiply(gathered, data, out=gathered)
+        out = np.add.reduceat(gathered, starts, axis=1)
+        out *= has_entries   # reduceat gives an empty row the next entry, not 0
+        return out
+
+    return product
 
 
 def reconstruction_error(m, W: np.ndarray, H: np.ndarray) -> float:
@@ -73,7 +97,7 @@ def reconstruction_error(m, W: np.ndarray, H: np.ndarray) -> float:
     if W.shape[0] != M.shape[0] or H.shape[1] != M.shape[1] or W.shape[1] != H.shape[0]:
         raise ValueError(
             f"shape mismatch: M {M.shape}, W {W.shape}, H {H.shape}")
-    return _residual_norm(M.tocoo(), W, H)
+    return _residual_norm(M, M.row_ids(), W, H)
 
 
 def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
@@ -97,31 +121,32 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
     if effective_rank < rank:
         log.warning("rank %d clamped to %d for %s matrix", rank, effective_rank, M.shape)
 
-    Mt = M.T.tocsr()
-    entries = M.tocoo()
+    times_mt = _times_transpose(M, effective_rank)               # H -> H M^T
+    times_m = _times_transpose(M.transpose(), effective_rank)   # W^T -> W^T M
+    rows = M.row_ids()
     norm_sq = float(M.data @ M.data)
 
-    def error(W: np.ndarray, H: np.ndarray, MHt: np.ndarray, WtW: np.ndarray,
+    def error(Wt: np.ndarray, H: np.ndarray, HMt: np.ndarray, WtW: np.ndarray,
               HHt: np.ndarray) -> float:
-        expansion = norm_sq - 2.0 * float(np.vdot(W, MHt)) + float(np.vdot(WtW, HHt))
+        expansion = norm_sq - 2.0 * float(np.vdot(Wt, HMt)) + float(np.vdot(WtW, HHt))
         if expansion < _EXPANSION_FLOOR * norm_sq:
-            return _residual_norm(entries, W, H)
+            return _residual_norm(M, rows, Wt.T, H)
         return float(np.sqrt(expansion))
 
     rng = np.random.default_rng(seed)
-    W = rng.random((M.shape[0], effective_rank))
+    Wt = np.ascontiguousarray(rng.random((M.shape[0], effective_rank)).T)
     H = rng.random((effective_rank, M.shape[1]))
 
-    WtW = W.T @ W
-    history = [error(W, H, M @ H.T, WtW, H @ H.T)]
+    WtW = Wt @ Wt.T
+    history = [error(Wt, H, times_mt(H), WtW, H @ H.T)]
     iterations = 0
     for _ in range(max_iter):
-        H *= (Mt @ W).T / (WtW @ H + _EPS)
-        MHt = M @ H.T
+        H *= times_m(Wt) / (WtW @ H + _EPS)
+        HMt = times_mt(H)
         HHt = H @ H.T
-        W *= MHt / (W @ HHt + _EPS)
-        WtW = W.T @ W
-        err = error(W, H, MHt, WtW, HHt)
+        Wt *= HMt / (HHt @ Wt + _EPS)
+        WtW = Wt @ Wt.T
+        err = error(Wt, H, HMt, WtW, HHt)
         history.append(err)
         iterations += 1
         prev = history[-2]
@@ -129,5 +154,5 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
             break
         if (prev - err) / prev < tol:
             break
-    return FactorPair(W=W, H=H, iterations_run=iterations,
+    return FactorPair(W=np.ascontiguousarray(Wt.T), H=H, iterations_run=iterations,
                       final_error=history[-1], error_history=tuple(history))

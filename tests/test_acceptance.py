@@ -27,6 +27,7 @@ from termforge.evaluation import (
 from termforge.extraction import Couple, CoupleSet, Role, Vpc, extract_couples
 from termforge.matrices import (
     CooccurrenceMatrix,
+    Csr,
     MatrixKind,
     ThresholdError,
     Thresholds,
@@ -46,8 +47,6 @@ from util import (
     oracle_silhouette,
     restricted_growth_strings,
 )
-
-import scipy.sparse as sp
 
 
 @contextmanager
@@ -139,10 +138,11 @@ def test_criterion_03_threshold_strict_single_pass():
             else:
                 sigma = float(rng.integers(0, 12))
 
+            nz = np.nonzero(dense)
             m = CooccurrenceMatrix(
                 tuple(f"n{i}" for i in range(dense.shape[0])),
                 tuple(f"v{j}" for j in range(dense.shape[1])),
-                sp.csr_matrix(dense), MatrixKind.MERGED_COUNTS)
+                Csr.from_triplets(*nz, dense[nz], dense.shape), MatrixKind.MERGED_COUNTS)
 
             row_keep = [i for i in range(dense.shape[0]) if dense[i].sum() > sigma]
             col_keep = [j for j in range(dense.shape[1]) if dense[:, j].sum() > sigma]

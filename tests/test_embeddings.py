@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from termforge.embeddings import (
     np_vectors,
     save_embeddings,
     sgns_loss_and_grads,
+    sigmoid,
     train_skipgram,
 )
 from termforge.matrices import NP_W2V
@@ -75,6 +77,25 @@ def test_loss_is_stable_for_extreme_scores():
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad_center))
     assert np.all(np.isfinite(grad_out))
+
+
+def test_sigmoid_saturates_without_warnings_and_tracks_expit():
+    from scipy.special import expit   # the oracle; termforge does not import scipy
+
+    x = np.linspace(-40.0, 40.0, 800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a bare 1 / (1 + np.exp(-x)) warns of overflow below about -709
+        assert sigmoid(np.array([-800.0]))[0] == 0.0
+        assert sigmoid(np.array([800.0]))[0] == 1.0
+        got, want = sigmoid(x), expit(x)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    # numpy's exp and libm's differ by up to 1 ulp, 2 after the division;
+    # where 1 + exp(-x) just passes 2**53 it rounds to a multiple of 2, which
+    # can double that
+    tail = (x > -37.1) & (x < -36.7)
+    assert ulps[~tail].max() <= 2
+    assert ulps[tail].max() <= 4
 
 
 def test_gradients_match_central_differences():

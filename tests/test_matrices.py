@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +10,7 @@ from termforge.extraction import Couple, CoupleSet, Role, Vpc
 from termforge.matrices import (
     NP_VPC,
     CooccurrenceMatrix,
+    Csr,
     MatrixKind,
     ThresholdError,
     Thresholds,
@@ -32,8 +32,8 @@ def counts_matrix(dense, kind=MatrixKind.MERGED_COUNTS, rows=None, cols=None):
     dense = np.asarray(dense, dtype=float)
     rows = rows or tuple(f"n{i}" for i in range(dense.shape[0]))
     cols = cols or tuple(f"v{j}" for j in range(dense.shape[1]))
-    values = sp.csr_matrix(dense)
-    values.eliminate_zeros()
+    i, j = np.nonzero(dense)
+    values = Csr.from_triplets(i, j, dense[i, j], dense.shape)
     return CooccurrenceMatrix(tuple(rows), tuple(cols), values, kind)
 
 
@@ -46,6 +46,28 @@ def couple_set(subject_counts, object_counts):
             vpc = Vpc(verb, prep) if sep else Vpc(verb)
             couples.extend([Couple(vpc, role, np_key, "s")] * count)
     return CoupleSet(couples=tuple(couples))
+
+
+# ---------------------------------------------------------------------- csr
+
+def test_csr_sums_duplicates_drops_zeros_and_sorts():
+    rows = [2, 0, 2, 0, 1, 2, 1]
+    cols = [1, 3, 1, 0, 2, 0, 2]
+    values = [1.0, 4.0, 2.5, 0.0, 3.0, -7.0, -3.0]
+    m = Csr.from_triplets(rows, cols, values, (4, 5))
+    dense = np.zeros((4, 5))
+    np.add.at(dense, (rows, cols), values)
+    assert np.array_equal(m.toarray(), dense)
+    assert m.nnz == 3   # (0,0) holds 0.0, (1,2) sums to 0.0: neither is stored
+    assert m.indptr.tolist() == [0, 1, 1, 3, 3]
+    assert m.indices.tolist() == [3, 0, 1]
+    assert m.row_ids().tolist() == [0, 2, 2]
+    assert np.array_equal(m.transpose().toarray(), dense.T)
+    empty = Csr.from_triplets([], [], [], (2, 3))
+    assert empty.nnz == 0 and np.array_equal(empty.toarray(), np.zeros((2, 3)))
+    for bad_row, bad_col in ((-1, 0), (4, 0), (0, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            Csr.from_triplets([bad_row], [bad_col], [1.0], (4, 5))
 
 
 # -------------------------------------------------------------- role counts

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from termforge.matrices import CooccurrenceMatrix, MatrixKind
+from termforge.matrices import CooccurrenceMatrix, Csr, MatrixKind
 from termforge.nmf import nmf, reconstruction_error
 from test_matrices import counts_matrix
 
@@ -58,11 +58,21 @@ def test_matches_reference_updates_on_sparse_counts():
     assert abs(pair.final_error - err_ref) < 1e-9
 
 
+def test_matches_reference_updates_with_empty_rows_and_columns():
+    dense = sparse_counts(5, shape=(12, 9))
+    dense[[0, 6, 11]] = 0.0        # first, inner and last rows
+    dense[:, [0, 4, 8]] = 0.0      # and columns
+    W_ref, H_ref = oracle_updates(dense, rank=3, n_steps=30, seed=5)
+    pair = nmf(counts_matrix(dense), rank=3, max_iter=30, tol=0.0, seed=5)
+    assert np.max(np.abs(pair.W - W_ref)) < 1e-9
+    assert np.max(np.abs(pair.H - H_ref)) < 1e-9
+
+
 def test_cooccurrence_input_is_never_densified(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("nmf made the count matrix dense")
 
-    for cls in (CooccurrenceMatrix, sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+    for cls in (CooccurrenceMatrix, Csr, sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
         monkeypatch.setattr(cls, "toarray", refuse, raising=False)
         monkeypatch.setattr(cls, "todense", refuse, raising=False)
     pair = nmf(counts_matrix(sparse_counts(3)), rank=4, max_iter=50, tol=0.0, seed=3)

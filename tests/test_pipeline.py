@@ -103,7 +103,7 @@ def test_manifest_shape(pipeline_out):
     assert manifest["config"]["sweep"]["selection"] == "FirstPeak"
     assert "manifest.json" not in manifest["artifacts"]
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
-    assert set(manifest["versions"]) == {"termforge", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"termforge", "numpy"}
     # nothing run-dependent beyond the declared keys: no timestamps, no host,
     # no thread count anywhere
     text = (out / "manifest.json").read_text()
