@@ -18,6 +18,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +114,7 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms[:, None]
 
 
-def pairwise_cosine_dissimilarity(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric pairwise matrix with an exactly zero diagonal."""
-    normalized = _normalize_rows(matrix)
+def _pairwise(normalized: np.ndarray) -> np.ndarray:
     d = 1.0 - normalized @ normalized.T
     d = np.clip((d + d.T) / 2.0, 0.0, 2.0)
     np.fill_diagonal(d, 0.0)
@@ -128,8 +127,62 @@ def _count_distinct(normalized: np.ndarray) -> int:
     return len({row.tobytes() for row in normalized + 0.0})
 
 
-def distinct_row_count(matrix: np.ndarray) -> int:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class Geometry:
+    """The cosine geometry of one representation, computed once and shared
+    by every clustering and evaluation of it.
+
+    ``normalized`` holds the L2-normalized rows, checked finite and nonzero
+    when the geometry is built.  ``distinct``, their distinct count, and
+    ``dissimilarity``, the pairwise matrix D, are computed on first use and
+    kept.  D is formed from checked rows, so it is finite, symmetric and
+    zero on the diagonal by construction.  Both arrays are read-only, so
+    what was checked stays true.
+
+    ``kmeans``, ``affinity_propagation``, ``distinct_row_count`` and
+    ``pairwise_cosine_dissimilarity`` take a geometry in place of the
+    representation or its matrix, and the validity indices take one in
+    place of D; each returns exactly what it returns for the representation
+    itself.
+    """
+
+    def __init__(self, rep: Representation) -> None:
+        self.row_labels = tuple(rep.row_labels)
+        self.provenance = rep.provenance
+        self.normalized = _read_only(_normalize_rows(rep.matrix))
+
+    @classmethod
+    def of(cls, rep: Representation | Geometry) -> Geometry:
+        return rep if isinstance(rep, cls) else cls(rep)
+
+    @cached_property
+    def distinct(self) -> int:
+        return _count_distinct(self.normalized)
+
+    @cached_property
+    def dissimilarity(self) -> np.ndarray:
+        return _read_only(_pairwise(self.normalized))
+
+    def release_dissimilarity(self) -> None:
+        """Free D; it is formed again on next use."""
+        self.__dict__.pop("dissimilarity", None)
+
+
+def pairwise_cosine_dissimilarity(matrix: np.ndarray | Geometry) -> np.ndarray:
+    """Symmetric pairwise matrix with an exactly zero diagonal."""
+    if isinstance(matrix, Geometry):
+        return matrix.dissimilarity
+    return _pairwise(_normalize_rows(matrix))
+
+
+def distinct_row_count(matrix: np.ndarray | Geometry) -> int:
     """Number of distinct directions (unique L2-normalized rows)."""
+    if isinstance(matrix, Geometry):
+        return matrix.distinct
     return _count_distinct(_normalize_rows(matrix))
 
 
@@ -179,7 +232,7 @@ def _objective(normalized: np.ndarray, labels: np.ndarray, centroids: np.ndarray
     return float(np.sum(1.0 - np.einsum("ij,ij->i", normalized, centroids[labels])))
 
 
-def kmeans(rep: Representation, config: KmeansConfig) -> Clustering:
+def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
     """Spherical K-Means: normalize, k-means++ init, iterate assignment and
     normalized-mean centroid updates until the objective's relative
     improvement falls below rel_tol.
@@ -187,11 +240,10 @@ def kmeans(rep: Representation, config: KmeansConfig) -> Clustering:
     Always ends on an assignment step, so no point is left with a stale
     cluster against the final centroids.
     """
-    normalized = _normalize_rows(rep.matrix)
-    n = normalized.shape[0]
-    distinct = _count_distinct(normalized)
-    if config.k > distinct:
-        raise ValueError(f"k={config.k} exceeds the {distinct} distinct rows")
+    geometry = Geometry.of(rep)
+    normalized = geometry.normalized
+    if config.k > geometry.distinct:
+        raise ValueError(f"k={config.k} exceeds the {geometry.distinct} distinct rows")
 
     rng = np.random.default_rng(config.seed)
     centroids = _kmeanspp_init(normalized, config.k, rng)
@@ -221,8 +273,8 @@ def kmeans(rep: Representation, config: KmeansConfig) -> Clustering:
             converged = True
             break
 
-    assignment = {lbl: int(c) for lbl, c in zip(rep.row_labels, labels)}
-    return Clustering(labels=tuple(rep.row_labels), assignment=assignment,
+    assignment = {lbl: int(c) for lbl, c in zip(geometry.row_labels, labels)}
+    return Clustering(labels=geometry.row_labels, assignment=assignment,
                       n_clusters=config.k, algorithm="kmeans",
                       centroids=centroids, objective=obj,
                       objective_history=tuple(history), converged=converged)
@@ -286,15 +338,20 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
     return r, a, converged
 
 
-def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> Clustering:
+def affinity_propagation(rep: Representation | Geometry,
+                         config: ApConfig = ApConfig()) -> Clustering:
     """Frey-Dueck message passing on s(i,j) = 1 - cosine dissimilarity, with
     the diagonal set to the preference (median off-diagonal similarity by
-    default)."""
-    normalized = _normalize_rows(rep.matrix)
+    default).  A geometry's D is freed first (formed again on next use), as
+    it would be one n x n array beyond the _AP_LIVE_ARRAYS of the guard."""
+    geometry = Geometry.of(rep)
+    geometry.release_dissimilarity()
+    normalized = geometry.normalized
+    keys = geometry.row_labels
     n = normalized.shape[0]
     if n == 1:
         # message passing degenerates on one point; it is its own exemplar
-        key = rep.row_labels[0]
+        key = keys[0]
         pref = 0.0 if config.preference == MEDIAN_PREFERENCE else float(config.preference)
         return Clustering(labels=(key,), assignment={key: 0}, n_clusters=1,
                           algorithm="affinity_propagation", exemplars={0: key},
@@ -308,8 +365,8 @@ def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> 
     s_clean = normalized @ normalized.T   # 1 - d equals the cosine itself
 
     if config.preference == MEDIAN_PREFERENCE:
-        off_diag = s_clean[~np.eye(n, dtype=bool)]
-        preference = float(np.median(off_diag)) if off_diag.size else 0.0
+        # the off-diagonal copy must not outlive this line: it is n x n too
+        preference = float(np.median(s_clean[~np.eye(n, dtype=bool)]))
     else:
         preference = float(config.preference)
 
@@ -334,7 +391,6 @@ def affinity_propagation(rep: Representation, config: ApConfig = ApConfig()) -> 
 
     # assignments on the clean similarities; ties go to the exemplar with
     # the lexicographically smallest NP key
-    keys = rep.row_labels
     order = sorted(range(exemplar_idx.size), key=lambda t: keys[exemplar_idx[t]])
     ordered_exemplars = exemplar_idx[order]        # cluster id = position
     sims = s_clean[:, ordered_exemplars]

@@ -1,9 +1,10 @@
 """Cluster validity indices: silhouette width, Dunn2, purity, adjusted Rand.
 
 Internal indices read a pairwise dissimilarity matrix aligned with the
-clustering's label order.  External indices compare against a gold standard
-and are computed on the intersection of clustered and gold terms only, with
-the coverage fraction reported alongside rather than silently folded in.
+clustering's label order, or the clustered representation's Geometry.
+External indices compare against a gold standard and are computed on the
+intersection of clustered and gold terms only, with the coverage fraction
+reported alongside rather than silently folded in.
 
 Undefined values stay undefined: silhouette/Dunn2 need at least two
 clusters, Dunn2 with only singleton (or zero-spread) clusters is +inf, and
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, Geometry
 from .extraction import normalize_np_text
 
 
@@ -67,10 +68,14 @@ def load_gold_standard(path: str | Path) -> GoldStandard:
     return GoldStandard(mapping=mapping, labels=frozenset(mapping.values()))
 
 
-def _check_dissimilarity(d: np.ndarray, n: int) -> np.ndarray:
-    d = np.asarray(d, dtype=float)
+def _check_dissimilarity(d: np.ndarray | Geometry, n: int) -> np.ndarray:
+    formed = isinstance(d, Geometry)
+    d = d.dissimilarity if formed else np.asarray(d, dtype=float)
     if d.shape != (n, n):
         raise ValueError(f"dissimilarity shape {d.shape} does not match {n} labels")
+    if formed:
+        # a geometry's D is valid by construction and read-only
+        return d
     # "not <=" so that NaN fails too
     if not np.abs(d.diagonal()).max(initial=0.0) <= 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
@@ -91,7 +96,8 @@ def _cluster_sums(dissimilarity: np.ndarray, clustering: Clustering
     return d, ids, sizes, onehot, d @ onehot
 
 
-def silhouette_width(dissimilarity: np.ndarray, clustering: Clustering) -> float:
+def silhouette_width(dissimilarity: np.ndarray | Geometry,
+                     clustering: Clustering) -> float:
     """Mean of s(i) = (b(i) - a(i)) / max(a(i), b(i)); singleton points
     contribute 0, as do points with a(i) = b(i) = 0."""
     if clustering.n_clusters < 2:
@@ -112,7 +118,8 @@ def silhouette_width(dissimilarity: np.ndarray, clustering: Clustering) -> float
     return float(scores.mean())
 
 
-def dunn2(dissimilarity: np.ndarray, clustering: Clustering) -> float:
+def dunn2(dissimilarity: np.ndarray | Geometry,
+          clustering: Clustering) -> float:
     """Minimum average between-cluster dissimilarity over maximum average
     within-cluster dissimilarity (non-singleton clusters only).  A zero or
     absent denominator yields +inf."""
@@ -190,10 +197,12 @@ def adjusted_rand(clustering: Clustering, gold: GoldStandard) -> float:
     return ari_from_assignments(xs, ys)
 
 
-def evaluate_clustering(dissimilarity: np.ndarray, clustering: Clustering,
+def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Clustering,
                         gold: GoldStandard | None) -> IndexReport:
     """All four indices for one clustering; external columns stay None
-    without a gold standard, internal columns stay None below 2 clusters."""
+    without a gold standard, internal columns stay None below 2 clusters.
+    ``dissimilarity`` is D, or the clustered representation's Geometry,
+    whose D is formed once from checked rows and is not checked again."""
     if clustering.n_clusters >= 2:
         sil = silhouette_width(dissimilarity, clustering)
         dn2 = dunn2(dissimilarity, clustering)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .clustering import (AP_NOT_CONVERGED, ApConfig, KmeansConfig,
+from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
                          affinity_propagation, distinct_row_count, kmeans,
                          pairwise_cosine_dissimilarity, save_clustering)
 from .corpus import Corpus
@@ -141,12 +141,14 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def run_sweep(rep: Representation, gold: GoldStandard | None,
+def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
               config: SweepConfig) -> SweepResult:
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
-    seeded runs per k; means per k exclude undefined values (counted)."""
+    seeded runs per k; means per k exclude undefined values (counted).
+    Every cell reuses one geometry of ``rep`` (it may be one already)."""
     warnings: list[str] = []
-    distinct = distinct_row_count(rep.matrix)
+    geometry = Geometry.of(rep)
+    distinct = distinct_row_count(geometry)
     k_hi = min(config.k_max, distinct)
     if k_hi < config.k_max:
         warnings.append(
@@ -161,19 +163,26 @@ def run_sweep(rep: Representation, gold: GoldStandard | None,
         raise ValueError(
             f"{rep.provenance}: no clustered term appears in the gold standard")
 
-    dissimilarity = pairwise_cosine_dissimilarity(rep.matrix)
+    # D is formed here, once; every cell's evaluation reads it from the geometry
+    pairwise_cosine_dissimilarity(geometry)
     records: list[RepetitionRecord] = []
     rows: list[SweepRow] = []
     for k in range(config.k_min, k_hi + 1):
         batch: list[RepetitionRecord] = []
+        unconverged = 0
         for r in range(config.repetitions):
             seed = derive_seed(config.master_seed, rep.provenance, k, r)
-            clustering = kmeans(rep, KmeansConfig(k=k, seed=seed))
-            report = evaluate_clustering(dissimilarity, clustering, gold)
+            clustering = kmeans(geometry, KmeansConfig(k=k, seed=seed))
+            unconverged += not clustering.converged
+            report = evaluate_clustering(geometry, clustering, gold)
             batch.append(RepetitionRecord(
                 k=k, repetition=r, seed=seed, n_clusters=k,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
+        if unconverged == len(batch):
+            warnings.append(f"{rep.provenance} k={k}: every K-Means cell "
+                            f"({len(batch)} repetition(s)) hit max_iter before converging")
+            log.warning(warnings[-1])
         records.extend(batch)
         purities = [rec.purity for rec in batch if rec.purity is not None]
         aris = [rec.ari for rec in batch if rec.ari is not None]
@@ -420,9 +429,9 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     selected: dict[str, int] = {}
     ordered = [name for name in REPRESENTATIONS if name in reps]
     for name in ordered:
-        rep = reps[name]
         with _stage(f"sweep:{name}"):
-            result = run_sweep(rep, gold, config.sweep)
+            geometry = Geometry(reps[name])    # shared by the sweep and AP
+            result = run_sweep(geometry, gold, config.sweep)
             warnings.extend(result.warnings)
             write_curves_csv(result, out / f"curves_{name}.csv")
             write_repetitions_csv(result, out / f"repetitions_{name}.csv")
@@ -437,13 +446,13 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                 ratio=(k_sel / n_gold_labels if n_gold_labels else None),
                 purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=sil))
         with _stage(f"ap:{name}"):
-            clustering = affinity_propagation(rep, config.ap)
+            clustering = affinity_propagation(geometry, config.ap)
             if not clustering.converged:
                 warnings.append(f"{name}: {AP_NOT_CONVERGED}")
             save_clustering(clustering, out / f"ap_{name}.csv",
                             config=dataclasses.asdict(config.ap))
-            dissimilarity = pairwise_cosine_dissimilarity(rep.matrix)
-            index_report = evaluate_clustering(dissimilarity, clustering, gold)
+            # AP freed D; it is formed again from the normalized rows
+            index_report = evaluate_clustering(geometry, clustering, gold)
             ap_rows.append(ReportRow(
                 clusterer="AP", representation=name,
                 n_clusters=clustering.n_clusters,

@@ -321,8 +321,8 @@ def save_representation(rep: Representation, path: str | Path) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rep.n_rows} {rep.matrix.shape[1] if rep.matrix.size else 0}\n")
-        for key, row in zip(rep.row_labels, rep.matrix):
-            fh.write(key + "\t" + " ".join(repr(float(v)) for v in row) + "\n")
+        for key, row in zip(rep.row_labels, np.asarray(rep.matrix, dtype=float)):
+            fh.write(key + "\t" + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_representation(path: str | Path, provenance: str | None = None) -> Representation:
