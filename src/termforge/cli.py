@@ -28,8 +28,8 @@ from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
                          run_pipeline, run_sweep, write_curves_csv,
                          write_repetitions_csv)
 from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
-from .matrices import (MatrixKind, Representation, Thresholds, NP_VPC, NP_VPC_TFIDF,
-                       REPRESENTATIONS, load_matrix, load_representation,
+from .matrices import (MatrixKind, Representation, Thresholds, NP_VPC, NP_VPC_NMF,
+                       NP_VPC_TFIDF, REPRESENTATIONS, load_matrix, load_representation,
                        make_representation, representation_from_matrix,
                        save_matrix, save_representation)
 from .nmf import nmf
@@ -100,7 +100,7 @@ def _cmd_featurize(args) -> int:
 def _cmd_encode_nmf(args) -> int:
     counts = load_matrix(args.matrix, MatrixKind.MERGED_COUNTS)
     pair = nmf(counts, **_given(args, ("rank", "max_iter", "tol", "seed")))
-    rep = make_representation(counts.row_labels, pair.W, "NP_VPC_NMF")
+    rep = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
     save_representation(rep, args.out)
     if args.h_out:
         save_representation(Representation(

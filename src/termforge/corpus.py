@@ -2,13 +2,19 @@
 
 A corpus is a list of documents, each a list of sentences, each an ordered
 list of tokens carrying the parse facts (lemma, UPOS, head, deprel) that
-couple extraction consumes.  Input is standard 10-column CoNLL-U; documents
-are delimited by ``# newdoc id = X`` comment lines, and a file without any
-newdoc comment is read as a single document.
+couple extraction consumes.  Input is standard 10-column CoNLL-U.  A blank
+line, a ``# newdoc`` comment or the end of input closes the open sentence.
+``# newdoc id = X`` opens document ``X``; the n-th ``# newdoc`` without an
+id opens ``<default_doc_id><n>``, and sentences before the first newdoc go
+to ``<default_doc_id>``, so a file without newdoc comments is one document.
+A ``# sent_id = X`` line names the sentence whose first token row follows
+it; one inside a sentence, or followed by a blank line or newdoc, is
+ignored.  Other sentences are ``<doc_id>.s<n>``, n counting from 1.
 """
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -78,9 +84,37 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(n_docs, n_sents, n_words, per_doc)
 
 
-def _normalize_lemma(lemma_col: str, form: str) -> str:
-    lemma = form if lemma_col == "_" else lemma_col
-    return lemma.lower()
+def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None) -> tuple[Token, ...]:
+    """Check and build one sentence's tokens from its (line number, columns)
+    rows: each row in order, then every head against the sentence length."""
+    tokens: list[Token] = []
+    for expected, (lineno, cols) in enumerate(rows, start=1):
+        try:
+            index = int(cols[0])
+        except ValueError:
+            raise ConlluParseError(f"non-integer token id {cols[0]!r}", lineno, source) from None
+        if index != expected:
+            raise ConlluParseError(
+                f"token id {index} breaks 1..n ordering (expected {expected})", lineno, source)
+        try:
+            head = int(cols[6])
+        except ValueError:
+            raise ConlluParseError(f"non-integer head {cols[6]!r}", lineno, source) from None
+        if head < 0:
+            raise ConlluParseError(f"negative head {head}", lineno, source)
+        if head == index:
+            raise ConlluParseError(f"token {index} is its own head", lineno, source)
+        lemma = (cols[1] if cols[2] == "_" else cols[2]).lower()
+        if not lemma:
+            raise ConlluParseError("empty lemma and form", lineno, source)
+        tokens.append(Token(index=index, form=cols[1], lemma=lemma,
+                            upos=cols[3], head=head, deprel=cols[7]))
+    n = len(tokens)
+    for (lineno, _), tok in zip(rows, tokens):
+        if tok.head > n:
+            raise ConlluParseError(
+                f"head {tok.head} out of range for {n}-token sentence", lineno, source)
+    return tuple(tokens)
 
 
 def parse_conllu(
@@ -88,109 +122,54 @@ def parse_conllu(
     default_doc_id: str = "doc",
     source: str | None = None,
 ) -> Corpus:
-    """Parse a CoNLL-U character stream into a Corpus.
-
-    Multiword-range lines (``1-2``) and empty-node lines (``5.1``) are
-    skipped.  ``# sent_id`` comments are honored when present; otherwise
-    sentence ids are synthesized as ``<doc_id>.s<n>``.
-    """
+    """Parse a CoNLL-U character stream into a Corpus, by the rules in the
+    module docstring; multiword-range (``1-2``) and empty-node (``5.1``)
+    lines are skipped."""
     stream = io.StringIO(text) if isinstance(text, str) else text
-
-    documents: list[tuple[str, list[Sentence]]] = []
-    current_doc_id: str | None = None
-    current_sents: list[Sentence] = []
-    pending_rows: list[tuple[int, list[str]]] = []  # (line_number, columns)
-    pending_sent_id: str | None = None
-    seen_sentence_ids: set[str] = set()
-    synthetic_doc_count = 0
-
-    def err(msg: str, lineno: int) -> ConlluParseError:
-        return ConlluParseError(msg, lineno, source)
-
-    seen_doc_ids: set[str] = set()
-
-    def open_document(doc_id: str, lineno: int = 1) -> None:
-        nonlocal current_doc_id, current_sents
-        if doc_id in seen_doc_ids:
-            raise err(f"duplicate document id {doc_id!r}", lineno)
-        seen_doc_ids.add(doc_id)
-        if current_doc_id is not None:
-            documents.append((current_doc_id, current_sents))
-        current_doc_id = doc_id
-        current_sents = []
-
-    def flush_sentence(end_lineno: int) -> None:
-        nonlocal pending_rows, pending_sent_id, current_doc_id
-        if not pending_rows:
-            pending_sent_id = None
-            return
-        if current_doc_id is None:
-            open_document(default_doc_id)
-        tokens: list[Token] = []
-        for expected, (lineno, cols) in enumerate(pending_rows, start=1):
-            try:
-                index = int(cols[0])
-            except ValueError:
-                raise err(f"non-integer token id {cols[0]!r}", lineno) from None
-            if index != expected:
-                raise err(f"token id {index} breaks 1..n ordering (expected {expected})", lineno)
-            try:
-                head = int(cols[6])
-            except ValueError:
-                raise err(f"non-integer head {cols[6]!r}", lineno) from None
-            if head < 0:
-                raise err(f"negative head {head}", lineno)
-            if head == index:
-                raise err(f"token {index} is its own head", lineno)
-            lemma = _normalize_lemma(cols[2], cols[1])
-            if not lemma:
-                raise err("empty lemma and form", lineno)
-            tokens.append(Token(index=index, form=cols[1], lemma=lemma,
-                                upos=cols[3], head=head, deprel=cols[7]))
-        n = len(tokens)
-        for (lineno, _), tok in zip(pending_rows, tokens):
-            if tok.head > n:
-                raise err(f"head {tok.head} out of range for {n}-token sentence", lineno)
-        sent_id = pending_sent_id or f"{current_doc_id}.s{len(current_sents) + 1}"
-        if sent_id in seen_sentence_ids:
-            raise err(f"duplicate sentence id {sent_id!r}", end_lineno)
-        seen_sentence_ids.add(sent_id)
-        current_sents.append(Sentence(id=sent_id, tokens=tuple(tokens)))
-        pending_rows = []
-        pending_sent_id = None
-
-    lineno = 0
-    for lineno, raw in enumerate(stream, start=1):
+    documents: dict[str, list[Sentence]] = {}  # by id, in input order
+    doc_id, sents = default_doc_id, []  # the open document
+    sentence_ids: set[str] = set()
+    rows: list[tuple[int, list[str]]] = []  # (line number, columns) of the open sentence
+    sent_id: str | None = None
+    unnamed_docs = 0
+    # the blank line chained after the input closes the last sentence
+    for lineno, raw in enumerate(itertools.chain(stream, [""]), start=1):
         line = raw.rstrip("\n")
-        if not line.strip():
-            flush_sentence(lineno)
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("newdoc"):
-                flush_sentence(lineno)
-                if "=" in body:
-                    doc_id = body.split("=", 1)[1].strip()
-                else:
-                    synthetic_doc_count += 1
-                    doc_id = f"{default_doc_id}{synthetic_doc_count}"
-                open_document(doc_id, lineno)
-            elif body.startswith("sent_id") and "=" in body and not pending_rows:
-                pending_sent_id = body.split("=", 1)[1].strip()
+            key, eq, value = line[1:].partition("=")
+            key = key.lstrip()
+            if key.startswith("sent_id") and eq and not rows:
+                sent_id = value.strip()
+            if not key.startswith("newdoc"):
+                continue
+        elif line.strip():
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ConlluParseError(
+                    f"expected 10 tab-separated columns, got {len(cols)}", lineno, source)
+            if "-" not in cols[0] and "." not in cols[0]:  # multiword range / empty node
+                rows.append((lineno, cols))
             continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise err(f"expected 10 tab-separated columns, got {len(cols)}", lineno)
-        if "-" in cols[0] or "." in cols[0]:
-            continue  # multiword range / empty node
-        pending_rows.append((lineno, cols))
-    flush_sentence(lineno + 1)
-    if current_doc_id is not None:
-        documents.append((current_doc_id, current_sents))
-
-    return Corpus(documents=tuple(
-        (doc_id, tuple(sents)) for doc_id, sents in documents
-    ))
+        # a blank line or a newdoc comment closes the open sentence
+        if rows:
+            if not documents:  # a sentence before any newdoc opens the default document
+                documents[doc_id] = sents
+            sentence = Sentence(id=sent_id or f"{doc_id}.s{len(sents) + 1}",
+                                tokens=_sentence_tokens(rows, source))
+            if sentence.id in sentence_ids:
+                raise ConlluParseError(f"duplicate sentence id {sentence.id!r}", lineno, source)
+            sentence_ids.add(sentence.id)
+            sents.append(sentence)
+            rows = []
+        sent_id = None
+        if line.startswith("#"):  # newdoc: open the next document
+            if not eq:
+                unnamed_docs += 1
+            doc_id = value.strip() if eq else f"{default_doc_id}{unnamed_docs}"
+            if doc_id in documents:
+                raise ConlluParseError(f"duplicate document id {doc_id!r}", lineno, source)
+            sents = documents[doc_id] = []
+    return Corpus(documents=tuple((d, tuple(s)) for d, s in documents.items()))
 
 
 def to_conllu(corpus: Corpus) -> str:

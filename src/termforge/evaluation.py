@@ -157,11 +157,11 @@ def coverage(clustering: Clustering, gold: GoldStandard) -> float:
 def purity(clustering: Clustering, gold: GoldStandard) -> float:
     """Majority-label fraction over the clustered-and-gold intersection."""
     keys = _intersection(clustering, gold)
-    per_cluster: dict[int, Counter] = {}
-    for key in keys:
-        per_cluster.setdefault(clustering.assignment[key], Counter())[gold.mapping[key]] += 1
-    correct = sum(max(counts.values()) for counts in per_cluster.values())
-    return correct / len(keys)
+    pairs = Counter((clustering.assignment[key], gold.mapping[key]) for key in keys)
+    majority: dict[int, int] = {}  # cluster id -> count of its most frequent gold label
+    for (cluster, _), count in pairs.items():
+        majority[cluster] = max(majority.get(cluster, 0), count)
+    return sum(majority.values()) / len(keys)
 
 
 def ari_from_assignments(xs, ys) -> float:

@@ -440,11 +440,10 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             row = result.row_for(k_sel)
             # a k whose every repetition was +inf reports dunn2 as inf
             dunn = row.dunn2 if row.dunn2_defined else math.inf
-            sil = row.silhouette if row.silhouette_defined else None
             km_rows.append(ReportRow(
                 clusterer="KM", representation=name, n_clusters=k_sel,
                 ratio=(k_sel / n_gold_labels if n_gold_labels else None),
-                purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=sil))
+                purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=row.silhouette))
         with _stage(f"ap:{name}"):
             clustering = affinity_propagation(geometry, config.ap)
             if not clustering.converged:

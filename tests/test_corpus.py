@@ -126,6 +126,122 @@ def test_duplicate_document_id_rejected():
         parse_conllu(text)
 
 
+DOG_ROW = (1, "dogs", "dog", "NOUN", 0, "root")
+
+
+def _doc_sentence_ids(corpus):
+    return [(d, [s.id for s in sents]) for d, sents in corpus.documents]
+
+
+def test_sent_id_after_first_token_row_is_ignored():
+    text = "\n".join([
+        "# sent_id = a",
+        conllu_token(1, "big", "big", "ADJ", 2, "amod"),
+        "# sent_id = b",
+        conllu_token(2, "cats", "cat", "NOUN", 0, "root"),
+        "",
+    ])
+    corpus = parse_conllu(text)
+    (sent,) = corpus.sentences()
+    assert sent.id == "a"
+    assert [t.form for t in sent.tokens] == ["big", "cats"]
+
+
+def test_sent_id_before_blank_line_does_not_carry_over():
+    text = "# sent_id = x\n\n" + conllu_token(*NOUN_ROW) + "\n"
+    assert [s.id for s in parse_conllu(text).sentences()] == ["doc.s1"]
+
+
+def test_newdoc_right_after_token_rows_closes_the_sentence():
+    text = "\n".join([
+        "# newdoc id = a",
+        conllu_token(*NOUN_ROW),
+        "# newdoc id = b",
+        conllu_token(*DOG_ROW),
+        "",
+    ])
+    corpus = parse_conllu(text)
+    assert _doc_sentence_ids(corpus) == [("a", ["a.s1"]), ("b", ["b.s1"])]
+    assert corpus.documents[0][1][0].tokens[0].form == "Cats"
+
+
+def test_two_newdoc_lines_keep_an_empty_first_document():
+    text = "# newdoc id = a\n# newdoc id = b\n" + conllu_token(*NOUN_ROW) + "\n"
+    assert _doc_sentence_ids(parse_conllu(text)) == [("a", []), ("b", ["b.s1"])]
+
+
+def test_unnamed_documents_count_on_across_named_ones():
+    text = "\n".join([
+        "# newdoc", conllu_token(*NOUN_ROW), "",
+        "# newdoc id = z", conllu_token(*NOUN_ROW), "",
+        "# newdoc", conllu_token(*NOUN_ROW), "",
+    ])
+    assert [d for d, _ in parse_conllu(text).documents] == ["doc1", "z", "doc2"]
+
+
+def test_sentence_before_any_newdoc_opens_the_default_document():
+    text = conllu_token(*NOUN_ROW) + "\n\n# newdoc id = b\n" + conllu_token(*DOG_ROW) + "\n"
+    assert _doc_sentence_ids(parse_conllu(text)) == [("doc", ["doc.s1"]), ("b", ["b.s1"])]
+    clash = conllu_token(*NOUN_ROW) + "\n\n# newdoc id = doc\n" + conllu_token(*DOG_ROW) + "\n"
+    with pytest.raises(ConlluParseError, match="duplicate document id 'doc'") as exc:
+        parse_conllu(clash)
+    assert exc.value.line_number == 3
+
+
+@pytest.mark.parametrize("ending", [
+    "",                    # end of input, no final newline: the line after the last
+    "\n",                  # end of input
+    "\n\n",                # a closing blank line
+    "\n# newdoc id = b\n",  # a newdoc comment right after the rows
+])
+def test_duplicate_sentence_id_reported_where_the_sentence_ends(ending):
+    text = ("# sent_id = s1\n" + conllu_token(*NOUN_ROW) + "\n\n"
+            "# sent_id = s1\n" + conllu_token(*DOG_ROW) + ending)
+    with pytest.raises(ConlluParseError, match="duplicate sentence id 's1'") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 6
+
+
+def test_bad_token_id_wins_over_duplicate_sentence_id():
+    text = ("# sent_id = s1\n" + conllu_token(*NOUN_ROW) + "\n\n"
+            "# sent_id = s1\n" + conllu_token("x", "a", "a", "NOUN", 0, "root") + "\n\n")
+    with pytest.raises(ConlluParseError, match="non-integer token id 'x'") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 5
+
+
+def test_non_integer_head_wins_over_earlier_out_of_range_head():
+    text = "\n".join([
+        conllu_token(1, "a", "a", "NOUN", 9, "dep"),
+        conllu_token(2, "b", "b", "NOUN", "x", "root"),
+        "",
+    ])
+    with pytest.raises(ConlluParseError, match="non-integer head 'x'") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 2
+
+
+def test_column_count_is_checked_before_the_rows_of_its_sentence():
+    text = conllu_token("x", "a", "a", "NOUN", 0, "root") + "\n1\tonly\tfour\tcols\n"
+    with pytest.raises(ConlluParseError, match="expected 10 tab-separated columns") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 2
+
+
+def test_ids_and_heads_are_read_as_python_integers():
+    text = "\n".join([
+        conllu_token("01", "a", "a", "NOUN", "+2", "dep"),
+        conllu_token(" 2", "b", "b", "NOUN", "00", "root"),
+        "",
+    ])
+    sent = next(parse_conllu(text).sentences())
+    assert [(t.index, t.head) for t in sent.tokens] == [(1, 2), (2, 0)]
+
+
+def test_comments_and_blank_lines_alone_make_no_document():
+    assert parse_conllu("# sent_id = x\n\n\n# text = t\n").documents == ()
+
+
 def test_empty_input_is_empty_corpus():
     corpus = parse_conllu("")
     assert corpus.n_documents == 0
