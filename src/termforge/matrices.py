@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -321,8 +322,24 @@ def save_representation(rep: Representation, path: str | Path) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rep.n_rows} {rep.matrix.shape[1] if rep.matrix.size else 0}\n")
-        for key, row in zip(rep.row_labels, np.asarray(rep.matrix, dtype=float)):
-            fh.write(key + "\t" + " ".join(map(repr, row.tolist())) + "\n")
+        for key, cells in zip(rep.row_labels, _row_texts(np.asarray(rep.matrix, dtype=float))):
+            fh.write(key + "\t" + " ".join(cells) + "\n")
+
+
+def _row_texts(matrix: np.ndarray) -> Iterator[Iterable[str]]:
+    """Each row's values as ``repr`` spells them.  In a matrix that is mostly
+    +0.0, as count matrices are, those entries are spelled "0.0" without a
+    ``repr`` call; -0.0 keeps its sign."""
+    values = matrix.ravel()
+    written = np.flatnonzero((values != 0.0) | np.signbit(values))
+    if 2 * written.size >= values.size:
+        # placing each text costs more than the repr calls it would save
+        return (map(repr, row.tolist()) for row in matrix)
+    texts = ["0.0"] * values.size
+    for i, text in zip(written.tolist(), map(repr, values[written].tolist())):
+        texts[i] = text
+    n_cols = matrix.shape[1]
+    return (texts[i:i + n_cols] for i in range(0, values.size, n_cols))
 
 
 def load_representation(path: str | Path, provenance: str | None = None) -> Representation:

@@ -1,4 +1,10 @@
 import dataclasses
+import gc
+import os
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +202,163 @@ def test_memory_guard_is_a_tagged_pipeline_error(monkeypatch, tmp_path, mini_cor
             as exc:
         run_pipeline(mini_corpus, None, config, tmp_path)
     assert exc.value.stage == "ap:NP_VPC"
+
+
+# ----------------------------------------------------- row-split messages
+
+
+def _split_input(max_iter, window):
+    """An odd n with at least _AP_ROWS_PER_PART rows in each of three parts."""
+    n = 3 * clustering._AP_ROWS_PER_PART + 1
+    m = np.random.default_rng(0).random((n, 6)) ** 3 + 0.01
+    normalized = m / np.linalg.norm(m, axis=1, keepdims=True)
+    sims = normalized @ normalized.T
+    preference = float(np.median(sims[~np.eye(n, dtype=bool)]))
+    return oracle_ap_similarity(m, preference), 0.5, max_iter, window
+
+
+def _record_parts(monkeypatch):
+    """Row ranges run_part was called with, and whether the calling thread
+    ran each one."""
+    real = clustering._MessagePassing.run_part
+    parts = []
+
+    def spy(self, lo, hi, *args):
+        parts.append((lo, hi, threading.current_thread() is threading.main_thread()))
+        real(self, lo, hi, *args)
+
+    monkeypatch.setattr(clustering._MessagePassing, "run_part", spy)
+    return parts
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("max_iter, window, converges",
+                         [(400, 10, True), (12, 50, False)], ids=["converged", "max_iter"])
+@pytest.mark.parametrize("saves_time", [True, False], ids=["split", "alone_after_5"])
+def test_row_parts_match_the_rule_by_rule_oracle(monkeypatch, parts, max_iter, window,
+                                                 converges, saves_time):
+    s, damping, _, _ = _split_input(max_iter, window)
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: parts)
+    monkeypatch.setattr(clustering, "_AP_TIMING_WINDOW", 5)
+    monkeypatch.setattr(clustering._MessagePassing, "split_saves_time",
+                        lambda self: saves_time)
+    ran = _record_parts(monkeypatch)
+    r, a, converged = clustering._ap_messages(s, damping, max_iter, window)
+    n = s.shape[0]
+    assert sorted(ran[:parts]) == [(n * p // parts, n * (p + 1) // parts, p == 0)
+                                   for p in range(parts)]
+    # a split that saves no time hands the remaining iterations to the caller
+    assert ran[parts:] == ([] if saves_time or parts == 1 else [(0, n, True)])
+    r_ref, a_ref, converged_ref = oracle_ap_messages(s, damping, max_iter, window)
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(a, a_ref)
+    assert converged == converged_ref == converges
+
+
+def test_row_parts_under_frequent_thread_switches(monkeypatch):
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
+    s, damping, max_iter, window = _split_input(12, 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r, a, _ = clustering._ap_messages(s, damping, max_iter, window)
+    finally:
+        sys.setswitchinterval(interval)
+    r_ref, a_ref, _ = oracle_ap_messages(s, damping, max_iter, window)
+    assert np.array_equal(r, r_ref) and np.array_equal(a, a_ref)
+
+
+def test_the_split_is_kept_while_its_wall_time_is_below_its_cpu_time():
+    passing = clustering._MessagePassing(np.zeros((2, 2)), 0.5, 10)
+    passing.clocks = (time.perf_counter() - 0.5, time.process_time() - 1.0)
+    assert passing.split_saves_time()
+    passing.clocks = (time.perf_counter() - 1.0, time.process_time() - 0.5)
+    assert not passing.split_saves_time()
+
+
+def test_parts_follow_the_cpus_of_the_process(monkeypatch):
+    s, damping, _, window = _split_input(400, 10)
+    ran = _record_parts(monkeypatch)
+    clustering._ap_messages(s, damping, 3, window)
+    n = s.shape[0]
+    assert len(ran) == min(len(os.sched_getaffinity(0)), n // clustering._AP_ROWS_PER_PART)
+
+
+def test_small_problems_run_inline_on_many_cpus(monkeypatch):
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 64)
+    ran = _record_parts(monkeypatch)
+    n = 2 * clustering._AP_ROWS_PER_PART - 1
+    clustering._ap_messages(oracle_ap_similarity(np.eye(n) + 0.1, 0.0), 0.9, 3, 50)
+    assert ran == [(0, n, True)]
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    s, damping, max_iter, window = _split_input(12, 50)
+    r, a, _ = clustering._ap_messages(s, damping, max_iter, window)
+    r_ref, a_ref, _ = oracle_ap_messages(s, damping, max_iter, window)
+    assert np.array_equal(r, r_ref) and np.array_equal(a, a_ref)
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    clustering._ap_messages(*_split_input(400, 10))
+    assert threading.active_count() == before
+    clustering._ap_messages(*_split_input(12, 50))
+    assert threading.active_count() == before
+
+
+def test_message_passing_state_is_freed_without_the_garbage_collector(monkeypatch):
+    # a reference cycle would keep the scratch buffer and s alive after the
+    # call, next to the arrays of the next call
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 2)
+    made = []
+    real = clustering._MessagePassing.__init__
+
+    def spy(self, *args):
+        real(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(clustering._MessagePassing, "__init__", spy)
+    gc.disable()
+    try:
+        clustering._ap_messages(*_split_input(3, 50))
+        assert made[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    real = np.argmax
+
+    def fail_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(np, "argmax", fail_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        clustering._ap_messages(*_split_input(12, 50))
+    assert threading.active_count() == before
+
+
+def test_an_error_in_the_serial_step_reaches_the_caller(monkeypatch):
+    def fail(self):
+        raise FloatingPointError("check failed")
+
+    monkeypatch.setattr(clustering, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(clustering._MessagePassing, "sum_and_check", fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="check failed"):
+        clustering._ap_messages(*_split_input(12, 50))
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------- serialization

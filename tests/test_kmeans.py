@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from termforge.clustering import (
     Clustering,
+    Geometry,
     KmeansConfig,
     cosine_dissimilarity,
     distinct_row_count,
     kmeans,
     pairwise_cosine_dissimilarity,
 )
+from termforge.experiment import PipelineConfig, SweepConfig, build_representations
+from termforge.matrices import NP_VPC
 from util import make_rep, spherical_objective
 
 # ----------------------------------------------------------- Clustering
@@ -133,6 +136,17 @@ def test_kmeans_k_must_not_exceed_distinct_rows():
     rep = make_rep([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="k=3 exceeds the 2 distinct rows"):
         kmeans(rep, KmeansConfig(k=3))
+
+
+def test_kmeans_converges_at_an_exact_fit_on_the_mini_counts(mini_corpus):
+    # k = distinct rows puts every point on its centroid; rounding must not
+    # leave a negative objective that the relative stop test never accepts
+    config = PipelineConfig(sweep=SweepConfig(representations=(NP_VPC,)))
+    geometry = Geometry(build_representations(mini_corpus, config)[NP_VPC])
+    result = kmeans(geometry, KmeansConfig(k=geometry.distinct))
+    assert result.converged
+    assert len(result.objective_history) < KmeansConfig.max_iter
+    assert min(result.objective_history) >= 0.0
 
 
 def test_kmeans_rejects_zero_rows():

@@ -12,6 +12,7 @@ from termforge.matrices import (
     CooccurrenceMatrix,
     Csr,
     MatrixKind,
+    Representation,
     ThresholdError,
     Thresholds,
     apply_frequency_threshold,
@@ -331,6 +332,20 @@ def test_representation_save_load_round_trip(tmp_path):
     # repr() serialization must round-trip float64 exactly
     assert np.array_equal(loaded.matrix, rep.matrix)
     assert loaded.provenance == NP_VPC
+
+
+@pytest.mark.parametrize("density", [0.1, 0.9])
+def test_representation_values_are_spelled_by_repr(tmp_path, density):
+    # mostly-zero matrices take another path than dense ones; both must
+    # spell every value, -0.0 and subnormals included, as repr does
+    rng = np.random.default_rng(4)
+    m = rng.random((6, 7)) / 3 * (rng.random((6, 7)) < density)
+    m[0, :3] = [-0.0, 5e-324, 3.0]
+    rep = Representation(tuple(f"k {i}" for i in range(6)), m, NP_VPC)
+    path = tmp_path / "rep.txt"
+    save_representation(rep, path)
+    assert path.read_text() == "6 7\n" + "".join(
+        f"k {i}\t" + " ".join(repr(v) for v in row) + "\n" for i, row in enumerate(m.tolist()))
 
 
 def test_load_representation_rejects_short_rows(tmp_path):
