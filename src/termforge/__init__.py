@@ -22,8 +22,8 @@ from .evaluation import (GoldStandard, IndexReport, adjusted_rand, dunn2,
 from .experiment import (PipelineConfig, Report, ReportRow, Selection,
                          SweepConfig, SweepResult, derive_seed, run_pipeline,
                          run_sweep, select_k)
-from .extraction import (Couple, CoupleSet, ExtractionConfig, Role, Vpc,
-                         extract_corpus, extract_couples)
+from .extraction import (Couple, ExtractionConfig, Role, extract_corpus,
+                         extract_couples)
 from .matrices import (CooccurrenceMatrix, Representation, Thresholds,
                        apply_frequency_threshold, apply_value_threshold,
                        build_role_matrix, merge_matrices, tfidf_weight)
@@ -40,7 +40,7 @@ __all__ = [
     "evaluate_clustering", "load_gold_standard", "purity", "silhouette_width",
     "PipelineConfig", "Report", "ReportRow", "Selection", "SweepConfig",
     "SweepResult", "derive_seed", "run_pipeline", "run_sweep", "select_k",
-    "Couple", "CoupleSet", "ExtractionConfig", "Role", "Vpc",
+    "Couple", "ExtractionConfig", "Role",
     "extract_corpus", "extract_couples",
     "CooccurrenceMatrix", "Representation", "Thresholds",
     "apply_frequency_threshold", "apply_value_threshold", "build_role_matrix",

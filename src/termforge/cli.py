@@ -17,10 +17,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .clustering import (AP_NOT_CONVERGED, ApConfig, KmeansConfig,
+from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
                          MEDIAN_PREFERENCE, affinity_propagation, kmeans,
-                         pairwise_cosine_dissimilarity, load_clustering,
-                         save_clustering)
+                         load_clustering, save_clustering)
 from .corpus import corpus_stats, load_corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
@@ -146,8 +145,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("clustering and representation label sets differ; "
                          "evaluate needs the representation the clustering was built from")
     gold = load_gold_standard(args.gold)
-    dissimilarity = pairwise_cosine_dissimilarity(rep.matrix)
-    report = evaluate_clustering(dissimilarity, clustering, gold)
+    report = evaluate_clustering(Geometry(rep), clustering, gold)
     name = args.representation or rep.provenance
     print("representation,algorithm,n_clusters,ratio,purity,ari,dunn2,silhouette,coverage")
     print(",".join([

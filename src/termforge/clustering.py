@@ -473,6 +473,9 @@ def affinity_propagation(rep: Representation | Geometry,
     normalized = geometry.normalized
     keys = geometry.row_labels
     n = normalized.shape[0]
+    if n == 0:
+        raise ValueError("affinity propagation needs at least one row; "
+                         "the representation has none")
     if n == 1:
         # message passing degenerates on one point; it is its own exemplar
         key = keys[0]

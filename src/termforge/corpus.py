@@ -17,7 +17,7 @@ import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 
 class ConlluParseError(ValueError):
@@ -30,9 +30,8 @@ class ConlluParseError(ValueError):
         self.source = source
 
 
-@dataclass(frozen=True)
-class Token:
-    index: int      # 1-based position in sentence
+class Token(NamedTuple):
+    index: int      # 1-based position in sentence; shadows tuple.index
     form: str
     lemma: str      # lowercased at ingest
     upos: str
@@ -107,8 +106,7 @@ def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None) -> t
         lemma = (cols[1] if cols[2] == "_" else cols[2]).lower()
         if not lemma:
             raise ConlluParseError("empty lemma and form", lineno, source)
-        tokens.append(Token(index=index, form=cols[1], lemma=lemma,
-                            upos=cols[3], head=head, deprel=cols[7]))
+        tokens.append(Token(index, cols[1], lemma, cols[3], head, cols[7]))
     n = len(tokens)
     for (lineno, _), tok in zip(rows, tokens):
         if tok.head > n:

@@ -139,14 +139,16 @@ def dunn2(dissimilarity: np.ndarray | Geometry,
     return between / within
 
 
-def _intersection(clustering: Clustering, gold: GoldStandard) -> list[str]:
-    keys = [lbl for lbl in clustering.labels if lbl in gold.mapping]
-    if not keys:
-        missing = [lbl for lbl in clustering.labels[:5]]
+def _contingency(clustering: Clustering, gold: GoldStandard) -> Counter:
+    """Counts of (cluster id, gold label) pairs over the clustered terms
+    that the gold standard labels, in clustering order."""
+    table = Counter((clustering.assignment[key], gold.mapping[key])
+                    for key in clustering.labels if key in gold.mapping)
+    if not table:
         raise ValueError(
             "no clustered term appears in the gold standard; "
-            f"sample clustered keys: {', '.join(missing)}")
-    return keys
+            f"sample clustered keys: {', '.join(clustering.labels[:5])}")
+    return table
 
 
 def coverage(clustering: Clustering, gold: GoldStandard) -> float:
@@ -154,33 +156,33 @@ def coverage(clustering: Clustering, gold: GoldStandard) -> float:
     return found / len(clustering.labels)
 
 
+def _purity(contingency: Counter) -> float:
+    majority: dict[int, int] = {}  # cluster id -> count of its most frequent gold label
+    for (cluster, _), count in contingency.items():
+        majority[cluster] = max(majority.get(cluster, 0), count)
+    return sum(majority.values()) / sum(contingency.values())
+
+
 def purity(clustering: Clustering, gold: GoldStandard) -> float:
     """Majority-label fraction over the clustered-and-gold intersection."""
-    keys = _intersection(clustering, gold)
-    pairs = Counter((clustering.assignment[key], gold.mapping[key]) for key in keys)
-    majority: dict[int, int] = {}  # cluster id -> count of its most frequent gold label
-    for (cluster, _), count in pairs.items():
-        majority[cluster] = max(majority.get(cluster, 0), count)
-    return sum(majority.values()) / len(keys)
+    return _purity(_contingency(clustering, gold))
 
 
-def ari_from_assignments(xs, ys) -> float:
-    """Hubert-Arabie adjusted Rand from two equal-length assignment
-    sequences, via exact integer pair counts.
+def _adjusted_rand(contingency: Counter) -> float:
+    """Hubert-Arabie adjusted Rand from the (x, y) pair counts of two
+    partitions, via exact integer pair counts.
 
     Degenerate denominator (both partitions all-singletons or both
     one-cluster): 1.0 when the partitions are identical, else 0.0.
     """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"assignment lengths differ: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    contingency = Counter(zip(xs, ys))
+    x_sizes, y_sizes = Counter(), Counter()
+    for (x, y), count in contingency.items():
+        x_sizes[x] += count
+        y_sizes[y] += count
     a = sum(math.comb(v, 2) for v in contingency.values())
-    same_x = sum(math.comb(v, 2) for v in Counter(xs).values())
-    same_y = sum(math.comb(v, 2) for v in Counter(ys).values())
-    total = math.comb(n, 2)
+    same_x = sum(math.comb(v, 2) for v in x_sizes.values())
+    same_y = sum(math.comb(v, 2) for v in y_sizes.values())
+    total = math.comb(sum(contingency.values()), 2)
     b = same_x - a            # together in xs, apart in ys
     c = same_y - a            # apart in xs, together in ys
     d = total - same_x - same_y + a
@@ -190,11 +192,16 @@ def ari_from_assignments(xs, ys) -> float:
     return 2.0 * (a * d - b * c) / denom
 
 
+def ari_from_assignments(xs, ys) -> float:
+    """Adjusted Rand from two equal-length assignment sequences."""
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"assignment lengths differ: {len(xs)} vs {len(ys)}")
+    return _adjusted_rand(Counter(zip(xs, ys)))
+
+
 def adjusted_rand(clustering: Clustering, gold: GoldStandard) -> float:
-    keys = _intersection(clustering, gold)
-    xs = [clustering.assignment[k] for k in keys]
-    ys = [gold.mapping[k] for k in keys]
-    return ari_from_assignments(xs, ys)
+    return _adjusted_rand(_contingency(clustering, gold))
 
 
 def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Clustering,
@@ -210,9 +217,10 @@ def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Cluste
         sil = None
         dn2 = None
     if gold is not None:
-        pur = purity(clustering, gold)
-        ari = adjusted_rand(clustering, gold)
-        cov = coverage(clustering, gold)
+        contingency = _contingency(clustering, gold)
+        pur = _purity(contingency)
+        ari = _adjusted_rand(contingency)
+        cov = sum(contingency.values()) / len(clustering.labels)
     else:
         pur = ari = cov = None
     return IndexReport(n_clusters=clustering.n_clusters, purity=pur,

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
 from .corpus import Corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
 from .evaluation import GoldStandard, evaluate_clustering, format_value
-from .extraction import (CoupleSet, Role, SCHEMES, extract_corpus,
+from .extraction import (Couple, Role, SCHEMES, extract_corpus,
                          write_couples_tsv)
 from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
                        REPRESENTATIONS, CooccurrenceMatrix, Representation,
@@ -312,7 +312,7 @@ class Matrices(NamedTuple):
     tfidf: CooccurrenceMatrix    # counts tf-idf weighted, cut at sigma2
 
 
-def build_matrices(couples: CoupleSet, thresholds: Thresholds) -> Matrices:
+def build_matrices(couples: Sequence[Couple], thresholds: Thresholds) -> Matrices:
     """The matrix stage: role counts, their merge, the sigma1 count cut and
     the sigma2 cut of its tf-idf weighting."""
     subj = build_role_matrix(couples, Role.SUBJECT)
@@ -330,7 +330,7 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
     extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
-        if not couples.couples:
+        if not couples:
             raise ValueError("no couples extracted from the corpus")
         if out_dir is not None:
             write_couples_tsv(couples, out_dir / "couples.tsv", header=True)

@@ -13,11 +13,10 @@ case-marked ``obl``/``nmod`` nominals).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .corpus import Corpus, Sentence, Token
 
@@ -27,43 +26,11 @@ class Role(Enum):
     OBJECT = "object"
 
 
-@dataclass(frozen=True)
-class Vpc:
-    verb_lemma: str
-    preposition: str | None = None
-
-    @property
-    def key(self) -> str:
-        if self.preposition is None:
-            return self.verb_lemma
-        return f"{self.verb_lemma}_{self.preposition}"
-
-
-@dataclass(frozen=True)
-class Couple:
-    vpc: Vpc
+class Couple(NamedTuple):
+    vpc: str           # VPC key: the verb lemma, or verb_prep for a fused preposition
     role: Role
     np: str            # normalized noun-phrase key
     sentence_id: str
-
-
-@dataclass(frozen=True)
-class CoupleSet:
-    """Multiset of couples; duplicates are frequencies."""
-
-    couples: tuple[Couple, ...]
-
-    def counts(self) -> Counter:
-        return Counter((c.vpc.key, c.role, c.np) for c in self.couples)
-
-    def np_keys(self) -> list[str]:
-        return sorted({c.np for c in self.couples})
-
-    def vpc_keys(self) -> list[str]:
-        return sorted({c.vpc.key for c in self.couples})
-
-    def __len__(self) -> int:
-        return len(self.couples)
 
 
 @dataclass(frozen=True)
@@ -118,18 +85,12 @@ def normalize_np_text(text: str) -> str:
 def assemble_np(sentence: Sentence, head: Token, config: ExtractionConfig = DEFAULT_CONFIG) -> str:
     """Noun-phrase key for ``head``: the contiguous run of compound/flat/amod
     dependents immediately preceding the head, then the head, as lemmas."""
-    pieces: list[str] = []
-    pos = head.index - 1
-    while pos >= 1:
-        tok = sentence.token_at(pos)
-        if tok.head == head.index and tok.deprel.lower() in config.np_modifier_labels:
-            pieces.append(tok.lemma)
-            pos -= 1
-        else:
+    pieces = [head.lemma]
+    for tok in reversed(sentence.tokens[:head.index - 1]):
+        if tok.head != head.index or tok.deprel.lower() not in config.np_modifier_labels:
             break
-    pieces.reverse()
-    pieces.append(head.lemma)
-    return normalize_np_text(" ".join(pieces))
+        pieces.append(tok.lemma)
+    return normalize_np_text(" ".join(reversed(pieces)))
 
 
 def extract_couples(sentence: Sentence, config: ExtractionConfig = DEFAULT_CONFIG) -> list[Couple]:
@@ -147,45 +108,46 @@ def extract_couples(sentence: Sentence, config: ExtractionConfig = DEFAULT_CONFI
             continue
         if config.root_only and verb.deprel.lower() not in config.root_labels:
             continue
-        base = Vpc(verb.lemma)
         for dep in children.get(verb.index, []):
             deprel = dep.deprel.lower()
+            # (preposition or None, role, NP head) of each couple the dependent gives
             if deprel in config.subject_labels:
-                couples.append(Couple(base, Role.SUBJECT, assemble_np(sentence, dep, config), sentence.id))
+                found = [(None, Role.SUBJECT, dep)]
             elif deprel in config.object_labels \
                     or deprel in config.passive_subject_labels:
                 # passive subjects are recorded as direct objects
-                couples.append(Couple(base, Role.OBJECT, assemble_np(sentence, dep, config), sentence.id))
+                found = [(None, Role.OBJECT, dep)]
             elif deprel in config.preposition_labels:
-                fused = Vpc(verb.lemma, dep.lemma)
-                for grandchild in children.get(dep.index, []):
-                    if grandchild.deprel.lower() in config.prep_object_labels:
-                        couples.append(Couple(fused, Role.OBJECT, assemble_np(sentence, grandchild, config), sentence.id))
+                found = [(dep.lemma, Role.OBJECT, grandchild)
+                         for grandchild in children.get(dep.index, [])
+                         if grandchild.deprel.lower() in config.prep_object_labels]
             elif deprel in config.oblique_labels:
-                for marker in children.get(dep.index, []):
-                    if marker.deprel.lower() in config.case_labels:
-                        fused = Vpc(verb.lemma, marker.lemma)
-                        couples.append(Couple(fused, Role.OBJECT, assemble_np(sentence, dep, config), sentence.id))
+                found = [(marker.lemma, Role.OBJECT, dep)
+                         for marker in children.get(dep.index, [])
+                         if marker.deprel.lower() in config.case_labels]
+            else:
+                continue
+            for preposition, role, head in found:
+                vpc = verb.lemma if preposition is None else f"{verb.lemma}_{preposition}"
+                couples.append(Couple(vpc, role, assemble_np(sentence, head, config), sentence.id))
     return couples
 
 
-def extract_corpus(corpus: Corpus, config: ExtractionConfig = DEFAULT_CONFIG) -> CoupleSet:
-    couples: list[Couple] = []
-    for sentence in corpus.sentences():
-        couples.extend(extract_couples(sentence, config))
-    return CoupleSet(couples=tuple(couples))
+def extract_corpus(corpus: Corpus, config: ExtractionConfig = DEFAULT_CONFIG) -> tuple[Couple, ...]:
+    """Every sentence's couples, in corpus order; duplicates are frequencies."""
+    return tuple(c for sentence in corpus.sentences() for c in extract_couples(sentence, config))
 
 
 COUPLES_HEADER = ("vpc", "role", "np", "sentence_id")
 
 
-def write_couples_tsv(couples: CoupleSet, out: str | Path | TextIO, header: bool = False) -> None:
+def write_couples_tsv(couples: Sequence[Couple], out: str | Path | TextIO, header: bool = False) -> None:
     """TSV: ``vpc_key  role  np_text  sentence_id``, one line per occurrence."""
     def _write(fh: TextIO) -> None:
         if header:
             fh.write("\t".join(COUPLES_HEADER) + "\n")
-        for c in couples.couples:
-            fh.write(f"{c.vpc.key}\t{c.role.value}\t{c.np}\t{c.sentence_id}\n")
+        for c in couples:
+            fh.write(f"{c.vpc}\t{c.role.value}\t{c.np}\t{c.sentence_id}\n")
 
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8") as fh:
@@ -194,9 +156,9 @@ def write_couples_tsv(couples: CoupleSet, out: str | Path | TextIO, header: bool
         _write(out)
 
 
-def read_couples_tsv(source: str | Path | TextIO) -> CoupleSet:
+def read_couples_tsv(source: str | Path | TextIO) -> tuple[Couple, ...]:
     """Read the TSV format back; a leading header line is auto-detected."""
-    def _read(fh: TextIO) -> CoupleSet:
+    def _read(fh: TextIO) -> tuple[Couple, ...]:
         couples: list[Couple] = []
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -205,17 +167,15 @@ def read_couples_tsv(source: str | Path | TextIO) -> CoupleSet:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"couples TSV line {lineno}: expected 4 fields, got {len(parts)}")
-            vpc_key, role_txt, np_text, sentence_id = parts
+            vpc, role_txt, np_text, sentence_id = parts
             if lineno == 1 and tuple(parts) == COUPLES_HEADER:
                 continue
             try:
                 role = Role(role_txt)
             except ValueError:
                 raise ValueError(f"couples TSV line {lineno}: unknown role {role_txt!r}") from None
-            verb, sep, preposition = vpc_key.partition("_")
-            vpc = Vpc(verb, preposition) if sep else Vpc(verb)
             couples.append(Couple(vpc, role, normalize_np_text(np_text), sentence_id))
-        return CoupleSet(couples=tuple(couples))
+        return tuple(couples)
 
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:

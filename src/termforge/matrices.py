@@ -14,11 +14,11 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .extraction import CoupleSet, Role
+from .extraction import Couple, Role
 
 log = logging.getLogger(__name__)
 
@@ -118,15 +118,15 @@ class CooccurrenceMatrix:
         return np.bincount(self.values.indices, self.values.data, self.shape[1])
 
 
-def build_role_matrix(couples: CoupleSet, role: Role) -> CooccurrenceMatrix:
+def build_role_matrix(couples: Sequence[Couple], role: Role) -> CooccurrenceMatrix:
     """Count matrix for one role; rows and columns sorted lexicographically."""
-    selected = [c for c in couples.couples if c.role is role]
+    selected = [c for c in couples if c.role is role]
     rows = sorted({c.np for c in selected})
-    cols = sorted({c.vpc.key for c in selected})
+    cols = sorted({c.vpc for c in selected})
     row_index = {k: i for i, k in enumerate(rows)}
     col_index = {k: j for j, k in enumerate(cols)}
     i = [row_index[c.np] for c in selected]
-    j = [col_index[c.vpc.key] for c in selected]
+    j = [col_index[c.vpc] for c in selected]
     values = Csr.from_triplets(i, j, np.ones(len(selected)), (len(rows), len(cols)))
     kind = MatrixKind.SUBJECT_COUNTS if role is Role.SUBJECT else MatrixKind.OBJECT_COUNTS
     return CooccurrenceMatrix(tuple(rows), tuple(cols), values, kind)

@@ -24,7 +24,7 @@ from termforge.evaluation import (
     silhouette_width,
     dunn2,
 )
-from termforge.extraction import Couple, CoupleSet, Role, Vpc, extract_couples
+from termforge.extraction import Couple, Role, extract_couples
 from termforge.matrices import (
     CooccurrenceMatrix,
     Csr,
@@ -67,13 +67,13 @@ def test_criterion_01_extraction_fidelity(demo_path):
         start = time.perf_counter()
         corpus = load_corpus(demo_path)
         first, second = list(corpus.sentences())
-        got_first = {(c.vpc.key, c.role, c.np) for c in extract_couples(first)}
+        got_first = {(c.vpc, c.role, c.np) for c in extract_couples(first)}
         assert got_first == {
             ("extract", Role.SUBJECT, "ontowrapper"),
             ("extract", Role.OBJECT, "information"),
             ("extract_from", Role.OBJECT, "on-line resource"),
         }
-        got_second = {(c.vpc.key, c.role, c.np) for c in extract_couples(second)}
+        got_second = {(c.vpc, c.role, c.np) for c in extract_couples(second)}
         assert got_second == {
             ("travel", Role.SUBJECT, "bart"),
             ("travel_by", Role.OBJECT, "boat"),
@@ -87,7 +87,7 @@ def test_criterion_01_extraction_fidelity(demo_path):
 def _occurrences_to_couples(table: dict, role: Role) -> list[Couple]:
     out = []
     for (np_key, vpc_key), count in table.items():
-        out.extend([Couple(Vpc(vpc_key), role, np_key, "s")] * count)
+        out.extend([Couple(vpc_key, role, np_key, "s")] * count)
     return out
 
 
@@ -107,9 +107,8 @@ def test_criterion_02_merge_is_entrywise_sum():
                 return cells
 
             subj_table, obj_table = random_table(), random_table()
-            couples = CoupleSet(couples=tuple(
-                _occurrences_to_couples(subj_table, Role.SUBJECT)
-                + _occurrences_to_couples(obj_table, Role.OBJECT)))
+            couples = (_occurrences_to_couples(subj_table, Role.SUBJECT)
+                       + _occurrences_to_couples(obj_table, Role.OBJECT))
             merged = merge_matrices(build_role_matrix(couples, Role.SUBJECT),
                                     build_role_matrix(couples, Role.OBJECT))
             dense = merged.toarray()

@@ -4,12 +4,14 @@ import os
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from termforge import clustering
+from termforge.cli import main
 from termforge.clustering import (
     ApConfig,
     affinity_propagation,
@@ -32,6 +34,25 @@ def three_orthogonal_groups():
             base.append(v)
             keys.append(f"{name}{i}")
     return make_rep(np.array(base), keys=tuple(keys))
+
+
+def test_zero_rows_are_rejected_before_any_n_by_n_work():
+    rep = make_rep(np.zeros((0, 5)), keys=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs at least one row; the representation has none"):
+            affinity_propagation(rep, ApConfig())
+
+
+def test_cluster_ap_command_rejects_a_representation_without_rows(tmp_path, capsys):
+    rep_path = tmp_path / "empty.txt"
+    rep_path.write_text("0 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cluster", "ap", str(rep_path), "-o", str(tmp_path / "ap.csv")])
+    assert code == 1
+    assert ("error: affinity propagation needs at least one row; "
+            "the representation has none") in capsys.readouterr().err
 
 
 def test_single_point_is_its_own_exemplar():

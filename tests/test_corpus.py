@@ -25,6 +25,8 @@ def test_single_sentence_no_comments():
     tok = sents[0].tokens[0]
     assert (tok.form, tok.lemma, tok.upos, tok.head, tok.deprel) == (
         "Cats", "cat", "NOUN", 0, "root")
+    with pytest.raises(AttributeError):
+        tok.lemma = "dog"
 
 
 def test_lemma_lowercased_and_form_fallback():
@@ -307,6 +309,7 @@ def test_parse_serialize_round_trip(text):
     corpus = parse_conllu(text)
     again = parse_conllu(to_conllu(corpus))
     assert again == corpus
+    assert hash(again) == hash(corpus)
 
 
 def test_round_trip_mini_corpus(mini_corpus):

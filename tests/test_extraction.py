@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import pytest
 
@@ -6,10 +7,8 @@ from termforge.corpus import load_corpus, parse_conllu
 from termforge.extraction import (
     SCHEMES,
     Couple,
-    CoupleSet,
     ExtractionConfig,
     Role,
-    Vpc,
     assemble_np,
     extract_corpus,
     extract_couples,
@@ -20,7 +19,7 @@ from util import conllu_sentence, join_sentences
 
 
 def as_triples(couples):
-    return {(c.vpc.key, c.role, c.np) for c in couples}
+    return {(c.vpc, c.role, c.np) for c in couples}
 
 
 def parse_one(rows):
@@ -178,14 +177,15 @@ def test_duplicate_couples_are_kept_as_frequencies():
     corpus = parse_conllu(join_sentences([sent, sent.replace("cats", "Cats")]))
     couples = extract_corpus(corpus)
     assert len(couples) == 2
-    assert couples.counts()[("purr", Role.SUBJECT, "cat")] == 2
+    # the two couples differ only in their sentence ids
+    assert Counter((c.vpc, c.role, c.np) for c in couples)[("purr", Role.SUBJECT, "cat")] == 2
 
 
 def test_mini_corpus_couple_count(mini_corpus):
     couples = extract_corpus(mini_corpus)
     assert len(couples) == 106
-    assert "guitar" in couples.np_keys()
-    assert "perform_in" in couples.vpc_keys()
+    assert "guitar" in {c.np for c in couples}
+    assert "perform_in" in {c.vpc for c in couples}
 
 
 def test_tsv_round_trip(tmp_path, mini_corpus):
@@ -217,12 +217,41 @@ def test_tsv_reader_rejects_wrong_field_count():
 
 
 def test_vpc_key_and_round_trip_of_prepositional_keys():
-    assert Vpc("travel").key == "travel"
-    assert Vpc("travel", "by").key == "travel_by"
-    couples = CoupleSet(couples=(
-        Couple(Vpc("travel", "by"), Role.OBJECT, "boat", "s1"),
-    ))
+    couples = (Couple("travel_by", Role.OBJECT, "boat", "s1"),)
     buf = io.StringIO()
     write_couples_tsv(couples, buf)
     buf.seek(0)
+    back = read_couples_tsv(buf)
+    # couples are immutable values: equal and hashed alike when read back
+    assert back == couples and hash(back) == hash(couples)
+    with pytest.raises(AttributeError):
+        couples[0].vpc = "travel"
+
+
+def test_round_trip_of_verb_lemmas_with_underscores():
+    # the key is read back whole, never split at its first "_"
+    corpus = parse_conllu(join_sentences([
+        conllu_sentence([
+            (1, "Bart", "bart", "PROPN", 2, "nsubj"),
+            (2, "e-mailed", "e_mail", "VERB", 0, "root"),
+            (3, "Lisa", "lisa", "PROPN", 2, "dobj"),
+        ]),
+        conllu_sentence([
+            (1, "Bart", "bart", "PROPN", 2, "nsubj"),
+            (2, "set", "set_up", "VERB", 0, "root"),
+            (3, "with", "with", "ADP", 2, "prep"),
+            (4, "tools", "tool", "NOUN", 3, "pobj"),
+        ]),
+    ]))
+    couples = extract_corpus(corpus)
+    assert as_triples(couples) == {
+        ("e_mail", Role.SUBJECT, "bart"),
+        ("e_mail", Role.OBJECT, "lisa"),
+        ("set_up", Role.SUBJECT, "bart"),
+        ("set_up_with", Role.OBJECT, "tool"),
+    }
+    buf = io.StringIO()
+    write_couples_tsv(couples, buf, header=True)
+    buf.seek(0)
     assert read_couples_tsv(buf) == couples
+

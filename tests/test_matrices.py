@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termforge.extraction import Couple, CoupleSet, Role, Vpc
+from termforge.extraction import Couple, Role
 from termforge.matrices import (
     NP_VPC,
     CooccurrenceMatrix,
@@ -39,14 +39,12 @@ def counts_matrix(dense, kind=MatrixKind.MERGED_COUNTS, rows=None, cols=None):
 
 
 def couple_set(subject_counts, object_counts):
-    """CoupleSet realizing the given {(np, vpc): count} occurrence maps."""
+    """Couples realizing the given {(np, vpc): count} occurrence maps."""
     couples = []
     for role, table in ((Role.SUBJECT, subject_counts), (Role.OBJECT, object_counts)):
         for (np_key, vpc_key), count in table.items():
-            verb, sep, prep = vpc_key.partition("_")
-            vpc = Vpc(verb, prep) if sep else Vpc(verb)
-            couples.extend([Couple(vpc, role, np_key, "s")] * count)
-    return CoupleSet(couples=tuple(couples))
+            couples.extend([Couple(vpc_key, role, np_key, "s")] * count)
+    return tuple(couples)
 
 
 # ---------------------------------------------------------------------- csr
