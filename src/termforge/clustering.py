@@ -287,9 +287,10 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
                       objective_history=tuple(history), converged=converged)
 
 
-# n x n float64 arrays live at once during message passing: s_clean, s,
-# r, a and the scratch buffer of _ap_messages
-_AP_LIVE_ARRAYS = 5
+# n x n float64 arrays live at once during message passing: the jittered
+# similarities s, r, a and the scratch buffer of _ap_messages.  The clean
+# similarities the assignment reads are formed again once those are freed.
+_AP_LIVE_ARRAYS = 4
 
 # Message passing splits its rows into one part per CPU while each part gets
 # at least this many rows.  Two parts took this share of one part's time
@@ -466,8 +467,10 @@ def affinity_propagation(rep: Representation | Geometry,
                          config: ApConfig = ApConfig()) -> Clustering:
     """Frey-Dueck message passing on s(i,j) = 1 - cosine dissimilarity, with
     the diagonal set to the preference (median off-diagonal similarity by
-    default).  A geometry's D is freed first (formed again on next use), as
-    it would be one n x n array beyond the _AP_LIVE_ARRAYS of the guard."""
+    default).  Points are assigned to the exemplar of highest clean cosine
+    similarity, which is formed again after message passing has freed its
+    arrays, so _AP_LIVE_ARRAYS n x n arrays are live at most.  A geometry's
+    D is freed first (formed again on next use), as it would be one more."""
     geometry = Geometry.of(rep)
     geometry.release_dissimilarity()
     normalized = geometry.normalized
@@ -489,15 +492,14 @@ def affinity_propagation(rep: Representation | Geometry,
             f"affinity propagation on n={n} rows needs about {need / 2**30:.1f} GiB "
             f"for its n x n arrays, more than the {available / 2**30:.1f} GiB "
             "of physical memory")
-    s_clean = normalized @ normalized.T   # 1 - d equals the cosine itself
+    s = normalized @ normalized.T   # 1 - d equals the cosine itself
 
     if config.preference == MEDIAN_PREFERENCE:
         # the off-diagonal copy must not outlive this line: it is n x n too
-        preference = float(np.median(s_clean[~np.eye(n, dtype=bool)]))
+        preference = float(np.median(s[~np.eye(n, dtype=bool)]))
     else:
         preference = float(config.preference)
 
-    s = s_clean.copy()
     np.fill_diagonal(s, preference)
     # constant-seeded eps-scale jitter: breaks the exact-degeneracy
     # oscillation of duplicate rows without being visible at output scale;
@@ -512,6 +514,7 @@ def affinity_propagation(rep: Representation | Geometry,
     r, a, converged = _ap_messages(s, config.damping, config.max_iter,
                                    config.convergence_window)
     evidence = a.diagonal() + r.diagonal()
+    del r, a, s   # freed before the clean similarities are formed again
     exemplar_idx = np.flatnonzero(evidence > 0.0)
     if exemplar_idx.size == 0:
         exemplar_idx = np.array([int(np.argmax(evidence))])
@@ -520,7 +523,9 @@ def affinity_propagation(rep: Representation | Geometry,
     # the lexicographically smallest NP key
     order = sorted(range(exemplar_idx.size), key=lambda t: keys[exemplar_idx[t]])
     ordered_exemplars = exemplar_idx[order]        # cluster id = position
-    sims = s_clean[:, ordered_exemplars]
+    # the same product as above gives the same bits; a product with only
+    # the exemplar rows, normalized @ normalized[ordered_exemplars].T, does not
+    sims = (normalized @ normalized.T)[:, ordered_exemplars]
     best = sims.max(axis=1)
     chosen = np.argmax(sims == best[:, None], axis=1)   # first max = smallest key
     for cid, e in enumerate(ordered_exemplars):

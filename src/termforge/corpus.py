@@ -10,6 +10,10 @@ to ``<default_doc_id>``, so a file without newdoc comments is one document.
 A ``# sent_id = X`` line names the sentence whose first token row follows
 it; one inside a sentence, or followed by a blank line or newdoc, is
 ignored.  Other sentences are ``<doc_id>.s<n>``, n counting from 1.
+
+A parse keeps one string object per distinct field value: every token's
+form, lemma, UPOS and deprel equal to an earlier one is that same object,
+so a corpus holds each word once rather than once per occurrence.
 """
 from __future__ import annotations
 
@@ -83,9 +87,12 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(n_docs, n_sents, n_words, per_doc)
 
 
-def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None) -> tuple[Token, ...]:
+def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
+                     shared: dict[str, str]) -> tuple[Token, ...]:
     """Check and build one sentence's tokens from its (line number, columns)
-    rows: each row in order, then every head against the sentence length."""
+    rows: each row in order, then every head against the sentence length.
+    String fields are taken from `shared`, the parse's one object per value."""
+    share = shared.setdefault
     tokens: list[Token] = []
     for expected, (lineno, cols) in enumerate(rows, start=1):
         try:
@@ -106,7 +113,8 @@ def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None) -> t
         lemma = (cols[1] if cols[2] == "_" else cols[2]).lower()
         if not lemma:
             raise ConlluParseError("empty lemma and form", lineno, source)
-        tokens.append(Token(index, cols[1], lemma, cols[3], head, cols[7]))
+        tokens.append(Token(index, share(cols[1], cols[1]), share(lemma, lemma),
+                            share(cols[3], cols[3]), head, share(cols[7], cols[7])))
     n = len(tokens)
     for (lineno, _), tok in zip(rows, tokens):
         if tok.head > n:
@@ -127,6 +135,7 @@ def parse_conllu(
     documents: dict[str, list[Sentence]] = {}  # by id, in input order
     doc_id, sents = default_doc_id, []  # the open document
     sentence_ids: set[str] = set()
+    shared: dict[str, str] = {}  # one string object per field value
     rows: list[tuple[int, list[str]]] = []  # (line number, columns) of the open sentence
     sent_id: str | None = None
     unnamed_docs = 0
@@ -153,7 +162,7 @@ def parse_conllu(
             if not documents:  # a sentence before any newdoc opens the default document
                 documents[doc_id] = sents
             sentence = Sentence(id=sent_id or f"{doc_id}.s{len(sents) + 1}",
-                                tokens=_sentence_tokens(rows, source))
+                                tokens=_sentence_tokens(rows, source, shared))
             if sentence.id in sentence_ids:
                 raise ConlluParseError(f"duplicate sentence id {sentence.id!r}", lineno, source)
             sentence_ids.add(sentence.id)

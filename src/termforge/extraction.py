@@ -174,7 +174,12 @@ def read_couples_tsv(source: str | Path | TextIO) -> tuple[Couple, ...]:
                 role = Role(role_txt)
             except ValueError:
                 raise ValueError(f"couples TSV line {lineno}: unknown role {role_txt!r}") from None
-            couples.append(Couple(vpc, role, normalize_np_text(np_text), sentence_id))
+            if not vpc:
+                raise ValueError(f"couples TSV line {lineno}: empty vpc")
+            np_key = normalize_np_text(np_text)
+            if not np_key:
+                raise ValueError(f"couples TSV line {lineno}: empty np")
+            couples.append(Couple(vpc, role, np_key, sentence_id))
         return tuple(couples)
 
     if isinstance(source, (str, Path)):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import os
 import sys
 import threading
@@ -20,7 +21,12 @@ from termforge.clustering import (
 )
 from termforge.experiment import PipelineError, run_pipeline
 from test_pipeline import tiny_config
-from util import make_rep, oracle_ap_messages, oracle_ap_similarity
+from util import (
+    make_rep,
+    oracle_affinity_propagation,
+    oracle_ap_messages,
+    oracle_ap_similarity,
+)
 
 
 def three_orthogonal_groups():
@@ -174,6 +180,10 @@ def _oracle_cases():
     yield "max_iter", rng.random((40, 5)) + 0.05, ApConfig(max_iter=25)
     yield "numeric preference", rng.random((15, 3)) + 0.05, \
         ApConfig(preference=-0.5, damping=0.7, convergence_window=10)
+    # the exemplars are the two axis points, and the third point is equally
+    # similar to both: it joins the one whose key comes first
+    tie = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 3.0]])
+    yield "tie between exemplars", tie, ApConfig()
 
 
 def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
@@ -204,15 +214,28 @@ def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
     assert outcomes == {True, False}
 
 
+def test_clusterings_match_the_end_to_end_oracle():
+    for name, matrix, config in _oracle_cases():
+        rep = make_rep(matrix)
+        result = affinity_propagation(rep, config)
+        assignment, exemplars, objective, converged = oracle_affinity_propagation(
+            matrix, rep.row_labels, config.preference, config.damping,
+            config.max_iter, config.convergence_window)
+        assert result.assignment == assignment, name
+        assert result.exemplars == exemplars, name
+        assert result.objective == objective, name   # bitwise
+        assert result.converged == converged, name
+
+
 def test_memory_guard_rejects_before_allocating(monkeypatch):
     monkeypatch.setattr(clustering, "_physical_memory_bytes", lambda: 4096)
-    rep = make_rep(np.random.default_rng(5).random((12, 3)) + 0.05)
-    with pytest.raises(ValueError, match=r"n=12 .*GiB"):
-        affinity_propagation(rep, ApConfig())
-    # 5 arrays of 11 x 11 float64 are 4840 bytes; 10 x 10 fit in 4096
-    affinity_propagation(make_rep(rep.matrix[:10]), ApConfig())
-    with pytest.raises(ValueError, match="n=11"):
-        affinity_propagation(make_rep(rep.matrix[:11]), ApConfig())
+    # the largest n whose _AP_LIVE_ARRAYS n x n float64 arrays fit in 4096
+    # bytes: with 4 arrays, 11 x 11 fit (3872 bytes) and 12 x 12 do not
+    fits = math.isqrt(4096 // (clustering._AP_LIVE_ARRAYS * 8))
+    matrix = np.random.default_rng(5).random((fits + 1, 3)) + 0.05
+    affinity_propagation(make_rep(matrix[:fits]), ApConfig())
+    with pytest.raises(ValueError, match=rf"n={fits + 1} .*GiB"):
+        affinity_propagation(make_rep(matrix), ApConfig())
 
 
 def test_memory_guard_is_a_tagged_pipeline_error(monkeypatch, tmp_path, mini_corpus):

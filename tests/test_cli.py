@@ -252,6 +252,14 @@ def test_errors_exit_one_with_message(tmp_path, workdir):
     assert code == 1 and f"error: {bad}: bad header '3'" in err
 
 
+def test_featurize_rejects_an_empty_couple_key(tmp_path):
+    couples = tmp_path / "couples.tsv"
+    couples.write_text("run\tsubject\tcat\ts1\nrun\tsubject\t\ts1\n")
+    code, _, err = run_cli(["featurize", str(couples), "-o", str(tmp_path / "m")])
+    assert code == 1 and "couples TSV line 2: empty np" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_pipeline_single_k_sweep(tmp_path, mini_corpus_path, mini_gold_path):
     # k_min = k_max, and k_max clipped down to k_min by the 16 distinct rows
     for k_min, k_max in (("3", "3"), ("16", "40")):

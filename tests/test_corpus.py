@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +39,60 @@ def test_lemma_lowercased_and_form_fallback():
     sent = next(corpus.sentences())
     assert sent.tokens[0].lemma == "paris"   # "_" falls back to the form
     assert sent.tokens[1].lemma == "shine"
+
+
+def test_equal_field_values_are_one_object_within_a_parse():
+    # lemmas lowercased from a capitalised lemma or from the form ("_")
+    # are shared like the fields read as they are
+    sentences = [
+        [(1, "Paris", "_", "PROPN", 2, "nsubj"), (2, "shines", "SHINE", "VERB", 0, "root")],
+        [(1, "Paris", "PARIS", "PROPN", 2, "nsubj"), (2, "shine", "shine", "VERB", 0, "root")],
+        [(1, "paris", "paris", "PROPN", 2, "nsubj"), (2, "Shines", "_", "VERB", 0, "root")],
+    ]
+    corpus = parse_conllu(join_sentences([conllu_sentence(rows) for rows in sentences]))
+    tokens = [tok for sent in corpus.sentences() for tok in sent.tokens]
+    for field in ("form", "lemma", "upos", "deprel"):
+        first: dict[str, str] = {}
+        for tok in tokens:
+            value = getattr(tok, field)
+            assert value is first.setdefault(value, value), (field, value)
+    assert {tok.lemma for tok in tokens} == {"paris", "shine", "shines"}
+
+
+def _footprint_corpus():
+    """5,600 tokens: 700 eight-token sentences over 60 nouns and 20 verbs."""
+    rng = random.Random(0)
+    nouns = [f"noun{i}" for i in range(60)]
+    verbs = [f"verb{i}" for i in range(20)]
+    sentences = []
+    for _ in range(700):
+        n1, n2, n3 = rng.sample(nouns, 3)
+        sentences.append(conllu_sentence([
+            (1, "The", "the", "DET", 3, "det"),
+            (2, n1.capitalize(), n1, "NOUN", 3, "compound"),
+            (3, n2, "_", "NOUN", 4, "nsubj"),
+            (4, rng.choice(verbs), rng.choice(verbs).upper(), "VERB", 0, "root"),
+            (5, "the", "the", "DET", 6, "det"),
+            (6, n3, n3, "NOUN", 4, "obj"),
+            (7, "with", "with", "ADP", 8, "case"),
+            (8, n1, n1, "NOUN", 4, "obl"),
+        ]))
+    return join_sentences(sentences)
+
+
+def test_a_parsed_token_costs_less_than_200_bytes():
+    # a copy of each string field per token would be about 340 bytes
+    text = _footprint_corpus()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = parse_conllu(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_tokens = corpus_stats(corpus).n_words
+    assert n_tokens >= 5000
+    assert kept / n_tokens < 200
 
 
 def test_sent_id_and_newdoc_comments_honored():

@@ -210,6 +210,19 @@ def test_tsv_reader_rejects_bad_role():
         read_couples_tsv(bad)
 
 
+def test_tsv_reader_rejects_an_empty_vpc():
+    bad = io.StringIO("run\tsubject\tcat\ts1\n\tobject\tcat\ts2\n")
+    with pytest.raises(ValueError, match="couples TSV line 2: empty vpc"):
+        read_couples_tsv(bad)
+
+
+def test_tsv_reader_rejects_an_np_that_normalizes_to_nothing():
+    for np_text in ("", "  "):
+        bad = io.StringIO(f"run\tsubject\t{np_text}\ts1\n")
+        with pytest.raises(ValueError, match="couples TSV line 1: empty np"):
+            read_couples_tsv(bad)
+
+
 def test_tsv_reader_rejects_wrong_field_count():
     bad = io.StringIO("run\tsubject\tcat\n")
     with pytest.raises(ValueError, match="expected 4 fields, got 3"):

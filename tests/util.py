@@ -256,3 +256,39 @@ def oracle_ap_messages(s, damping, max_iter, window):
             stable = 0
         prev = exemplars
     return r, a, converged
+
+
+def oracle_affinity_propagation(matrix, keys, preference, damping, max_iter, window):
+    """affinity_propagation end to end, rule by rule: the oracle messages on
+    the jittered similarities pick the exemplars (evidence > 0, else the
+    first largest evidence), ordered by NP key; every other point goes to the
+    first exemplar in that order with the largest clean cosine x @ x.T.
+    Returns (assignment, exemplars, net similarity, converged)."""
+    x = np.asarray(matrix, dtype=float)
+    x = x / np.linalg.norm(x, axis=1)[:, None]
+    sims = x @ x.T
+    n = len(keys)
+    if preference == "median":
+        preference = float(np.median(sims[~np.eye(n, dtype=bool)]))
+    r, a, converged = oracle_ap_messages(oracle_ap_similarity(matrix, preference),
+                                         damping, max_iter, window)
+    evidence = [a[i, i] + r[i, i] for i in range(n)]
+    exemplars = [i for i in range(n) if evidence[i] > 0.0]
+    if not exemplars:
+        exemplars = [max(range(n), key=lambda i: evidence[i])]
+    exemplars.sort(key=lambda i: keys[i])
+    assignment = {}
+    best = []   # per non-exemplar point, in row order
+    for i in range(n):
+        if i in exemplars:
+            assignment[keys[i]] = exemplars.index(i)
+            continue
+        chosen = 0
+        for cid, e in enumerate(exemplars):
+            if sims[i, e] > sims[i, exemplars[chosen]]:
+                chosen = cid
+        assignment[keys[i]] = chosen
+        best.append(sims[i, exemplars[chosen]])
+    # np.sum adds in the order the library's sum does, so the two agree bitwise
+    objective = float(np.sum(best) + preference * len(exemplars))
+    return assignment, {cid: keys[e] for cid, e in enumerate(exemplars)}, objective, converged
