@@ -22,12 +22,12 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import numpy.ma   # np.median loads it lazily; import it with the module, not mid-run
 
 from .matrices import Representation
 
@@ -48,6 +48,9 @@ class Clustering:
         ids = set(self.assignment.values())
         if ids != set(range(self.n_clusters)):
             raise ValueError(f"cluster ids {sorted(ids)} are not 0..{self.n_clusters - 1}")
+        if len(set(self.labels)) != len(self.labels):
+            repeated = sorted(lbl for lbl, n in Counter(self.labels).items() if n > 1)
+            raise ValueError(f"repeated labels {repeated[:5]}")
         if set(self.labels) != set(self.assignment):
             raise ValueError("assignment keys do not match labels")
 
@@ -120,16 +123,22 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(normalized: np.ndarray) -> np.ndarray:
-    d = 1.0 - normalized @ normalized.T
-    d = np.clip((d + d.T) / 2.0, 0.0, 2.0)
+    # in place, so two n x n arrays are live at most: d += d.T buffers the
+    # overlapping transpose and gives exactly d + d.T
+    d = normalized @ normalized.T
+    np.subtract(1.0, d, out=d)
+    d += d.T
+    d /= 2.0
+    np.clip(d, 0.0, 2.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def _count_distinct(normalized: np.ndarray) -> int:
     # hashing row bytes needs no sort; + 0.0 turns -0.0 into 0.0 so the two
-    # zeros count as one value, as they compare equal
-    return len({row.tobytes() for row in normalized + 0.0})
+    # zeros count as one value, as they compare equal.  Row by row, so the
+    # matrix is not copied whole.
+    return len({(row + 0.0).tobytes() for row in normalized})
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -208,9 +217,19 @@ def _kmeanspp_init(normalized: np.ndarray, k: int, rng: np.random.Generator) -> 
     return centroids
 
 
-def _assign(normalized: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _dissimilarities(normalized: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """n x k cosine dissimilarities of the rows to the centroids."""
+    d = normalized @ centroids.T
+    np.subtract(1.0, d, out=d)
+    return d
+
+
+def _assign(normalized: np.ndarray,
+            centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of each row, and the dissimilarities it is read from."""
+    dissimilarity = _dissimilarities(normalized, centroids)
     # argmin returns the first (lowest id) among tied centroids
-    return np.argmin(1.0 - normalized @ centroids.T, axis=1)
+    return np.argmin(dissimilarity, axis=1), dissimilarity
 
 
 def _repair_empty(normalized: np.ndarray, labels: np.ndarray,
@@ -218,6 +237,8 @@ def _repair_empty(normalized: np.ndarray, labels: np.ndarray,
     """Reseed each empty cluster with the point farthest from its assigned
     centroid; mutates labels and centroids.  Returns whether anything moved."""
     k = centroids.shape[0]
+    if np.bincount(labels, minlength=k).all():
+        return False
     repaired = False
     for c in range(k):
         if np.any(labels == c):
@@ -233,10 +254,25 @@ def _repair_empty(normalized: np.ndarray, labels: np.ndarray,
     return repaired
 
 
-def _objective(normalized: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
+def _objective(dissimilarity: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of each row's dissimilarity to its own centroid, read from the n x k
+    dissimilarities of the current labels and centroids."""
     # at an exact fit rounding leaves the sum slightly below 0, and the stop
     # test prev - new <= rel_tol * prev would never hold on a negative prev
-    return max(0.0, float(np.sum(1.0 - np.einsum("ij,ij->i", normalized, centroids[labels]))))
+    rows = np.arange(labels.shape[0])
+    return max(0.0, float(np.sum(dissimilarity[rows, labels])))
+
+
+def _assign_and_repair(normalized: np.ndarray,
+                       centroids: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Assignment step with empty-cluster repair: the labels, their objective
+    and whether a repair moved a centroid (mutates centroids)."""
+    labels, dissimilarity = _assign(normalized, centroids)
+    repaired = _repair_empty(normalized, labels, centroids)
+    if repaired:
+        # the objective reads the labels and centroids as the repair left them
+        dissimilarity = _dissimilarities(normalized, centroids)
+    return labels, _objective(dissimilarity, labels), repaired
 
 
 def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
@@ -245,7 +281,9 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
     improvement falls below rel_tol.
 
     Always ends on an assignment step, so no point is left with a stale
-    cluster against the final centroids.
+    cluster against the final centroids.  The objective is read from the
+    n x k dissimilarities that step forms, so outside an empty-cluster repair
+    no n x d array beyond one cluster's member rows is made.
     """
     geometry = Geometry.of(rep)
     normalized = geometry.normalized
@@ -254,9 +292,7 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
 
     rng = np.random.default_rng(config.seed)
     centroids = _kmeanspp_init(normalized, config.k, rng)
-    labels = _assign(normalized, centroids)
-    _repair_empty(normalized, labels, centroids)
-    obj = _objective(normalized, labels, centroids)
+    labels, obj, _ = _assign_and_repair(normalized, centroids)
     history = [obj]
 
     converged = False
@@ -268,9 +304,7 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
             norm = np.linalg.norm(mean)
             if norm >= 1e-12:
                 centroids[c] = mean / norm
-        labels = _assign(normalized, centroids)
-        repaired = _repair_empty(normalized, labels, centroids)
-        new_obj = _objective(normalized, labels, centroids)
+        labels, new_obj, repaired = _assign_and_repair(normalized, centroids)
         history.append(new_obj)
         prev, obj = obj, new_obj
         if repaired:
@@ -495,8 +529,14 @@ def affinity_propagation(rep: Representation | Geometry,
     s = normalized @ normalized.T   # 1 - d equals the cosine itself
 
     if config.preference == MEDIAN_PREFERENCE:
-        # the off-diagonal copy must not outlive this line: it is n x n too
-        preference = float(np.median(s[~np.eye(n, dtype=bool)]))
+        # what np.median computes, without its second copy or numpy.ma: the
+        # mean of the two middle values of the n^2 - n (an even count)
+        # off-diagonal similarities.  The copy must not outlive this block.
+        off = s[~np.eye(n, dtype=bool)]
+        h = off.size // 2
+        off.partition((h - 1, h))
+        preference = float((off[h - 1] + off[h]) / 2.0)
+        del off
     else:
         preference = float(config.preference)
 
@@ -575,14 +615,24 @@ def load_clustering(path: str | Path) -> Clustering:
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)   # None: an empty file
         if header != ["np_key", "cluster_id"]:
             raise ValueError(f"{path}: unexpected header {header!r}")
         labels: list[str] = []
         assignment: dict[str, int] = {}
-        for key, cid in reader:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected 2 fields (np_key, cluster_id), "
+                                 f"got {len(row)}")
+            key, cid = row
+            if key in assignment:
+                raise ValueError(f"{where}: repeated np_key {key!r}")
+            try:
+                assignment[key] = int(cid)
+            except ValueError:
+                raise ValueError(f"{where}: cluster_id {cid!r} is not an integer") from None
             labels.append(key)
-            assignment[key] = int(cid)
     meta_file = _meta_path(path)
     meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
     exemplars = meta.get("exemplars")

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -435,4 +436,24 @@ def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "clusters.csv"
     path.write_text("term,cluster\na,0\n")
     with pytest.raises(ValueError, match="unexpected header"):
+        load_clustering(path)
+
+
+def test_load_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="unexpected header None"):
+        load_clustering(path)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("alpha,0\nbeta\n", 3, "expected 2 fields \\(np_key, cluster_id\\), got 1"),
+    ("alpha,0\nbeta,1,2\n", 3, "expected 2 fields \\(np_key, cluster_id\\), got 3"),
+    ("alpha,0\nbeta,one\n", 3, "cluster_id 'one' is not an integer"),
+    ("alpha,0\nalpha,0\nbeta,1\n", 3, "repeated np_key 'alpha'"),
+], ids=["one field", "three fields", "non-integer id", "repeated key"])
+def test_load_names_the_line_of_a_bad_row(tmp_path, rows, line, message):
+    path = tmp_path / "clusters.csv"
+    path.write_text("np_key,cluster_id\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}$"):
         load_clustering(path)

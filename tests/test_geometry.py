@@ -20,7 +20,7 @@ from termforge.experiment import (PipelineConfig, RepetitionRecord, SweepConfig,
                                   build_representations, derive_seed, run_pipeline,
                                   run_sweep)
 from termforge.matrices import NP_VPC, REPRESENTATIONS, Representation
-from util import make_rep
+from util import make_rep, traced_peak
 
 SWEEP = SweepConfig(k_min=2, k_max=5, repetitions=2, master_seed=7,
                     sigma1=2.0, sigma2=0.5)
@@ -115,6 +115,20 @@ def test_ap_on_a_geometry_keeps_to_the_memory_guard_estimate():
         tracemalloc.stop()
     # a quarter array of slack for ufunc buffers and per-row vectors
     assert peak - rows_only < (_AP_LIVE_ARRAYS + 0.25) * n_by_n
+
+
+def test_forming_d_keeps_two_n_by_n_arrays():
+    # D itself and the buffered transpose of d += d.T; a tenth of an array
+    # of slack for the fill_diagonal index and ufunc buffers
+    geometry = Geometry(make_rep(np.random.default_rng(0).random((300, 40)) + 0.01))
+    assert traced_peak(lambda: geometry.dissimilarity) < 2.3 * 300 * 300 * 8
+
+
+def test_counting_distinct_rows_copies_no_whole_matrix():
+    # the row-bytes set holds one n x d array's worth; a whole-matrix copy
+    # would be a second
+    geometry = Geometry(make_rep(np.random.default_rng(0).random((400, 300)) + 0.01))
+    assert traced_peak(lambda: geometry.distinct) < 1.5 * 400 * 300 * 8
 
 
 # ------------------------------------------------ unconverged k warning

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import termforge.clustering
 from termforge.clustering import (
     Clustering,
     Geometry,
@@ -13,8 +14,8 @@ from termforge.clustering import (
     pairwise_cosine_dissimilarity,
 )
 from termforge.experiment import PipelineConfig, SweepConfig, build_representations
-from termforge.matrices import NP_VPC
-from util import make_rep, spherical_objective
+from termforge.matrices import NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF
+from util import make_rep, oracle_kmeans, spherical_objective, traced_peak
 
 # ----------------------------------------------------------- Clustering
 
@@ -28,6 +29,14 @@ def test_clustering_validates_cluster_ids():
 def test_clustering_validates_label_match():
     with pytest.raises(ValueError, match="do not match"):
         Clustering(labels=("a", "b"), assignment={"a": 0, "c": 1},
+                   n_clusters=2, algorithm="x")
+
+
+def test_clustering_rejects_repeated_labels():
+    # a dict keeps one id per key, so a repeated label would count twice in
+    # members() and cluster_ids() but once in the assignment
+    with pytest.raises(ValueError, match=r"repeated labels \['alpha'\]"):
+        Clustering(labels=("alpha", "alpha", "beta"), assignment={"alpha": 0, "beta": 1},
                    n_clusters=2, algorithm="x")
 
 
@@ -208,3 +217,78 @@ def test_kmeans_invariants_on_random_instances(params):
     history = result.objective_history
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     assert result.objective == history[-1]
+
+
+def test_kmeans_keeps_no_n_by_d_copy():
+    # six balanced groups, each with its own 50 columns: one cluster's member
+    # rows are a sixth of the matrix, and nothing else is n x d
+    rng = np.random.default_rng(0)
+    m = rng.random((400, 300)) * 0.1
+    for i in range(400):
+        m[i, 50 * (i % 6):50 * (i % 6) + 50] += 1.0
+    geometry = Geometry(make_rep(m))
+    assert geometry.distinct == 400
+    results = []
+    peak = traced_peak(lambda: results.append(kmeans(geometry, KmeansConfig(k=6, seed=0))))
+    assert np.bincount(results[0].cluster_ids()).tolist() == [66, 67, 67, 67, 67, 66]
+    assert peak < 0.9 * m.nbytes
+
+
+# -------------------------------------------------------------- oracle
+
+
+def kmeans_oracle_cases():
+    """Random count-like instances with exact duplicate rows and rows scaled
+    by factors that are not powers of two, at every k the distinct count
+    allows."""
+    rng = np.random.default_rng(21)
+    for case in range(30):
+        n, d = int(rng.integers(6, 40)), int(rng.integers(2, 9))
+        m = rng.integers(0, 4, size=(n, d)).astype(float)
+        m[:, 0] += 1.0                         # no all-zero row
+        dup = rng.integers(n, size=n // 3)
+        m[rng.integers(n, size=dup.size)] = m[dup]
+        m[rng.integers(n, size=3)] *= 3.7
+        for k in range(2, min(8, distinct_row_count(m)) + 1):
+            yield m, k, case
+
+
+def assert_matches_oracle(rep, k, seed):
+    result = kmeans(rep, KmeansConfig(k=k, seed=seed))
+    labels, centroids, history, converged = oracle_kmeans(rep.matrix, k, seed)
+    assert result.cluster_ids().tolist() == labels
+    assert np.array_equal(result.centroids, centroids)
+    assert result.objective_history == history
+    assert result.objective == history[-1]
+    assert result.converged == converged
+
+
+def test_kmeans_matches_the_rule_by_rule_oracle():
+    for m, k, seed in kmeans_oracle_cases():
+        assert_matches_oracle(make_rep(m), k, seed)
+
+
+def test_kmeans_oracle_cases_reach_a_repair_after_an_update(monkeypatch):
+    # the oracle test must cover the empty-cluster repair and the stop test
+    # it skips, not only clean assignment steps
+    real, calls, late_repairs = termforge.clustering._repair_empty, [0], [0]
+
+    def counting(normalized, labels, centroids):
+        calls[0] += 1
+        repaired = real(normalized, labels, centroids)
+        late_repairs[0] += repaired and calls[0] > 1   # not the one after init
+        return repaired
+
+    monkeypatch.setattr(termforge.clustering, "_repair_empty", counting)
+    for m, k, seed in kmeans_oracle_cases():
+        calls[0] = 0
+        kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
+    assert late_repairs[0] > 0
+
+
+@pytest.mark.parametrize("provenance", [NP_VPC, NP_VPC_TFIDF, NP_VPC_NMF])
+def test_kmeans_matches_the_oracle_on_the_mini_counts(mini_corpus, provenance):
+    config = PipelineConfig(sweep=SweepConfig(representations=(provenance,)))
+    rep = build_representations(mini_corpus, config)[provenance]
+    for k in range(2, min(10, distinct_row_count(rep.matrix)) + 1):
+        assert_matches_oracle(rep, k, seed=k)

@@ -1,5 +1,7 @@
-"""termforge runs on numpy alone; scipy is only a test oracle.  Both checks
-run in a fresh interpreter, since the test suite itself imports scipy."""
+"""termforge runs on numpy alone; scipy is only a test oracle.  Within numpy,
+a run loads nothing beyond what importing termforge loads.  The checks run
+in a fresh interpreter, since the test suite itself imports scipy and more
+of numpy."""
 import json
 import os
 import subprocess
@@ -29,6 +31,32 @@ def test_importing_termforge_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def quick_start(out: Path) -> tuple[str, ...]:
+    """The README quick start's arguments, writing to out."""
+    return ("pipeline", "--corpus", "data/mini/corpus.conllu",
+            "--gold", "data/mini/gold.tsv", "--out", str(out),
+            "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2", "--k-max", "10",
+            "--reps", "3", "--seed", "7",
+            "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3")
+
+
+def test_a_run_loads_no_numpy_module_beyond_the_imports(tmp_path):
+    # numpy.ma cost about 1 MiB of RSS when np.median loaded it; a submodule
+    # first loaded mid-run is a lazy import that a later change may make heavier
+    done = run_python(
+        "import importlib, pkgutil, sys, termforge, termforge.cli\n"
+        "for module in pkgutil.iter_modules(termforge.__path__):\n"
+        "    importlib.import_module('termforge.' + module.name)\n"
+        "def numpy_modules():\n"
+        "    return {k for k in sys.modules if k == 'numpy' or k.startswith('numpy.')}\n"
+        "imported = numpy_modules()\n"
+        "status = termforge.cli.main(sys.argv[1:])\n"
+        "print(status, 'numpy.ma' in numpy_modules(), sorted(numpy_modules() - imported))",
+        *quick_start(tmp_path / "mini_run"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 False []"
+
+
 def test_pipeline_runs_with_scipy_blocked(tmp_path):
     out = tmp_path / "mini_run"
     done = run_python(
@@ -36,11 +64,7 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
         "sys.modules['scipy'] = None   # any scipy import now raises ImportError\n"
         "from termforge.cli import main\n"
         "sys.exit(main(sys.argv[1:]))",
-        # the README quick start
-        "pipeline", "--corpus", "data/mini/corpus.conllu", "--gold", "data/mini/gold.tsv",
-        "--out", str(out), "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2",
-        "--k-max", "10", "--reps", "3", "--seed", "7",
-        "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3")
+        *quick_start(out))
     assert done.returncode == 0, done.stderr
     names = {p.name for p in out.iterdir()}
     expected = {"couples.tsv", "np_vpc.mtx", "np_vpc.mtx.rows", "np_vpc.mtx.cols",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -74,6 +75,17 @@ def make_rep(matrix, keys=None, provenance=NP_VPC):
         keys = tuple(f"p{i}" for i in range(matrix.shape[0]))
     return Representation(row_labels=tuple(keys), matrix=matrix,
                           provenance=provenance)
+
+
+def traced_peak(call):
+    """Bytes the call allocates at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- oracles
@@ -186,6 +198,80 @@ def brute_force_kmeans(points, k):
             best = obj
             best_labels = labels
     return best, best_labels
+
+
+def oracle_kmeans(matrix, k, seed, max_iter=300, rel_tol=1e-6):
+    """Spherical K-Means written out rule by rule with a fresh array per rule;
+    same draws, tie rules, repair and stopping rule as the library.
+    Returns (labels, centroids, objective history, converged)."""
+    x = np.asarray(matrix, dtype=float)
+    x = x / np.linalg.norm(x, axis=1)[:, None]
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+
+    # k-means++: the first centroid uniformly, each next one with probability
+    # proportional to the squared dissimilarity to the nearest chosen centroid
+    # (uniformly again once every point sits on a chosen one)
+    centroids = [x[rng.integers(n)]]
+    nearest = 1.0 - x @ centroids[0]
+    for _ in range(1, k):
+        weights = np.maximum(nearest, 0.0) ** 2
+        total = weights.sum()
+        if total == 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=weights / total))
+        centroids.append(x[idx])
+        nearest = np.minimum(nearest, 1.0 - x @ centroids[-1])
+    centroids = np.array(centroids)
+
+    def assign_and_repair():
+        # every point goes to its nearest centroid, the lowest id among ties
+        dissim = 1.0 - x @ centroids.T
+        labels = [min(range(k), key=lambda c: (dissim[i, c], c)) for i in range(n)]
+        # each empty cluster, in id order, takes the point farthest from its
+        # own centroid (the first among ties) that is not alone in its cluster
+        repaired = False
+        for c in range(k):
+            if c in labels:
+                continue
+            own = 1.0 - np.einsum("ij,ij->i", x, centroids[labels])
+            sizes = [labels.count(labels[i]) for i in range(n)]
+            movable = [i for i in range(n) if sizes[i] > 1]
+            p = max(movable, key=lambda i: (own[i], -i))
+            labels[p] = c
+            centroids[c] = x[p]
+            repaired = True
+        if repaired:
+            dissim = 1.0 - x @ centroids.T
+        # the objective reads the dissimilarities of the final labels; np.sum
+        # adds in the order the library's sum does; rounding below 0 is 0
+        objective = max(0.0, float(np.sum([dissim[i, labels[i]] for i in range(n)])))
+        return labels, objective, repaired
+
+    labels, objective, _ = assign_and_repair()
+    history = [objective]
+    converged = False
+    for _ in range(max_iter):
+        # each centroid moves to the normalized mean of its members; a mean of
+        # length below 1e-12 has no direction, and the centroid stays
+        for c in range(k):
+            members = [x[i] for i in range(n) if labels[i] == c]
+            total = np.zeros(x.shape[1])
+            for row in members:
+                total = total + row
+            mean = total / len(members)
+            length = math.sqrt(float(mean @ mean))
+            if length >= 1e-12:
+                centroids[c] = mean / length
+        labels, new_objective, repaired = assign_and_repair()
+        history.append(new_objective)
+        previous, objective = objective, new_objective
+        # a repair moved a centroid, so the stop test waits for a clean step
+        if not repaired and previous - new_objective <= rel_tol * previous:
+            converged = True
+            break
+    return labels, centroids, tuple(history), converged
 
 
 def brute_force_exemplars(similarity, preference):
