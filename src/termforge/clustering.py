@@ -11,17 +11,15 @@ compare runs exactly:
     between identical rows (otherwise R/A oscillate forever on duplicates);
     final assignments are computed on the clean similarities with
     lexicographic NP-key tie-breaks, so the jitter never shows downstream.
-    Message passing may split its rows across threads, but column sums are
-    taken in one thread, in row order, so R and A have the same bits for
-    any number of row parts.
+    Message passing runs on one thread in row blocks, and column sums add
+    the rows in order, so R and A have the same bits for any block size.
 """
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
-import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import Representation
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,9 @@ def _assign_and_repair(normalized: np.ndarray,
 def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
     """Spherical K-Means: normalize, k-means++ init, iterate assignment and
     normalized-mean centroid updates until the objective's relative
-    improvement falls below rel_tol.
+    improvement falls below rel_tol.  A run whose empty-cluster repair
+    leaves the labels and centroids an earlier repair left would repeat the
+    steps since then until max_iter, so it ends there, not converged.
 
     Always ends on an assignment step, so no point is left with a stale
     cluster against the final centroids.  The objective is read from the
@@ -292,8 +294,10 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
 
     rng = np.random.default_rng(config.seed)
     centroids = _kmeanspp_init(normalized, config.k, rng)
-    labels, obj, _ = _assign_and_repair(normalized, centroids)
+    labels, obj, repaired = _assign_and_repair(normalized, centroids)
     history = [obj]
+    # the labels and centroids each repair left; they fix every later step
+    repairs = {labels.tobytes() + centroids.tobytes()} if repaired else set()
 
     converged = False
     for _ in range(config.max_iter):
@@ -309,6 +313,11 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
         prev, obj = obj, new_obj
         if repaired:
             # surgery moved a centroid; points may be stale, keep iterating
+            # unless an earlier repair left this same state: the run cycles
+            state = labels.tobytes() + centroids.tobytes()
+            if state in repairs:
+                break
+            repairs.add(state)
             continue
         if prev - new_obj <= config.rel_tol * prev:
             converged = True
@@ -322,179 +331,147 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
 
 
 # n x n float64 arrays live at once during message passing: the jittered
-# similarities s, r, a and the scratch buffer of _ap_messages.  The clean
-# similarities the assignment reads are formed again once those are freed.
-_AP_LIVE_ARRAYS = 4
+# similarities s, r and a.  The block scratch of _ap_messages comes on top
+# (_ap_scratch_bytes).  The clean similarities the assignment reads are
+# formed again once those are freed.
+_AP_LIVE_ARRAYS = 3
 
-# Message passing splits its rows into one part per CPU while each part gets
-# at least this many rows.  Two parts took this share of one part's time
-# (in-process, 120 iterations, no fallback to one thread, 2-vCPU virtual
-# machine, two runs): n=158 2.7-3.3x, 280 1.2-2.1x, 360 0.86-1.06x, 440
-# 0.71-0.75x, 520 0.60-0.80x, 640 0.67-0.68x.  Below about 400 rows the
-# barrier in every iteration costs about as much as the second CPU saves.
-_AP_ROWS_PER_PART = 200
-
-# Every this many iterations, split message passing compares the wall time
-# the iterations took with the CPU time they used.  When the wall time is
-# the longer, the other threads saved nothing (on a virtual machine, a CPU
-# that other guests keep busy is slow to wake at every barrier), and the
-# calling thread runs the remaining iterations alone.  At n=640 on a 2-vCPU
-# machine a window takes about 50 ms, and the wall time is typically
-# 0.55-0.70 of the CPU time.
-_AP_TIMING_WINDOW = 16
+# Message passing works through its rows in blocks of at most this many
+# bytes of one n x n array, so that a block's rows of s, r and a and the
+# scratch stay in cache while the block is updated; a matrix of at most this
+# size (n <= 362) is one block.  A split costs one more elementwise pass per
+# block, which pays only on larger matrices.  Median of 9 runs of 120
+# iterations on a 2-vCPU virtual machine, whole matrix / 1 MiB blocks /
+# 512 KiB blocks: n=280 0.062 / 0.062 / 0.075 s, n=640 0.51 / 0.45 /
+# 0.39 s, n=1000 1.19 / 1.16 / 1.02 s.  Smaller blocks would slow n=280.
+_AP_BLOCK_BYTES = 1 << 20
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _ap_block_rows(n: int) -> int:
+    """Rows per message-passing block on n rows."""
+    return max(1, min(n, _AP_BLOCK_BYTES // (8 * n)))
 
 
-class _MessagePassing:
-    """R, A and the scratch buffer of one message-passing run, updated by
-    row parts that meet at one barrier per iteration.
+def _ap_scratch_bytes(n: int) -> int:
+    """Bytes of the block scratch and the two column-sum vectors."""
+    return 8 * n * (_ap_block_rows(n) + 3)
 
-    Responsibilities are row-local, and availabilities need only the column
-    sums of max(R, 0) (R itself on the diagonal).  Each part updates its
-    rows; once every part has arrived, one thread takes the column sums and
-    checks the exemplars, as the barrier's action.  The check reads the
-    diagonal of A that the availability step is about to write, computed
-    from the same column sums with the same operations, so every part
-    learns before that step whether it is the last.  Every elementwise step
-    gives the same bits on a row range as on the whole array, and the column
-    sum runs over the full scratch buffer in row order, so R and A do not
-    depend on the number of parts.
 
-    R and A are updated in place through the scratch buffer; each damped
-    update is r *= d; tmp *= 1 - d; r += tmp, which gives the same bits as
-    d * r + (1 - d) * r_new.
-    """
+# Each step below works on the rows of one message-passing block; `diag`
+# indexes the entries of those rows that lie on the diagonal of the whole
+# matrix, as (row in the block, column).
 
-    def __init__(self, s: np.ndarray, damping: float, window: int) -> None:
-        n = s.shape[0]
-        self.s, self.damping, self.window = s, damping, window
-        self.r = np.zeros((n, n))
-        self.a = np.zeros((n, n))
-        self.tmp = np.empty((n, n))
-        self.column_sum = np.empty(n)
-        self.stable = 0
-        self.prev_exemplars: np.ndarray | None = None
-        self.converged = False
-        self.iterations = 0
-        self.timed = False      # whether the split is checked for a saving
-        self.alone = False      # set when the split saved no time
-        self.clocks = (0.0, 0.0)
-        self.errors: list[BaseException] = []
+def _positive_responsibilities(r: np.ndarray, out: np.ndarray,
+                               diag: tuple[np.ndarray, np.ndarray]) -> None:
+    """max(R, 0), with R itself on the diagonal."""
+    np.maximum(r, 0.0, out=out)
+    out[diag] = r[diag]
 
-    def barrier(self, parts: int) -> threading.Barrier:
-        """The meeting point of `parts` row parts, from here on.  The caller
-        keeps it: held here, its action would make a reference cycle that
-        keeps the n x n arrays alive until the garbage collector runs."""
-        self.timed, self.alone = parts > 1, False
-        self.clocks = (time.perf_counter(), time.process_time())
-        return threading.Barrier(parts, action=self.sum_and_check)
 
-    def run_part(self, lo: int, hi: int, max_iter: int, barrier: threading.Barrier) -> None:
-        """Pass messages on rows lo:hi until the run converges or max_iter
-        iterations have run.  An error is recorded for the caller, and the
-        barrier is broken so that the other parts stop too."""
-        try:
-            s, r, a, tmp = self.s[lo:hi], self.r[lo:hi], self.a[lo:hi], self.tmp[lo:hi]
-            rows = np.arange(hi - lo)
-            diag = rows + lo
-            damping = self.damping
-            for _ in range(max_iter):
-                # responsibilities
-                np.add(a, s, out=tmp)
-                first = np.argmax(tmp, axis=1)
-                best = tmp[rows, first]
-                tmp[rows, first] = -np.inf
-                second = np.max(tmp, axis=1)
-                np.subtract(s, best[:, None], out=tmp)
-                tmp[rows, first] = s[rows, first] - second
-                tmp *= 1.0 - damping
-                r *= damping
-                r += tmp
-                # availabilities
-                np.maximum(r, 0.0, out=tmp)
-                tmp[rows, diag] = r[rows, diag]
-                barrier.wait()
-                np.subtract(self.column_sum, tmp, out=tmp)
-                own = tmp[rows, diag]
-                np.minimum(tmp, 0.0, out=tmp)
-                tmp[rows, diag] = own
-                tmp *= 1.0 - damping
-                a *= damping
-                a += tmp
-                if self.converged or self.alone:
-                    break
-        except threading.BrokenBarrierError:
-            pass   # another part failed and recorded why
-        except BaseException as exc:   # raised again by _ap_messages
-            self.errors.append(exc)
-            barrier.abort()
+def _update_responsibilities(s: np.ndarray, r: np.ndarray, a: np.ndarray,
+                             tmp: np.ndarray, rows: np.ndarray, damping: float) -> None:
+    """Damped responsibility update, through the scratch rows tmp."""
+    np.add(a, s, out=tmp)
+    first = np.argmax(tmp, axis=1)
+    best = tmp[rows, first]
+    tmp[rows, first] = -np.inf
+    second = np.max(tmp, axis=1)
+    np.subtract(s, best[:, None], out=tmp)
+    tmp[rows, first] = s[rows, first] - second
+    tmp *= 1.0 - damping
+    r *= damping
+    r += tmp
 
-    def sum_and_check(self) -> None:
-        self.tmp.sum(axis=0, out=self.column_sum)
-        # the diagonal of A after this iteration, as the parts will write it
-        r_diag = self.r.diagonal()
-        a_diag = self.a.diagonal() * self.damping
-        a_diag += (self.column_sum - r_diag) * (1.0 - self.damping)
-        exemplars = np.flatnonzero(a_diag + r_diag > 0.0)
-        if self.prev_exemplars is not None and exemplars.size and \
-                np.array_equal(exemplars, self.prev_exemplars):
-            self.stable += 1
-            self.converged = self.stable >= self.window
-        else:
-            self.stable = 0
-        self.prev_exemplars = exemplars
-        self.iterations += 1
-        if self.timed and self.iterations % _AP_TIMING_WINDOW == 0:
-            self.alone = not self.split_saves_time()
 
-    def split_saves_time(self) -> bool:
-        """Whether the iterations since the last call took less wall time
-        than the CPU time all parts used, the time one thread would need."""
-        clocks = (time.perf_counter(), time.process_time())
-        wall, cpu = clocks[0] - self.clocks[0], clocks[1] - self.clocks[1]
-        self.clocks = clocks
-        return wall < cpu
+def _update_availabilities(a: np.ndarray, positive: np.ndarray, column_sum: np.ndarray,
+                           diag: tuple[np.ndarray, np.ndarray], damping: float) -> None:
+    """Damped availability update from the column sums and the block's
+    max(R, 0) rows (overwritten)."""
+    np.subtract(column_sum, positive, out=positive)
+    own = positive[diag]
+    np.minimum(positive, 0.0, out=positive)
+    positive[diag] = own
+    positive *= 1.0 - damping
+    a *= damping
+    a += positive
 
 
 def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
-                 window: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    # the calling thread runs the first row part; each further part gets a
-    # worker thread, and none outlives the call
+                 window: int) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Frey-Dueck message passing on the jittered similarities s, on one
+    thread in row blocks of _ap_block_rows(n) rows.  Returns R, A, whether
+    the exemplar set held for `window` iterations, and the iterations run.
+
+    Responsibilities are row-local, and availabilities need only the column
+    sums of max(R, 0) (R itself on the diagonal).  Each iteration is one
+    pass over the blocks.  A block first applies the availability update
+    it still owes from the previous iteration's column sums, then updates
+    its responsibilities, then adds its max(R, 0) rows to the running column
+    sum.  That sum is row 0 of a (block + 1) x n scratch, so each column
+    still adds rows 0..n-1 in order and the sums, R and A have the same bits
+    for every block size.  The last block applies its update at once from
+    the scratch; the exemplar check reads the diagonal of A that update is
+    about to write, from the same finished sums with the same operations.
+    After the last iteration the other blocks apply the updates they owe.
+
+    R and A are updated in place; each damped update is r *= d;
+    tmp *= 1 - d; r += tmp, which gives the same bits as
+    d * r + (1 - d) * r_new.
+    """
     n = s.shape[0]
-    parts = max(1, min(_cpu_count(), n // _AP_ROWS_PER_PART))
-    bounds = [n * p // parts for p in range(parts + 1)]
-    passing = _MessagePassing(s, damping, window)
-    barrier = passing.barrier(parts)
-    workers = [threading.Thread(target=passing.run_part, args=(lo, hi, max_iter, barrier))
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        for worker in workers:
-            worker.start()
-        passing.run_part(bounds[0], bounds[1], max_iter, barrier)
-    except BaseException:
-        barrier.abort()   # a worker failed to start: free the ones waiting
-        raise
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.join()
-    if passing.alone and not passing.converged and not passing.errors:
-        # the split saved no time: the calling thread runs the rest alone
-        passing.run_part(0, n, max_iter - passing.iterations, passing.barrier(1))
-    if passing.errors:
-        raise passing.errors[0]
-    return passing.r, passing.a, passing.converged
+    step = _ap_block_rows(n)
+    r = np.zeros((n, n))
+    a = np.zeros((n, n))
+    scratch = np.empty((step + 1, n))
+    running = np.empty(n)      # the column sums of the rows passed so far
+    column_sum = np.empty(n)   # those of the last finished iteration
+    # per block: its rows of s, r and a, its part of the scratch, the rows
+    # of the scratch the column sum adds (the first block carries nothing
+    # in row 0) and its diagonal
+    blocks = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = np.arange(hi - lo)
+        blocks.append((s[lo:hi], r[lo:hi], a[lo:hi], scratch[1:hi - lo + 1],
+                       scratch[int(lo == 0):hi - lo + 1], (rows, rows + lo)))
+    *owing, last = blocks
+
+    stable, previous, converged = 0, None, False
+    iterations = 0
+    while iterations < max_iter and not converged:
+        for s_rows, r_rows, a_rows, positive, summed, diag in owing:
+            if iterations:
+                _positive_responsibilities(r_rows, positive, diag)
+                _update_availabilities(a_rows, positive, column_sum, diag, damping)
+            _update_responsibilities(s_rows, r_rows, a_rows, positive, diag[0], damping)
+            _positive_responsibilities(r_rows, positive, diag)
+            summed.sum(axis=0, out=running)
+            scratch[0] = running
+        s_rows, r_rows, a_rows, positive, summed, diag = last
+        _update_responsibilities(s_rows, r_rows, a_rows, positive, diag[0], damping)
+        _positive_responsibilities(r_rows, positive, diag)
+        summed.sum(axis=0, out=column_sum)
+        iterations += 1
+        # the diagonal of A after this iteration, as the updates will write it
+        r_diag = r.diagonal()
+        a_diag = a.diagonal() * damping
+        a_diag += (column_sum - r_diag) * (1.0 - damping)
+        exemplars = np.flatnonzero(a_diag + r_diag > 0.0)
+        if previous is not None and exemplars.size and np.array_equal(exemplars, previous):
+            stable += 1
+            converged = stable >= window
+        else:
+            stable = 0
+        previous = exemplars
+        _update_availabilities(a_rows, positive, column_sum, diag, damping)
+    for _, r_rows, a_rows, positive, _, diag in owing:
+        _positive_responsibilities(r_rows, positive, diag)
+        _update_availabilities(a_rows, positive, column_sum, diag, damping)
+    return r, a, converged, iterations
 
 
 def affinity_propagation(rep: Representation | Geometry,
@@ -503,8 +480,9 @@ def affinity_propagation(rep: Representation | Geometry,
     the diagonal set to the preference (median off-diagonal similarity by
     default).  Points are assigned to the exemplar of highest clean cosine
     similarity, which is formed again after message passing has freed its
-    arrays, so _AP_LIVE_ARRAYS n x n arrays are live at most.  A geometry's
-    D is freed first (formed again on next use), as it would be one more."""
+    arrays, so _AP_LIVE_ARRAYS n x n arrays and the block scratch are live
+    at most.  A geometry's D is freed first (formed again on next use), as
+    it would be one more."""
     geometry = Geometry.of(rep)
     geometry.release_dissimilarity()
     normalized = geometry.normalized
@@ -520,7 +498,8 @@ def affinity_propagation(rep: Representation | Geometry,
         return Clustering(labels=(key,), assignment={key: 0}, n_clusters=1,
                           algorithm="affinity_propagation", exemplars={0: key},
                           objective=pref, converged=True)
-    need, available = _AP_LIVE_ARRAYS * n * n * 8, _physical_memory_bytes()
+    need = _AP_LIVE_ARRAYS * n * n * 8 + _ap_scratch_bytes(n)
+    available = _physical_memory_bytes()
     if need > available:
         raise ValueError(
             f"affinity propagation on n={n} rows needs about {need / 2**30:.1f} GiB "
@@ -551,8 +530,10 @@ def affinity_propagation(rep: Representation | Geometry,
     s += jitter
     del jitter   # freed before _ap_messages allocates r, a and its scratch
 
-    r, a, converged = _ap_messages(s, config.damping, config.max_iter,
-                                   config.convergence_window)
+    r, a, converged, iterations = _ap_messages(s, config.damping, config.max_iter,
+                                               config.convergence_window)
+    log.info("affinity propagation: n=%d, %d rows per block, %d iterations, "
+             "converged=%s", n, _ap_block_rows(n), iterations, converged)
     evidence = a.diagonal() + r.diagonal()
     del r, a, s   # freed before the clean similarities are formed again
     exemplar_idx = np.flatnonzero(evidence > 0.0)

@@ -1,13 +1,11 @@
 import dataclasses
 import gc
+import logging
 import math
-import os
 import re
-import sys
 import threading
-import time
+import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -201,13 +199,13 @@ def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
     for name, matrix, config in _oracle_cases():
         seen.clear()
         affinity_propagation(make_rep(matrix), config)
-        (s, damping, max_iter, window, (r, a, converged)), = seen
+        (s, damping, max_iter, window, (r, a, converged, _)), = seen
         normalized = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
         sims = normalized @ normalized.T
         preference = (float(np.median(sims[~np.eye(len(matrix), dtype=bool)]))
                       if config.preference == "median" else config.preference)
         assert np.array_equal(s, oracle_ap_similarity(matrix, preference)), name
-        r_ref, a_ref, converged_ref = oracle_ap_messages(s, damping, max_iter, window)
+        r_ref, a_ref, converged_ref, _ = oracle_ap_messages(s, damping, max_iter, window)
         assert np.array_equal(r, r_ref), name
         assert np.array_equal(a, a_ref), name
         assert converged == converged_ref, name
@@ -230,9 +228,10 @@ def test_clusterings_match_the_end_to_end_oracle():
 
 def test_memory_guard_rejects_before_allocating(monkeypatch):
     monkeypatch.setattr(clustering, "_physical_memory_bytes", lambda: 4096)
-    # the largest n whose _AP_LIVE_ARRAYS n x n float64 arrays fit in 4096
-    # bytes: with 4 arrays, 11 x 11 fit (3872 bytes) and 12 x 12 do not
-    fits = math.isqrt(4096 // (clustering._AP_LIVE_ARRAYS * 8))
+    # the largest n whose three n x n float64 arrays, block scratch ((n + 1)
+    # x n: a small matrix is one block) and two column-sum vectors fit in
+    # 4096 bytes: 8 * (4n^2 + 3n) is 3440 at n = 10 and 4136 at n = 11
+    fits = 10
     matrix = np.random.default_rng(5).random((fits + 1, 3)) + 0.05
     affinity_propagation(make_rep(matrix[:fits]), ApConfig())
     with pytest.raises(ValueError, match=rf"n={fits + 1} .*GiB"):
@@ -249,161 +248,92 @@ def test_memory_guard_is_a_tagged_pipeline_error(monkeypatch, tmp_path, mini_cor
     assert exc.value.stage == "ap:NP_VPC"
 
 
-# ----------------------------------------------------- row-split messages
+# ------------------------------------------------------- row-block messages
 
 
-def _split_input(max_iter, window):
-    """An odd n with at least _AP_ROWS_PER_PART rows in each of three parts."""
-    n = 3 * clustering._AP_ROWS_PER_PART + 1
-    m = np.random.default_rng(0).random((n, 6)) ** 3 + 0.01
+def _block_input(max_iter, window):
+    """41 rows: blocks of 6 rows leave a last block of 5."""
+    m = np.random.default_rng(0).random((41, 6)) ** 3 + 0.01
     normalized = m / np.linalg.norm(m, axis=1, keepdims=True)
     sims = normalized @ normalized.T
-    preference = float(np.median(sims[~np.eye(n, dtype=bool)]))
+    preference = float(np.median(sims[~np.eye(len(m), dtype=bool)]))
     return oracle_ap_similarity(m, preference), 0.5, max_iter, window
 
 
-def _record_parts(monkeypatch):
-    """Row ranges run_part was called with, and whether the calling thread
-    ran each one."""
-    real = clustering._MessagePassing.run_part
-    parts = []
-
-    def spy(self, lo, hi, *args):
-        parts.append((lo, hi, threading.current_thread() is threading.main_thread()))
-        real(self, lo, hi, *args)
-
-    monkeypatch.setattr(clustering._MessagePassing, "run_part", spy)
-    return parts
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 6, 40, 41],
+                         ids=["one row", "uneven", "last block one row", "whole matrix"])
 @pytest.mark.parametrize("max_iter, window, converges",
-                         [(400, 10, True), (12, 50, False)], ids=["converged", "max_iter"])
-@pytest.mark.parametrize("saves_time", [True, False], ids=["split", "alone_after_5"])
-def test_row_parts_match_the_rule_by_rule_oracle(monkeypatch, parts, max_iter, window,
-                                                 converges, saves_time):
-    s, damping, _, _ = _split_input(max_iter, window)
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: parts)
-    monkeypatch.setattr(clustering, "_AP_TIMING_WINDOW", 5)
-    monkeypatch.setattr(clustering._MessagePassing, "split_saves_time",
-                        lambda self: saves_time)
-    ran = _record_parts(monkeypatch)
-    r, a, converged = clustering._ap_messages(s, damping, max_iter, window)
-    n = s.shape[0]
-    assert sorted(ran[:parts]) == [(n * p // parts, n * (p + 1) // parts, p == 0)
-                                   for p in range(parts)]
-    # a split that saves no time hands the remaining iterations to the caller
-    assert ran[parts:] == ([] if saves_time or parts == 1 else [(0, n, True)])
-    r_ref, a_ref, converged_ref = oracle_ap_messages(s, damping, max_iter, window)
+                         [(1, 50, False), (2, 50, False), (50, 100, False), (400, 10, True)],
+                         ids=["one iteration", "two iterations", "fifty iterations",
+                              "converged"])
+def test_block_boundaries_match_the_rule_by_rule_oracle(monkeypatch, rows, max_iter,
+                                                        window, converges):
+    s, damping, _, _ = _block_input(max_iter, window)
+    monkeypatch.setattr(clustering, "_AP_BLOCK_BYTES", 8 * s.shape[0] * rows)
+    assert clustering._ap_block_rows(s.shape[0]) == rows
+    r, a, converged, iterations = clustering._ap_messages(s, damping, max_iter, window)
+    r_ref, a_ref, converged_ref, iterations_ref = oracle_ap_messages(s, damping,
+                                                                     max_iter, window)
     assert np.array_equal(r, r_ref)
     assert np.array_equal(a, a_ref)
     assert converged == converged_ref == converges
+    assert iterations == iterations_ref
 
 
-def test_row_parts_under_frequent_thread_switches(monkeypatch):
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
-    s, damping, max_iter, window = _split_input(12, 50)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        r, a, _ = clustering._ap_messages(s, damping, max_iter, window)
-    finally:
-        sys.setswitchinterval(interval)
-    r_ref, a_ref, _ = oracle_ap_messages(s, damping, max_iter, window)
-    assert np.array_equal(r, r_ref) and np.array_equal(a, a_ref)
+@pytest.mark.parametrize("n, blocks", [(158, 1), (280, 1), (640, 4)],
+                         ids=["skipgram", "sweep", "wide"])
+def test_block_rule_on_the_benchmark_sizes(n, blocks):
+    # splitting n = 280 into row blocks slowed `sweep` by a fifth, so the
+    # smaller workloads run as one block; `wide` needs four
+    assert math.ceil(n / clustering._ap_block_rows(n)) == blocks
 
 
-def test_the_split_is_kept_while_its_wall_time_is_below_its_cpu_time():
-    passing = clustering._MessagePassing(np.zeros((2, 2)), 0.5, 10)
-    passing.clocks = (time.perf_counter() - 0.5, time.process_time() - 1.0)
-    assert passing.split_saves_time()
-    passing.clocks = (time.perf_counter() - 1.0, time.process_time() - 0.5)
-    assert not passing.split_saves_time()
+@pytest.mark.parametrize("case", ["converges", "max_iter"])
+def test_ap_logs_the_iterations_the_oracle_runs(caplog, case):
+    (_, matrix, config), = [c for c in _oracle_cases() if c[0] == case]
+    caplog.set_level(logging.INFO, logger="termforge.clustering")
+    result = affinity_propagation(make_rep(matrix), config)
+    normalized = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    sims = normalized @ normalized.T
+    preference = float(np.median(sims[~np.eye(len(matrix), dtype=bool)]))
+    *_, converged, iterations = oracle_ap_messages(
+        oracle_ap_similarity(matrix, preference), config.damping, config.max_iter,
+        config.convergence_window)
+    assert converged == result.converged == (case == "converges")
+    n = len(matrix)
+    assert caplog.messages == [
+        f"affinity propagation: n={n}, {clustering._ap_block_rows(n)} rows per block, "
+        f"{iterations} iterations, converged={converged}"]
 
 
-def test_parts_follow_the_cpus_of_the_process(monkeypatch):
-    s, damping, _, window = _split_input(400, 10)
-    ran = _record_parts(monkeypatch)
-    clustering._ap_messages(s, damping, 3, window)
-    n = s.shape[0]
-    assert len(ran) == min(len(os.sched_getaffinity(0)), n // clustering._AP_ROWS_PER_PART)
-
-
-def test_small_problems_run_inline_on_many_cpus(monkeypatch):
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 64)
-    ran = _record_parts(monkeypatch)
-    n = 2 * clustering._AP_ROWS_PER_PART - 1
-    clustering._ap_messages(oracle_ap_similarity(np.eye(n) + 0.1, 0.0), 0.9, 3, 50)
-    assert ran == [(0, n, True)]
-
-
-def test_one_cpu_starts_no_thread(monkeypatch):
+def test_ap_starts_no_thread(monkeypatch):
     def refuse(self):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 1)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    s, damping, max_iter, window = _split_input(12, 50)
-    r, a, _ = clustering._ap_messages(s, damping, max_iter, window)
-    r_ref, a_ref, _ = oracle_ap_messages(s, damping, max_iter, window)
-    assert np.array_equal(r, r_ref) and np.array_equal(a, a_ref)
+    # enough rows that a split across CPUs would pay, were there one
+    m = np.random.default_rng(6).random((1000, 5)) + 0.05
+    affinity_propagation(make_rep(m), ApConfig(max_iter=3))
 
 
-def test_no_thread_outlives_a_call(monkeypatch):
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
-    before = threading.active_count()
-    clustering._ap_messages(*_split_input(400, 10))
-    assert threading.active_count() == before
-    clustering._ap_messages(*_split_input(12, 50))
-    assert threading.active_count() == before
-
-
-def test_message_passing_state_is_freed_without_the_garbage_collector(monkeypatch):
-    # a reference cycle would keep the scratch buffer and s alive after the
-    # call, next to the arrays of the next call
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 2)
-    made = []
-    real = clustering._MessagePassing.__init__
-
-    def spy(self, *args):
-        real(self, *args)
-        made.append(weakref.ref(self))
-
-    monkeypatch.setattr(clustering._MessagePassing, "__init__", spy)
+def test_message_passing_state_is_freed_without_the_garbage_collector():
+    # a reference cycle would keep the block scratch alive after the call,
+    # next to the arrays of the next call: only R and A may outlive it
+    s, damping, max_iter, window = _block_input(3, 50)
+    n_by_n = s.nbytes
     gc.disable()
+    tracemalloc.start()
     try:
-        clustering._ap_messages(*_split_input(3, 50))
-        assert made[0]() is None
+        before = tracemalloc.get_traced_memory()[0]
+        r, a, *_ = clustering._ap_messages(s, damping, max_iter, window)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del r, a
+        left = tracemalloc.get_traced_memory()[0] - before
     finally:
+        tracemalloc.stop()
         gc.enable()
-
-
-def test_a_worker_error_reaches_the_caller(monkeypatch):
-    real = np.argmax
-
-    def fail_off_the_main_thread(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("worker failed")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(np, "argmax", fail_off_the_main_thread)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="worker failed"):
-        clustering._ap_messages(*_split_input(12, 50))
-    assert threading.active_count() == before
-
-
-def test_an_error_in_the_serial_step_reaches_the_caller(monkeypatch):
-    def fail(self):
-        raise FloatingPointError("check failed")
-
-    monkeypatch.setattr(clustering, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(clustering._MessagePassing, "sum_and_check", fail)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="check failed"):
-        clustering._ap_messages(*_split_input(12, 50))
-    assert threading.active_count() == before
+    assert kept < 2 * n_by_n + 1024
+    assert left < 1024
 
 
 # ---------------------------------------------------------- serialization

@@ -12,7 +12,8 @@ import pytest
 import termforge.experiment
 from termforge.cli import main
 from termforge.clustering import (_AP_LIVE_ARRAYS, ApConfig, Geometry, KmeansConfig,
-                                  affinity_propagation, distinct_row_count, kmeans,
+                                  _ap_scratch_bytes, affinity_propagation,
+                                  distinct_row_count, kmeans,
                                   pairwise_cosine_dissimilarity, save_clustering)
 from termforge.evaluation import (GoldStandard, dunn2, evaluate_clustering,
                                   silhouette_width)
@@ -99,9 +100,10 @@ def test_geometry_gives_what_the_matrix_gives_and_is_read_only():
 
 
 def test_ap_on_a_geometry_keeps_to_the_memory_guard_estimate():
-    # the guard counts _AP_LIVE_ARRAYS n x n arrays; the geometry's D, formed
-    # by the sweep, would be one more
-    rep = make_rep(np.random.default_rng(0).random((300, 4)) + 0.01)
+    # the guard counts _AP_LIVE_ARRAYS n x n arrays and the block scratch; the
+    # geometry's D, formed by the sweep, would be one more.  500 rows are more
+    # than one block, so the scratch is about half an n x n array.
+    rep = make_rep(np.random.default_rng(0).random((500, 4)) + 0.01)
     n_by_n = rep.n_rows ** 2 * 8
     tracemalloc.start()
     try:
@@ -114,7 +116,8 @@ def test_ap_on_a_geometry_keeps_to_the_memory_guard_estimate():
     finally:
         tracemalloc.stop()
     # a quarter array of slack for ufunc buffers and per-row vectors
-    assert peak - rows_only < (_AP_LIVE_ARRAYS + 0.25) * n_by_n
+    assert peak - rows_only < ((_AP_LIVE_ARRAYS + 0.25) * n_by_n
+                               + _ap_scratch_bytes(rep.n_rows))
 
 
 def test_forming_d_keeps_two_n_by_n_arrays():

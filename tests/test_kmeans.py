@@ -286,6 +286,18 @@ def test_kmeans_oracle_cases_reach_a_repair_after_an_update(monkeypatch):
     assert late_repairs[0] > 0
 
 
+def test_a_repair_cycle_ends_the_run_at_once_unconverged():
+    # in these cells a row and its 3.7 multiple, one direction up to
+    # rounding, trade clusters at every repair, so the repairs repeat their
+    # labels and centroids and no step can converge
+    ended = {}
+    for m, k, seed in kmeans_oracle_cases():
+        result = kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
+        if not result.converged:
+            ended[m.shape, k] = len(result.objective_history)
+    assert ended == {((9, 8), 7): 3, ((10, 7), 8): 4, ((6, 7), 5): 3, ((6, 7), 6): 3}
+
+
 @pytest.mark.parametrize("provenance", [NP_VPC, NP_VPC_TFIDF, NP_VPC_NMF])
 def test_kmeans_matches_the_oracle_on_the_mini_counts(mini_corpus, provenance):
     config = PipelineConfig(sweep=SweepConfig(representations=(provenance,)))

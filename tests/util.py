@@ -202,7 +202,7 @@ def brute_force_kmeans(points, k):
 
 def oracle_kmeans(matrix, k, seed, max_iter=300, rel_tol=1e-6):
     """Spherical K-Means written out rule by rule with a fresh array per rule;
-    same draws, tie rules, repair and stopping rule as the library.
+    same draws, tie rules, repair and stopping rules as the library.
     Returns (labels, centroids, objective history, converged)."""
     x = np.asarray(matrix, dtype=float)
     x = x / np.linalg.norm(x, axis=1)[:, None]
@@ -249,8 +249,10 @@ def oracle_kmeans(matrix, k, seed, max_iter=300, rel_tol=1e-6):
         objective = max(0.0, float(np.sum([dissim[i, labels[i]] for i in range(n)])))
         return labels, objective, repaired
 
-    labels, objective, _ = assign_and_repair()
+    labels, objective, repaired = assign_and_repair()
     history = [objective]
+    # the labels and centroids every repair left
+    repairs = [(list(labels), centroids.copy())] if repaired else []
     converged = False
     for _ in range(max_iter):
         # each centroid moves to the normalized mean of its members; a mean of
@@ -267,8 +269,15 @@ def oracle_kmeans(matrix, k, seed, max_iter=300, rel_tol=1e-6):
         labels, new_objective, repaired = assign_and_repair()
         history.append(new_objective)
         previous, objective = objective, new_objective
-        # a repair moved a centroid, so the stop test waits for a clean step
-        if not repaired and previous - new_objective <= rel_tol * previous:
+        # a repair moved a centroid, so the stop test waits for a clean step;
+        # a repair that leaves the labels and centroids of an earlier one ends
+        # the run unconverged, as the steps since then would repeat
+        if repaired:
+            if any(labels == old_labels and np.array_equal(centroids, old_centroids)
+                   for old_labels, old_centroids in repairs):
+                break
+            repairs.append((list(labels), centroids.copy()))
+        elif previous - new_objective <= rel_tol * previous:
             converged = True
             break
     return labels, centroids, tuple(history), converged
@@ -308,7 +317,7 @@ def oracle_ap_similarity(matrix, preference):
 def oracle_ap_messages(s, damping, max_iter, window):
     """Frey-Dueck responsibility and availability updates, written out rule
     by rule with a fresh array per rule; same damping and exemplar-stability
-    stopping rule as the library."""
+    stopping rule as the library.  Returns (R, A, converged, iterations run)."""
     n = s.shape[0]
     idx = np.arange(n)
     r = np.zeros((n, n))
@@ -316,7 +325,8 @@ def oracle_ap_messages(s, damping, max_iter, window):
     stable = 0
     prev = None
     converged = False
-    for _ in range(max_iter):
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         as_ = a + s
         first = np.argmax(as_, axis=1)
         best = as_[idx, first]
@@ -341,7 +351,7 @@ def oracle_ap_messages(s, damping, max_iter, window):
         else:
             stable = 0
         prev = exemplars
-    return r, a, converged
+    return r, a, converged, iterations
 
 
 def oracle_affinity_propagation(matrix, keys, preference, damping, max_iter, window):
@@ -356,8 +366,8 @@ def oracle_affinity_propagation(matrix, keys, preference, damping, max_iter, win
     n = len(keys)
     if preference == "median":
         preference = float(np.median(sims[~np.eye(n, dtype=bool)]))
-    r, a, converged = oracle_ap_messages(oracle_ap_similarity(matrix, preference),
-                                         damping, max_iter, window)
+    r, a, converged, _ = oracle_ap_messages(oracle_ap_similarity(matrix, preference),
+                                            damping, max_iter, window)
     evidence = [a[i, i] + r[i, i] for i in range(n)]
     exemplars = [i for i in range(n) if evidence[i] > 0.0]
     if not exemplars:
