@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -75,7 +76,8 @@ class KmeansConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.max_iter < 1 or self.rel_tol < 0:
+        # written so that a NaN rel_tol fails too; it could never converge
+        if self.max_iter < 1 or not self.rel_tol >= 0:
             raise ValueError("max_iter must be >= 1 and rel_tol >= 0")
 
 
@@ -93,8 +95,10 @@ class ApConfig:
     def __post_init__(self) -> None:
         if not 0.5 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0.5, 1), got {self.damping}")
-        if isinstance(self.preference, str) and self.preference != MEDIAN_PREFERENCE:
-            raise ValueError(f"preference must be a real or '{MEDIAN_PREFERENCE}'")
+        if self.preference != MEDIAN_PREFERENCE and (
+                isinstance(self.preference, str) or not math.isfinite(self.preference)):
+            raise ValueError(f"preference must be a finite real or "
+                             f"'{MEDIAN_PREFERENCE}', got {self.preference!r}")
         if self.max_iter < 1 or self.convergence_window < 1:
             raise ValueError("max_iter and convergence_window must be >= 1")
 
@@ -224,14 +228,6 @@ def _dissimilarities(normalized: np.ndarray, centroids: np.ndarray) -> np.ndarra
     return d
 
 
-def _assign(normalized: np.ndarray,
-            centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of each row, and the dissimilarities it is read from."""
-    dissimilarity = _dissimilarities(normalized, centroids)
-    # argmin returns the first (lowest id) among tied centroids
-    return np.argmin(dissimilarity, axis=1), dissimilarity
-
-
 def _repair_empty(normalized: np.ndarray, labels: np.ndarray,
                   centroids: np.ndarray) -> bool:
     """Reseed each empty cluster with the point farthest from its assigned
@@ -267,7 +263,9 @@ def _assign_and_repair(normalized: np.ndarray,
                        centroids: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Assignment step with empty-cluster repair: the labels, their objective
     and whether a repair moved a centroid (mutates centroids)."""
-    labels, dissimilarity = _assign(normalized, centroids)
+    dissimilarity = _dissimilarities(normalized, centroids)
+    # argmin returns the first (lowest id) among tied centroids
+    labels = np.argmin(dissimilarity, axis=1)
     repaired = _repair_empty(normalized, labels, centroids)
     if repaired:
         # the objective reads the labels and centroids as the repair left them
@@ -342,8 +340,10 @@ _AP_LIVE_ARRAYS = 3
 # size (n <= 362) is one block.  A split costs one more elementwise pass per
 # block, which pays only on larger matrices.  Median of 9 runs of 120
 # iterations on a 2-vCPU virtual machine, whole matrix / 1 MiB blocks /
-# 512 KiB blocks: n=280 0.062 / 0.062 / 0.075 s, n=640 0.51 / 0.45 /
-# 0.39 s, n=1000 1.19 / 1.16 / 1.02 s.  Smaller blocks would slow n=280.
+# 512 KiB blocks, in two sessions: n=280 0.089 / 0.088 / 0.098 s and
+# 0.082 / 0.083 / 0.084 s, n=640 0.53 / 0.49 / 0.47 s and 0.52 / 0.49 /
+# 0.44 s, n=1000 1.30 / 1.18 / 1.18 s and 1.27 / 1.17 / 1.13 s.  Smaller
+# blocks would slow n=280.
 _AP_BLOCK_BYTES = 1 << 20
 
 
@@ -357,8 +357,8 @@ def _ap_block_rows(n: int) -> int:
 
 
 def _ap_scratch_bytes(n: int) -> int:
-    """Bytes of the block scratch and the two column-sum vectors."""
-    return 8 * n * (_ap_block_rows(n) + 3)
+    """Bytes of the block scratch and the column-sum vector."""
+    return 8 * n * (_ap_block_rows(n) + 2)
 
 
 # Each step below works on the rows of one message-passing block; `diag`
@@ -407,16 +407,14 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
     the exemplar set held for `window` iterations, and the iterations run.
 
     Responsibilities are row-local, and availabilities need only the column
-    sums of max(R, 0) (R itself on the diagonal).  Each iteration is one
-    pass over the blocks.  A block first applies the availability update
-    it still owes from the previous iteration's column sums, then updates
-    its responsibilities, then adds its max(R, 0) rows to the running column
-    sum.  That sum is row 0 of a (block + 1) x n scratch, so each column
-    still adds rows 0..n-1 in order and the sums, R and A have the same bits
-    for every block size.  The last block applies its update at once from
-    the scratch; the exemplar check reads the diagonal of A that update is
-    about to write, from the same finished sums with the same operations.
-    After the last iteration the other blocks apply the updates they owe.
+    sums of max(R, 0) (R itself on the diagonal).  Each iteration makes two
+    passes over the blocks.  The first updates a block's responsibilities
+    and adds its max(R, 0) rows to the column sums, which are carried in
+    row 0 of a (block + 1) x n scratch, so each column still adds rows
+    0..n-1 in order and the sums, R and A have the same bits for every
+    block size.  The second updates the availabilities from those sums,
+    last block first, as its max(R, 0) rows are still in the scratch; the
+    other blocks form theirs again.
 
     R and A are updated in place; each damped update is r *= d;
     tmp *= 1 - d; r += tmp, which gives the same bits as
@@ -427,8 +425,7 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
     r = np.zeros((n, n))
     a = np.zeros((n, n))
     scratch = np.empty((step + 1, n))
-    running = np.empty(n)      # the column sums of the rows passed so far
-    column_sum = np.empty(n)   # those of the last finished iteration
+    column_sum = np.empty(n)
     # per block: its rows of s, r and a, its part of the scratch, the rows
     # of the scratch the column sum adds (the first block carries nothing
     # in row 0) and its diagonal
@@ -438,39 +435,27 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
         rows = np.arange(hi - lo)
         blocks.append((s[lo:hi], r[lo:hi], a[lo:hi], scratch[1:hi - lo + 1],
                        scratch[int(lo == 0):hi - lo + 1], (rows, rows + lo)))
-    *owing, last = blocks
 
     stable, previous, converged = 0, None, False
     iterations = 0
     while iterations < max_iter and not converged:
-        for s_rows, r_rows, a_rows, positive, summed, diag in owing:
-            if iterations:
-                _positive_responsibilities(r_rows, positive, diag)
-                _update_availabilities(a_rows, positive, column_sum, diag, damping)
+        for s_rows, r_rows, a_rows, positive, summed, diag in blocks:
             _update_responsibilities(s_rows, r_rows, a_rows, positive, diag[0], damping)
             _positive_responsibilities(r_rows, positive, diag)
-            summed.sum(axis=0, out=running)
-            scratch[0] = running
-        s_rows, r_rows, a_rows, positive, summed, diag = last
-        _update_responsibilities(s_rows, r_rows, a_rows, positive, diag[0], damping)
-        _positive_responsibilities(r_rows, positive, diag)
-        summed.sum(axis=0, out=column_sum)
+            summed.sum(axis=0, out=column_sum)
+            scratch[0] = column_sum
+        for k, (_, r_rows, a_rows, positive, _, diag) in enumerate(reversed(blocks)):
+            if k:   # the last block's max(R, 0) rows are still in the scratch
+                _positive_responsibilities(r_rows, positive, diag)
+            _update_availabilities(a_rows, positive, column_sum, diag, damping)
         iterations += 1
-        # the diagonal of A after this iteration, as the updates will write it
-        r_diag = r.diagonal()
-        a_diag = a.diagonal() * damping
-        a_diag += (column_sum - r_diag) * (1.0 - damping)
-        exemplars = np.flatnonzero(a_diag + r_diag > 0.0)
+        exemplars = np.flatnonzero(a.diagonal() + r.diagonal() > 0.0)
         if previous is not None and exemplars.size and np.array_equal(exemplars, previous):
             stable += 1
             converged = stable >= window
         else:
             stable = 0
         previous = exemplars
-        _update_availabilities(a_rows, positive, column_sum, diag, damping)
-    for _, r_rows, a_rows, positive, _, diag in owing:
-        _positive_responsibilities(r_rows, positive, diag)
-        _update_availabilities(a_rows, positive, column_sum, diag, damping)
     return r, a, converged, iterations
 
 

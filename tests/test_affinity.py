@@ -164,6 +164,9 @@ def test_config_validation():
         ApConfig(damping=0.2)
     with pytest.raises(ValueError, match="preference"):
         ApConfig(preference="automatic")
+    for preference in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="preference"):
+            ApConfig(preference=preference)
     with pytest.raises(ValueError, match="max_iter"):
         ApConfig(max_iter=0)
     ApConfig(preference=-3.5)  # explicit numeric preference is fine
@@ -229,9 +232,9 @@ def test_clusterings_match_the_end_to_end_oracle():
 def test_memory_guard_rejects_before_allocating(monkeypatch):
     monkeypatch.setattr(clustering, "_physical_memory_bytes", lambda: 4096)
     # the largest n whose three n x n float64 arrays, block scratch ((n + 1)
-    # x n: a small matrix is one block) and two column-sum vectors fit in
-    # 4096 bytes: 8 * (4n^2 + 3n) is 3440 at n = 10 and 4136 at n = 11
-    fits = 10
+    # x n: a small matrix is one block) and column-sum vector fit in 4096
+    # bytes: 8 * (4n^2 + 2n) is 4048 at n = 11 and 4800 at n = 12
+    fits = 11
     matrix = np.random.default_rng(5).random((fits + 1, 3)) + 0.05
     affinity_propagation(make_rep(matrix[:fits]), ApConfig())
     with pytest.raises(ValueError, match=rf"n={fits + 1} .*GiB"):
@@ -260,6 +263,7 @@ def _block_input(max_iter, window):
     return oracle_ap_similarity(m, preference), 0.5, max_iter, window
 
 
+@pytest.mark.parametrize("damping", [0.5, 0.9])
 @pytest.mark.parametrize("rows", [1, 6, 40, 41],
                          ids=["one row", "uneven", "last block one row", "whole matrix"])
 @pytest.mark.parametrize("max_iter, window, converges",
@@ -267,15 +271,16 @@ def _block_input(max_iter, window):
                          ids=["one iteration", "two iterations", "fifty iterations",
                               "converged"])
 def test_block_boundaries_match_the_rule_by_rule_oracle(monkeypatch, rows, max_iter,
-                                                        window, converges):
-    s, damping, _, _ = _block_input(max_iter, window)
+                                                        window, converges, damping):
+    s, *_ = _block_input(max_iter, window)
     monkeypatch.setattr(clustering, "_AP_BLOCK_BYTES", 8 * s.shape[0] * rows)
     assert clustering._ap_block_rows(s.shape[0]) == rows
     r, a, converged, iterations = clustering._ap_messages(s, damping, max_iter, window)
     r_ref, a_ref, converged_ref, iterations_ref = oracle_ap_messages(s, damping,
                                                                      max_iter, window)
-    assert np.array_equal(r, r_ref)
-    assert np.array_equal(a, a_ref)
+    # bytes, not ==, so that a -0.0 where the oracle has 0.0 counts
+    assert r.tobytes() == r_ref.tobytes()
+    assert a.tobytes() == a_ref.tobytes()
     assert converged == converged_ref == converges
     assert iterations == iterations_ref
 

@@ -144,6 +144,17 @@ def test_cluster_ap_numeric_preference(workdir, tmp_path):
     assert load_clustering(out).n_clusters == 16   # singletons at high preference
 
 
+@pytest.mark.parametrize("preference", ["nan", "inf", "-inf"])
+def test_cluster_ap_rejects_a_non_finite_preference(workdir, tmp_path, preference):
+    # it ran to max_iter and wrote "preference": NaN, which is not JSON
+    out = tmp_path / "ap.csv"
+    code, _, err = run_cli(["cluster", "ap", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+                            "-o", str(out), f"--preference={preference}"])
+    assert code == 1
+    assert "error:" in err and "preference" in err
+    assert not out.exists()
+
+
 def test_evaluate_row(workdir, mini_gold_path):
     code, out, _ = run_cli(["evaluate", str(workdir / "km.csv"),
                             str(workdir / "mat" / f"rep_{NP_VPC}.txt"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -171,8 +173,9 @@ def test_kmeans_config_validation():
         KmeansConfig(k=1)
     with pytest.raises(ValueError):
         KmeansConfig(k=2, max_iter=0)
-    with pytest.raises(ValueError):
-        KmeansConfig(k=2, rel_tol=-0.1)
+    for rel_tol in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            KmeansConfig(k=2, rel_tol=rel_tol)
 
 
 def test_kmeans_scale_invariant_for_exact_scalings():
