@@ -104,8 +104,6 @@ def _cmd_encode_nmf(args) -> int:
     if args.h_out:
         save_representation(Representation(
             tuple(str(i) for i in range(pair.H.shape[0])), pair.H, "H"), args.h_out)
-    log.info("NMF: %d iterations, final error %s", pair.iterations_run,
-             format_value(pair.final_error))
     return 0
 
 

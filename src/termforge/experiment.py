@@ -326,7 +326,10 @@ def build_matrices(couples: Sequence[Couple], thresholds: Thresholds) -> Matrice
 def build_representations(corpus: Corpus, config: PipelineConfig,
                           out_dir: Path | None = None) -> dict[str, Representation]:
     """Extraction, matrices and all requested encodings in one pass;
-    optionally persists every intermediate artifact."""
+    optionally persists every intermediate artifact.  The couples and the
+    role matrices are freed once the matrix stage has produced the counts
+    and tf-idf matrices, so NMF, skip-gram and the dense encodings run
+    without them."""
     extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
@@ -342,6 +345,7 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
         if out_dir is not None:
             save_matrix(counts, out_dir / "np_vpc.mtx")
             save_matrix(weighted, out_dir / "np_vpc_tfidf.mtx")
+    del couples, matrices
 
     wanted = config.sweep.representations
     reps: dict[str, Representation] = {}
@@ -409,7 +413,9 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                  config: PipelineConfig, out_dir: str | Path) -> Report:
     """Full workflow: representations, K-Means sweep + k selection, one AP
     run per representation, Table-style report plus curve/repetition CSVs
-    and a manifest.  Without a gold standard the external columns are NA."""
+    and a manifest.  Without a gold standard the external columns are NA.
+    Each dense representation is freed once its geometry holds the
+    normalized rows, so one copy of it is live during its sweep and AP."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
@@ -428,9 +434,10 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     ap_rows: list[ReportRow] = []
     selected: dict[str, int] = {}
     ordered = [name for name in REPRESENTATIONS if name in reps]
+    shapes = {name: reps[name].matrix.shape for name in ordered}
     for name in ordered:
         with _stage(f"sweep:{name}"):
-            geometry = Geometry(reps[name])    # shared by the sweep and AP
+            geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
             result = run_sweep(geometry, gold, config.sweep)
             warnings.extend(result.warnings)
             write_curves_csv(result, out / f"curves_{name}.csv")
@@ -469,9 +476,8 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
         "gold": ({"n_terms": len(gold.mapping), "n_labels": gold.n_labels}
                  if gold is not None else None),
         "selected_k": selected,
-        "representations": {name: {"rows": reps[name].n_rows,
-                                   "cols": int(reps[name].matrix.shape[1])}
-                            for name in ordered},
+        "representations": {name: {"rows": rows, "cols": cols}
+                            for name, (rows, cols) in shapes.items()},
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file()
                             and p.name != "manifest.json"),
         "warnings": warnings,

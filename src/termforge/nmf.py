@@ -154,5 +154,7 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
             break
         if (prev - err) / prev < tol:
             break
+    log.info("nmf: %dx%d, rank %d: %d iterations, final error %r",
+             *M.shape, effective_rank, iterations, history[-1])
     return FactorPair(W=np.ascontiguousarray(Wt.T), H=H, iterations_run=iterations,
                       final_error=history[-1], error_history=tuple(history))

@@ -111,6 +111,15 @@ def test_encode_nmf_output(workdir):
     assert np.all(h.matrix >= 0)
 
 
+def test_encode_nmf_logs_its_result_once(workdir, tmp_path, caplog):
+    with caplog.at_level("INFO", logger="termforge"):
+        code, _, _ = run_cli(["-v", "encode", "nmf", str(workdir / "mat" / "np_vpc.mtx"),
+                              "-o", str(tmp_path / "w.txt"), "--rank", "5"])
+    assert code == 0
+    reports = [m for m in caplog.messages if "iterations" in m]
+    assert len(reports) == 1 and reports[0].startswith("nmf: 16x14, rank 5: ")
+
+
 def test_encode_w2v_output(workdir):
     table = load_embeddings(workdir / "emb.txt")
     assert table.dim == 16

@@ -137,6 +137,14 @@ def test_rank_clamped_with_warning(caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
+def test_result_is_logged(caplog):
+    with caplog.at_level("INFO", logger="termforge.nmf"):
+        pair = nmf(np.ones((3, 5)), rank=10, max_iter=5, tol=0.0, seed=0)
+    assert caplog.messages[-1] == (
+        f"nmf: 3x5, rank 3: {pair.iterations_run} iterations, "
+        f"final error {pair.final_error!r}")
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="negative entries"):
         nmf(np.array([[1.0, -0.5]]), rank=1)

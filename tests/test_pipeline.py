@@ -1,8 +1,10 @@
 import json
 import math
+import weakref
 
 import pytest
 
+from termforge import experiment
 from termforge.corpus import parse_conllu
 from termforge.experiment import (
     REPORT_HEADER,
@@ -90,7 +92,7 @@ def test_all_artifacts_written(pipeline_out):
     assert expected <= names
 
 
-def test_manifest_shape(pipeline_out):
+def test_manifest_shape(pipeline_out, mini_corpus):
     out, _ = pipeline_out
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config", "corpus", "gold", "selected_k",
@@ -104,6 +106,10 @@ def test_manifest_shape(pipeline_out):
     assert "manifest.json" not in manifest["artifacts"]
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
     assert set(manifest["versions"]) == {"termforge", "numpy"}
+    reps = build_representations(mini_corpus, tiny_config())
+    assert manifest["representations"] == {
+        name: {"rows": rep.n_rows, "cols": rep.matrix.shape[1]}
+        for name, rep in reps.items()}
     # nothing run-dependent beyond the declared keys: no timestamps, no host,
     # no thread count anywhere
     text = (out / "manifest.json").read_text()
@@ -190,6 +196,49 @@ def test_representation_shapes_consistent(mini_corpus):
     assert reps[NP_W2V].matrix.shape[1] == 16             # w2v_dim
     # count-based representations share the thresholded NP space
     assert reps[NP_VPC_NMF].row_labels == reps[NP_VPC].row_labels
+
+
+class _Couples(list):
+    """The extracted couples in a list that takes weak references."""
+
+
+def test_couples_are_freed_before_nmf(monkeypatch, mini_corpus):
+    extract, fit = experiment.extract_corpus, experiment.nmf
+    refs, freed = [], []
+
+    def extract_weakly(*args, **kwargs):
+        couples = _Couples(extract(*args, **kwargs))
+        refs.append(weakref.ref(couples))
+        return couples
+
+    def fit_checking(*args, **kwargs):
+        freed.append(refs[0]() is None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "extract_corpus", extract_weakly)
+    monkeypatch.setattr(experiment, "nmf", fit_checking)
+    build_representations(mini_corpus, tiny_config())
+    assert freed == [True]
+
+
+def test_dense_representation_is_freed_before_its_affinity_propagation(
+        tmp_path, monkeypatch, mini_corpus, mini_gold):
+    build, ap = experiment.build_representations, experiment.affinity_propagation
+    refs, freed = {}, {}
+
+    def build_weakly(*args, **kwargs):
+        reps = build(*args, **kwargs)
+        refs.update((name, weakref.ref(rep.matrix)) for name, rep in reps.items())
+        return reps
+
+    def ap_checking(geometry, *args, **kwargs):
+        freed[geometry.provenance] = refs[geometry.provenance]() is None
+        return ap(geometry, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_representations", build_weakly)
+    monkeypatch.setattr(experiment, "affinity_propagation", ap_checking)
+    run_pipeline(mini_corpus, mini_gold, tiny_config(), tmp_path)
+    assert freed == dict.fromkeys(REPRESENTATIONS, True)
 
 
 def test_pipeline_config_scheme_validation():
