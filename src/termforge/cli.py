@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import logging
 import sys
 from pathlib import Path
@@ -24,8 +25,8 @@ from .corpus import corpus_stats, load_corpus
 from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
 from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
-                         run_pipeline, run_sweep, write_curves_csv,
-                         write_repetitions_csv)
+                         config_from_dict, run_pipeline, run_sweep,
+                         write_curves_csv, write_repetitions_csv)
 from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
 from .matrices import (MatrixKind, Representation, Thresholds, NP_VPC, NP_VPC_NMF,
                        NP_VPC_TFIDF, REPRESENTATIONS, load_matrix, load_representation,
@@ -52,9 +53,13 @@ def _given(args, names) -> dict:
             for name, value in vars(args).items() if name in names}
 
 
-def _config(cls, args, **fixed):
-    """``cls`` built from the given flags named like its fields."""
-    return cls(**_given(args, {f.name for f in dataclasses.fields(cls)}), **fixed)
+def _config(cls, args, base=None, **fixed):
+    """``cls`` built from the given flags named like its fields; fields
+    without a flag come from ``base`` when one is given."""
+    given = _given(args, {f.name for f in dataclasses.fields(cls)})
+    if base is None:
+        return cls(**given, **fixed)
+    return dataclasses.replace(base, **given, **fixed)
 
 
 def real_or_median(text: str) -> float | str:
@@ -168,6 +173,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if "selection" in args:
+        args.selection = SELECT_NAMES[args.selection]
+    base = PipelineConfig()
+    if "config" in args:
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            manifest = isinstance(raw, dict) and "config" in raw
+            base = config_from_dict(raw["config"] if manifest else raw)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+    config = _config(PipelineConfig, args, base,
+                     sweep=_config(SweepConfig, args, base.sweep))
     corpus = load_corpus(args.corpus)
     gold = None
     if args.gold:
@@ -176,9 +193,6 @@ def _cmd_pipeline(args) -> int:
         except FileNotFoundError:
             print(f"error: [evaluation] gold standard not found: {args.gold}; "
                   "external indices will be NA", file=sys.stderr)
-    if "selection" in args:
-        args.selection = SELECT_NAMES[args.selection]
-    config = _config(PipelineConfig, args, sweep=_config(SweepConfig, args))
     report = run_pipeline(corpus, gold, config, args.out)
     log.info("report with %d rows written to %s", len(report.rows),
              Path(args.out) / "report.csv")
@@ -286,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--gold", default=None)
     p.add_argument("--out", required=True)
+    p.add_argument("--config", help="manifest.json of an earlier run, or its "
+                   "config object; the flags given override it")
     p.add_argument("--sigma1", type=float)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--k-min", type=int)

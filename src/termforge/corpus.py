@@ -9,11 +9,18 @@ id opens ``<default_doc_id><n>``, and sentences before the first newdoc go
 to ``<default_doc_id>``, so a file without newdoc comments is one document.
 A ``# sent_id = X`` line names the sentence whose first token row follows
 it; one inside a sentence, or followed by a blank line or newdoc, is
-ignored.  Other sentences are ``<doc_id>.s<n>``, n counting from 1.
+ignored.  Other sentences are ``<doc_id>.s<n>``, n counting from 1.  A
+comment's key is the text before its ``=``, stripped: only ``newdoc``,
+``newdoc id`` and ``sent_id`` are read, and every other comment, such as
+``# newdoc_note = x`` or ``# sent_identifier = x``, is skipped.
 
-A parse keeps one string object per distinct field value: every token's
-form, lemma, UPOS and deprel equal to an earlier one is that same object,
-so a corpus holds each word once rather than once per occurrence.
+A parse keeps one object per distinct value: a token row whose modelled
+fields (index, form, lemma, UPOS, head, deprel) equal an earlier row's is
+that row's `Token`, and a new token's strings equal to earlier ones are
+those same strings.  Rows recur (function words and punctuation at the
+same position with the same attachment): the benchmark's ``wide`` corpus
+has 2,985 distinct rows among 76,291 tokens and keeps about 37 bytes per
+token, against about 130 for a Token object per token.
 """
 from __future__ import annotations
 
@@ -88,10 +95,12 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
 
 def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
-                     shared: dict[str, str]) -> tuple[Token, ...]:
+                     shared: dict) -> tuple[Token, ...]:
     """Check and build one sentence's tokens from its (line number, columns)
     rows: each row in order, then every head against the sentence length.
-    String fields are taken from `shared`, the parse's one object per value."""
+    `shared` is the parse's one object per value: a row equal to an earlier
+    one is that row's Token (a Token equals and hashes as the tuple of its
+    fields), and a new Token takes its strings from the shared ones."""
     share = shared.setdefault
     tokens: list[Token] = []
     for expected, (lineno, cols) in enumerate(rows, start=1):
@@ -113,8 +122,12 @@ def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
         lemma = (cols[1] if cols[2] == "_" else cols[2]).lower()
         if not lemma:
             raise ConlluParseError("empty lemma and form", lineno, source)
-        tokens.append(Token(index, share(cols[1], cols[1]), share(lemma, lemma),
-                            share(cols[3], cols[3]), head, share(cols[7], cols[7])))
+        token = shared.get((index, cols[1], lemma, cols[3], head, cols[7]))
+        if token is None:
+            token = Token(index, share(cols[1], cols[1]), share(lemma, lemma),
+                          share(cols[3], cols[3]), head, share(cols[7], cols[7]))
+            shared[token] = token
+        tokens.append(token)
     n = len(tokens)
     for (lineno, _), tok in zip(rows, tokens):
         if tok.head > n:
@@ -135,7 +148,7 @@ def parse_conllu(
     documents: dict[str, list[Sentence]] = {}  # by id, in input order
     doc_id, sents = default_doc_id, []  # the open document
     sentence_ids: set[str] = set()
-    shared: dict[str, str] = {}  # one string object per field value
+    shared: dict = {}  # one object per field value and per token row
     rows: list[tuple[int, list[str]]] = []  # (line number, columns) of the open sentence
     sent_id: str | None = None
     unnamed_docs = 0
@@ -144,10 +157,10 @@ def parse_conllu(
         line = raw.rstrip("\n")
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
-            key = key.lstrip()
-            if key.startswith("sent_id") and eq and not rows:
+            key = key.strip()
+            if key == "sent_id" and eq and not rows:
                 sent_id = value.strip()
-            if not key.startswith("newdoc"):
+            if key not in ("newdoc", "newdoc id"):
                 continue
         elif line.strip():
             cols = line.split("\t")

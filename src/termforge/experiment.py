@@ -409,6 +409,21 @@ def _config_dict(config: PipelineConfig) -> dict:
     return raw
 
 
+def config_from_dict(raw: dict) -> PipelineConfig:
+    """The config a manifest's ``config`` object describes; a key left out
+    takes its dataclass default."""
+    try:
+        sweep = dict(raw.get("sweep", {}))
+        if "selection" in sweep:
+            sweep["selection"] = Selection(sweep["selection"])
+        if "representations" in sweep:
+            sweep["representations"] = tuple(sweep["representations"])
+        return PipelineConfig(**{**raw, "sweep": SweepConfig(**sweep),
+                                 "ap": ApConfig(**raw.get("ap", {}))})
+    except (AttributeError, TypeError) as exc:  # not an object, or an unknown key
+        raise ValueError(f"bad pipeline config: {exc}") from None
+
+
 def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                  config: PipelineConfig, out_dir: str | Path) -> Report:
     """Full workflow: representations, K-Means sweep + k selection, one AP

@@ -1,11 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from termforge import cli
+from termforge import cli, experiment
 from termforge.cli import main
 from termforge.clustering import ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
@@ -226,6 +227,58 @@ def test_pipeline_command(tmp_path, mini_corpus_path, mini_gold_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 9
     assert (out / "manifest.json").exists()
+
+
+def test_pipeline_config_from_a_manifest_writes_the_same_artifacts(
+        tmp_path, mini_corpus_path, mini_gold_path):
+    inputs = ["--corpus", str(mini_corpus_path), "--gold", str(mini_gold_path)]
+    first, again = tmp_path / "run", tmp_path / "again"
+    code, _, err = run_cli(["pipeline", *inputs, "--out", str(first)] + PIPELINE_FLAGS)
+    assert code == 0, err
+    code, _, err = run_cli(["pipeline", *inputs, "--out", str(again),
+                            "--config", str(first / "manifest.json")])
+    assert code == 0, err
+    written = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == written
+    for name in written:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
+        monkeypatch, tmp_path):
+    config = PipelineConfig(
+        sweep=SweepConfig(k_min=3, k_max=9, master_seed=4, sigma2=0.5,
+                          selection=Selection.GLOBAL, representations=(NP_VPC,)),
+        nmf_max_iter=50, nmf_tol=1e-3, w2v_negatives=3,
+        ap=ApConfig(preference=-0.5, damping=0.7, max_iter=300, convergence_window=20))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": experiment._config_dict(config)}))
+    capture(monkeypatch, "run_pipeline", "load_corpus")
+    argv = ["pipeline", "--corpus", "c", "--out", "o", "--config", str(manifest)]
+    (_, _, passed, _), _ = config_passed(argv)
+    assert passed == config
+    (_, _, passed, _), _ = config_passed(argv + ["--seed", "8", "--nmf-rank", "6"])
+    assert passed == dataclasses.replace(
+        config, nmf_rank=6, sweep=dataclasses.replace(config.sweep, master_seed=8))
+
+    bare = tmp_path / "config.json"   # the config object alone reads the same
+    bare.write_text(json.dumps({"ap": {"damping": 0.8}}))
+    (_, _, passed, _), _ = config_passed(argv[:-1] + [str(bare)])
+    assert passed == PipelineConfig(ap=ApConfig(damping=0.8))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ('{"config": {"nmf_ranks": 5}}', "unexpected keyword argument 'nmf_ranks'"),
+    ('{"sweep": {"selection": "best"}}', "'best' is not a valid Selection"),
+    ('[1, 2]', "bad pipeline config"),
+    ('{"config": ', "Expecting value"),
+])
+def test_pipeline_rejects_a_bad_config_file(tmp_path, text, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run_cli(["pipeline", "--corpus", "c", "--out", str(tmp_path / "o"),
+                            "--config", str(bad)])
+    assert code == 1 and err.startswith(f"error: {bad}: ") and fragment in err, err
 
 
 def test_pipeline_missing_gold_continues_without_external_indices(

@@ -59,6 +59,55 @@ def test_equal_field_values_are_one_object_within_a_parse():
     assert {tok.lemma for tok in tokens} == {"paris", "shine", "shines"}
 
 
+def test_equal_token_rows_are_one_object_within_a_parse():
+    # "." at 3 attached to 2 recurs across sentences and documents; each
+    # row of document b after the first differs from a row of a in one
+    # modelled field
+    text = "\n".join([
+        "# newdoc id = a",
+        conllu_token(1, "Cats", "cat", "NOUN", 2, "nsubj"),
+        conllu_token(2, "sleep", "sleep", "VERB", 0, "root"),
+        conllu_token(3, ".", ".", "PUNCT", 2, "punct"),
+        "",
+        conllu_token(1, "Dogs", "dog", "NOUN", 2, "nsubj"),
+        conllu_token(2, "sleep", "sleep", "VERB", 0, "root"),
+        conllu_token(3, ".", ".", "PUNCT", 2, "punct"),
+        "",
+        "# newdoc id = b",
+        conllu_token(1, "Cats", "cat", "NOUN", 2, "nsubj"),
+        conllu_token(2, "Sleep", "sleep", "VERB", 0, "root"),
+        conllu_token(3, ".", ".", "PUNCT", 1, "punct"),
+        conllu_token(4, ".", ".", "PUNCT", 2, "punct"),
+        "",
+    ])
+    a1, a2, b1 = (sent.tokens for sent in parse_conllu(text).sentences())
+    assert a1[1] is a2[1] and a1[2] is a2[2]     # across sentences
+    assert a1[0] is b1[0]                        # across documents
+    assert b1[1] is not a1[1]                    # form case
+    assert b1[2] is not a1[2]                    # head
+    assert b1[3] is not a1[2]                    # index
+    assert [tok.index for tok in b1] == [1, 2, 3, 4]
+    assert [tok.head for tok in b1] == [2, 0, 1, 2]
+
+
+def test_a_token_shared_with_a_longer_sentence_is_checked_in_each():
+    # row 1 with head 3 is valid in the first sentence and the same row
+    # is out of range in the two-token second one
+    text = "\n".join([
+        conllu_token(1, "big", "big", "ADJ", 3, "amod"),
+        conllu_token(2, "red", "red", "ADJ", 3, "amod"),
+        conllu_token(3, "cats", "cat", "NOUN", 0, "root"),
+        "",
+        conllu_token(1, "big", "big", "ADJ", 3, "amod"),
+        conllu_token(2, "cats", "cat", "NOUN", 0, "root"),
+        "",
+    ])
+    with pytest.raises(ConlluParseError,
+                       match="head 3 out of range for 2-token sentence") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 5
+
+
 def _footprint_corpus():
     """5,600 tokens: 700 eight-token sentences over 60 nouns and 20 verbs."""
     rng = random.Random(0)
@@ -95,6 +144,20 @@ def test_a_parsed_token_costs_less_than_200_bytes():
     assert kept / n_tokens < 200
 
 
+def test_parsed_tokens_cost_less_than_80_bytes_each():
+    # rows recur across sentences, so a token costs a share of its row's
+    # one Token; a Token object per token would be about 130 bytes
+    text = _footprint_corpus()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = parse_conllu(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / corpus_stats(corpus).n_words < 80
+
+
 def test_sent_id_and_newdoc_comments_honored():
     text = "\n".join([
         "# newdoc id = alpha",
@@ -110,6 +173,33 @@ def test_sent_id_and_newdoc_comments_honored():
     corpus = parse_conllu(text)
     assert [d for d, _ in corpus.documents] == ["alpha", "beta"]
     assert [s.id for s in corpus.sentences()] == ["alpha-1", "alpha.s2", "beta.s1"]
+
+
+def test_comment_keys_that_only_begin_with_newdoc_are_ignored():
+    text = "\n".join([
+        "# newdoc id = a",
+        conllu_token(*NOUN_ROW),
+        "# newdoc_note = checked",
+        "# newdocs = 2",
+        conllu_token(2, "nap", "nap", "VERB", 1, "dep"),
+        "",
+    ])
+    corpus = parse_conllu(text)
+    assert _doc_sentence_ids(corpus) == [("a", ["a.s1"])]
+    assert len(next(corpus.sentences())) == 2
+
+
+def test_comment_keys_that_only_begin_with_sent_id_are_ignored():
+    text = "\n".join([
+        "# sent_identifier = q",
+        "# sent_id_note = r",
+        conllu_token(*NOUN_ROW),
+        "",
+        "#sent_id=t ",
+        conllu_token(*DOG_ROW),
+        "",
+    ])
+    assert [s.id for s in parse_conllu(text).sentences()] == ["doc.s1", "t"]
 
 
 def test_newdoc_without_id_gets_synthetic_ids():

@@ -2,10 +2,13 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from termforge import experiment
+from termforge.clustering import Geometry, affinity_propagation
 from termforge.corpus import parse_conllu
+from termforge.evaluation import evaluate_clustering
 from termforge.experiment import (
     REPORT_HEADER,
     PipelineConfig,
@@ -196,6 +199,23 @@ def test_representation_shapes_consistent(mini_corpus):
     assert reps[NP_W2V].matrix.shape[1] == 16             # w2v_dim
     # count-based representations share the thresholded NP space
     assert reps[NP_VPC_NMF].row_labels == reps[NP_VPC].row_labels
+
+
+def test_tfidf_is_the_count_geometry_when_sigma2_cuts_nothing(mini_corpus, mini_gold):
+    # tfidf_weight scales each NP row by one scalar, ln(M / df_i), and
+    # every clusterer and index reads cosine geometry, which ignores it
+    config = PipelineConfig(sweep=SweepConfig(representations=(NP_VPC, NP_VPC_TFIDF)))
+    reps = build_representations(mini_corpus, config)
+    assert reps[NP_VPC_TFIDF].matrix.shape == reps[NP_VPC].matrix.shape
+    counts, tfidf = Geometry(reps[NP_VPC]), Geometry(reps[NP_VPC_TFIDF])
+    assert tfidf.row_labels == counts.row_labels
+    assert np.abs(tfidf.normalized - counts.normalized).max() <= 1e-15
+    ap_rows = []
+    for geometry in (counts, tfidf):
+        clustering = affinity_propagation(geometry, config.ap)
+        ap_rows.append((clustering.assignment, clustering.exemplars,
+                        evaluate_clustering(geometry, clustering, mini_gold)))
+    assert ap_rows[0] == ap_rows[1]
 
 
 class _Couples(list):
