@@ -86,10 +86,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    thresholds = _config(Thresholds, args)
     couples = read_couples_tsv(args.couples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrices = build_matrices(couples, _config(Thresholds, args))
+    matrices = build_matrices(couples, thresholds)
     names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
     for name, matrix in zip(names, matrices):
         save_matrix(matrix, out / f"{name}.mtx")
@@ -121,7 +122,7 @@ def _cmd_encode_w2v(args) -> int:
                 if line.strip()]
         rep = np_vectors(table, keys)
         save_representation(rep, args.rep_out)
-    log.info("trained %d vectors of dim %d", len(table.vocab), table.dim)
+    log.info("trained %d vectors of dim %d", len(table.words), table.dim)
     return 0
 
 

@@ -35,9 +35,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Clustering:
+    """A partition of NP keys: ``ids[i]`` is the cluster of ``labels[i]``;
+    ``assignment`` and ``n_clusters`` are derived from the two."""
+
     labels: tuple[str, ...]            # NP keys, row order of the clustered matrix
-    assignment: dict[str, int]         # NP key -> cluster id in 0..n_clusters-1
-    n_clusters: int
+    ids: tuple[int, ...]               # in label order, 0..n_clusters-1, no gap
     algorithm: str
     centroids: np.ndarray | None = None        # K-Means only
     exemplars: dict[int, str] | None = None    # AP only: cluster id -> exemplar key
@@ -46,23 +48,26 @@ class Clustering:
     converged: bool = True
 
     def __post_init__(self) -> None:
-        ids = set(self.assignment.values())
-        if ids != set(range(self.n_clusters)):
-            raise ValueError(f"cluster ids {sorted(ids)} are not 0..{self.n_clusters - 1}")
         if len(set(self.labels)) != len(self.labels):
             repeated = sorted(lbl for lbl, n in Counter(self.labels).items() if n > 1)
             raise ValueError(f"repeated labels {repeated[:5]}")
-        if set(self.labels) != set(self.assignment):
-            raise ValueError("assignment keys do not match labels")
+        if len(self.ids) != len(self.labels):
+            raise ValueError(f"{len(self.ids)} cluster ids for {len(self.labels)} labels")
+        if set(self.ids) != set(range(self.n_clusters)):
+            raise ValueError(f"cluster ids {sorted(set(self.ids))} are not 0..{self.n_clusters - 1}")
 
-    def cluster_ids(self) -> np.ndarray:
-        """Ids in label order."""
-        return np.array([self.assignment[lbl] for lbl in self.labels], dtype=int)
+    @cached_property
+    def n_clusters(self) -> int:
+        return len(set(self.ids))
+
+    @cached_property
+    def assignment(self) -> dict[str, int]:
+        return dict(zip(self.labels, self.ids))
 
     def members(self) -> dict[int, tuple[str, ...]]:
         out: dict[int, list[str]] = {c: [] for c in range(self.n_clusters)}
-        for lbl in self.labels:
-            out[self.assignment[lbl]].append(lbl)
+        for lbl, c in zip(self.labels, self.ids):
+            out[c].append(lbl)
         return {c: tuple(ms) for c, ms in out.items()}
 
 
@@ -321,10 +326,8 @@ def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
             converged = True
             break
 
-    assignment = {lbl: int(c) for lbl, c in zip(geometry.row_labels, labels)}
-    return Clustering(labels=geometry.row_labels, assignment=assignment,
-                      n_clusters=config.k, algorithm="kmeans",
-                      centroids=centroids, objective=obj,
+    return Clustering(labels=geometry.row_labels, ids=tuple(labels.tolist()),
+                      algorithm="kmeans", centroids=centroids, objective=obj,
                       objective_history=tuple(history), converged=converged)
 
 
@@ -478,11 +481,9 @@ def affinity_propagation(rep: Representation | Geometry,
                          "the representation has none")
     if n == 1:
         # message passing degenerates on one point; it is its own exemplar
-        key = keys[0]
         pref = 0.0 if config.preference == MEDIAN_PREFERENCE else float(config.preference)
-        return Clustering(labels=(key,), assignment={key: 0}, n_clusters=1,
-                          algorithm="affinity_propagation", exemplars={0: key},
-                          objective=pref, converged=True)
+        return Clustering(labels=keys, ids=(0,), algorithm="affinity_propagation",
+                          exemplars={0: keys[0]}, objective=pref, converged=True)
     need = _AP_LIVE_ARRAYS * n * n * 8 + _ap_scratch_bytes(n)
     available = _physical_memory_bytes()
     if need > available:
@@ -534,19 +535,14 @@ def affinity_propagation(rep: Representation | Geometry,
     sims = (normalized @ normalized.T)[:, ordered_exemplars]
     best = sims.max(axis=1)
     chosen = np.argmax(sims == best[:, None], axis=1)   # first max = smallest key
-    for cid, e in enumerate(ordered_exemplars):
-        chosen[e] = cid
+    chosen[ordered_exemplars] = np.arange(ordered_exemplars.size)
 
-    n_clusters = ordered_exemplars.size
-    assignment = {keys[i]: int(chosen[i]) for i in range(n)}
     exemplars = {cid: keys[e] for cid, e in enumerate(ordered_exemplars)}
-    is_exemplar = np.zeros(n, dtype=bool)
-    is_exemplar[ordered_exemplars] = True
-    net_similarity = float(np.sum(best[~is_exemplar]) + preference * n_clusters)
-    return Clustering(labels=tuple(keys), assignment=assignment,
-                      n_clusters=n_clusters, algorithm="affinity_propagation",
-                      exemplars=exemplars, objective=net_similarity,
-                      converged=converged)
+    net_similarity = float(np.sum(np.delete(best, ordered_exemplars))
+                           + preference * ordered_exemplars.size)
+    return Clustering(labels=keys, ids=tuple(chosen.tolist()),
+                      algorithm="affinity_propagation", exemplars=exemplars,
+                      objective=net_similarity, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +558,7 @@ def save_clustering(clustering: Clustering, path: str | Path,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["np_key", "cluster_id"])
-        for lbl in clustering.labels:
-            writer.writerow([lbl, clustering.assignment[lbl]])
+        writer.writerows(zip(clustering.labels, clustering.ids))
     meta = {
         "algorithm": clustering.algorithm,
         "config": config,
@@ -584,28 +579,28 @@ def load_clustering(path: str | Path) -> Clustering:
         header = next(reader, None)   # None: an empty file
         if header != ["np_key", "cluster_id"]:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        labels: list[str] = []
-        assignment: dict[str, int] = {}
+        cluster_of: dict[str, int] = {}   # np_key -> cluster_id, in file order
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != 2:
                 raise ValueError(f"{where}: expected 2 fields (np_key, cluster_id), "
                                  f"got {len(row)}")
             key, cid = row
-            if key in assignment:
+            if key in cluster_of:
                 raise ValueError(f"{where}: repeated np_key {key!r}")
             try:
-                assignment[key] = int(cid)
+                cluster_of[key] = int(cid)
             except ValueError:
                 raise ValueError(f"{where}: cluster_id {cid!r} is not an integer") from None
-            labels.append(key)
     meta_file = _meta_path(path)
     meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
     exemplars = meta.get("exemplars")
-    return Clustering(
-        labels=tuple(labels), assignment=assignment,
-        n_clusters=len(set(assignment.values())),
-        algorithm=meta.get("algorithm", "unknown"),
-        exemplars=({int(c): k for c, k in exemplars.items()} if exemplars else None),
-        objective=meta.get("objective"),
-        converged=meta.get("converged", True))
+    try:
+        return Clustering(
+            labels=tuple(cluster_of), ids=tuple(cluster_of.values()),
+            algorithm=meta.get("algorithm", "unknown"),
+            exemplars=({int(c): k for c, k in exemplars.items()} if exemplars else None),
+            objective=meta.get("objective"),
+            converged=meta.get("converged", True))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +61,25 @@ class SkipgramConfig:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    vocab: dict[str, int]     # word -> row index into vectors
-    vectors: np.ndarray       # |vocab| x dim
+    """One vector per word: row i of ``vectors`` belongs to ``words[i]``.
+    ``vocab`` (word -> row) is derived from ``words``, not stored."""
+
+    words: tuple[str, ...]    # vocabulary order
+    vectors: np.ndarray       # len(words) x dim
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def vocab(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.vocab[word]]
-
-    def words(self) -> tuple[str, ...]:
-        ordered = sorted(self.vocab, key=self.vocab.get)
-        return tuple(ordered)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -105,12 +109,6 @@ def sgns_loss_and_grads(center_vec: np.ndarray, out_rows: np.ndarray,
     grad_center = np.einsum("...rd,...r->...d", out_rows, residual)
     grad_out = residual[..., :, None] * center_vec[..., None, :]
     return loss, grad_center, grad_out
-
-
-def _vocab_from_counts(counts: Counter, min_count: int) -> list[str]:
-    kept = [w for w, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda w: (-counts[w], w))
-    return kept
 
 
 def iter_window_pairs(sentence_length: int, window: int):
@@ -168,7 +166,8 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
         raw_sentences.append(lemmas)
         counts.update(lemmas)
 
-    words = _vocab_from_counts(counts, config.min_count)
+    words = sorted((w for w, c in counts.items() if c >= config.min_count),
+                   key=lambda w: (-counts[w], w))
     if not words:
         raise ValueError(
             f"no lemma reaches min_count={config.min_count}; "
@@ -226,7 +225,7 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
         log.info("train_skipgram: epoch %d/%d, mean loss per pair %.6f",
                  epoch + 1, config.epochs, epoch_loss / pairs_per_pass)
 
-    return EmbeddingTable(vocab=vocab, vectors=w_in)
+    return EmbeddingTable(words=tuple(words), vectors=w_in)
 
 
 def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
@@ -257,13 +256,10 @@ def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """One row per word, in vocabulary order, in the representation format
     (``matrices.save_representation``)."""
-    words = table.words()
-    vectors = table.vectors[[table.vocab[w] for w in words]]
-    save_representation(Representation(words, vectors, "embeddings"), path)
+    save_representation(Representation(table.words, table.vectors, "embeddings"), path)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read ``save_embeddings`` output or a word2vec text table."""
     rep = load_representation(path)
-    return EmbeddingTable(vocab={w: i for i, w in enumerate(rep.row_labels)},
-                          vectors=rep.matrix)
+    return EmbeddingTable(words=rep.row_labels, vectors=rep.matrix)

@@ -1,10 +1,11 @@
 """Cluster validity indices: silhouette width, Dunn2, purity, adjusted Rand.
 
 Internal indices read a pairwise dissimilarity matrix aligned with the
-clustering's label order, or the clustered representation's Geometry.
-External indices compare against a gold standard and are computed on the
-intersection of clustered and gold terms only, with the coverage fraction
-reported alongside rather than silently folded in.
+clustering's label order, or the clustered representation's Geometry, and
+the clustering's ids in that order.  External indices compare against a
+gold standard and are computed on the intersection of clustered and gold
+terms only, with the coverage fraction reported alongside rather than
+silently folded in.
 
 Undefined values stay undefined: silhouette/Dunn2 need at least two
 clusters, Dunn2 with only singleton (or zero-spread) clusters is +inf, and
@@ -26,8 +27,11 @@ from .extraction import normalize_np_text
 
 @dataclass(frozen=True)
 class GoldStandard:
-    mapping: dict[str, str]       # term key -> core-concept label
-    labels: frozenset[str]
+    mapping: dict[str, str]       # term key -> core-concept label; labels derive from it
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return frozenset(self.mapping.values())
 
     @property
     def n_labels(self) -> int:
@@ -65,7 +69,7 @@ def load_gold_standard(path: str | Path) -> GoldStandard:
             mapping[term] = label
     if not mapping:
         raise ValueError(f"{path}: gold standard is empty")
-    return GoldStandard(mapping=mapping, labels=frozenset(mapping.values()))
+    return GoldStandard(mapping=mapping)
 
 
 def _check_dissimilarity(d: np.ndarray | Geometry, n: int) -> np.ndarray:
@@ -88,7 +92,7 @@ def _cluster_sums(dissimilarity: np.ndarray, clustering: Clustering
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validated d, ids, cluster sizes, the n x k one-hot assignment matrix
     Z, and S = D @ Z, whose entry S[i, c] sums d from point i to cluster c."""
-    ids = clustering.cluster_ids()
+    ids = np.array(clustering.ids, dtype=int)
     d = _check_dissimilarity(dissimilarity, ids.size)
     onehot = np.zeros((ids.size, clustering.n_clusters))
     onehot[np.arange(ids.size), ids] = 1.0
@@ -142,8 +146,8 @@ def dunn2(dissimilarity: np.ndarray | Geometry,
 def _contingency(clustering: Clustering, gold: GoldStandard) -> Counter:
     """Counts of (cluster id, gold label) pairs over the clustered terms
     that the gold standard labels, in clustering order."""
-    table = Counter((clustering.assignment[key], gold.mapping[key])
-                    for key in clustering.labels if key in gold.mapping)
+    table = Counter((cid, gold.mapping[key]) for key, cid in
+                    zip(clustering.labels, clustering.ids) if key in gold.mapping)
     if not table:
         raise ValueError(
             "no clustered term appears in the gold standard; "
@@ -214,8 +218,7 @@ def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Cluste
         sil = silhouette_width(dissimilarity, clustering)
         dn2 = dunn2(dissimilarity, clustering)
     else:
-        sil = None
-        dn2 = None
+        sil = dn2 = None
     if gold is not None:
         contingency = _contingency(clustering, gold)
         pur = _purity(contingency)

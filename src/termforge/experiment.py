@@ -73,6 +73,7 @@ class SweepConfig:
         unknown = set(self.representations) - set(REPRESENTATIONS)
         if unknown:
             raise ValueError(f"unknown representations: {sorted(unknown)}")
+        Thresholds(self.sigma1, self.sigma2)   # checks them
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ class SweepRow:
     dunn2: float | None        # None when every repetition was undefined/inf
     silhouette: float | None
     dunn2_defined: int
-    silhouette_defined: int
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     cells: tuple[RepetitionRecord, ...]
     warnings: tuple[str, ...]
-
-    def row_for(self, k: int) -> SweepRow:
-        for row in self.rows:
-            if row.k == k:
-                return row
-        raise KeyError(f"no sweep row for k={k}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,7 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
         rows.append(SweepRow(k=k, repetitions=len(batch),
                              purity=_mean(purities), ari=_mean(aris),
                              dunn2=_mean(dunns), silhouette=_mean(sils),
-                             dunn2_defined=len(dunns),
-                             silhouette_defined=len(sils)))
+                             dunn2_defined=len(dunns)))
     return SweepResult(representation=rep.provenance, rows=tuple(rows),
                        cells=tuple(records), warnings=tuple(warnings))
 
@@ -302,6 +295,16 @@ class PipelineConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown label scheme {self.scheme!r}; "
                              f"expected one of {sorted(SCHEMES)}")
+        if self.nmf_rank < 1:
+            raise ValueError(f"nmf_rank must be >= 1, got {self.nmf_rank}")
+        self.skipgram_config()   # checks the w2v fields
+
+    def skipgram_config(self) -> SkipgramConfig:
+        """The w2v fields' skip-gram settings, seeded from the master seed."""
+        return SkipgramConfig(
+            dim=self.w2v_dim, window=self.w2v_window, negatives=self.w2v_negatives,
+            epochs=self.w2v_epochs, min_count=self.w2v_min_count,
+            seed=derive_seed(self.sweep.master_seed, "w2v"))
 
 
 class Matrices(NamedTuple):
@@ -360,11 +363,7 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
                        seed=derive_seed(config.sweep.master_seed, "nmf"))
             reps[NP_VPC_NMF] = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
         if NP_W2V in wanted:
-            table = train_skipgram(corpus, SkipgramConfig(
-                dim=config.w2v_dim, window=config.w2v_window,
-                negatives=config.w2v_negatives, epochs=config.w2v_epochs,
-                min_count=config.w2v_min_count,
-                seed=derive_seed(config.sweep.master_seed, "w2v")))
+            table = train_skipgram(corpus, config.skipgram_config())
             if out_dir is not None:
                 save_embeddings(table, out_dir / "embeddings.txt")
             reps[NP_W2V] = np_vectors(table, list(counts.row_labels))
@@ -459,7 +458,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             write_repetitions_csv(result, out / f"repetitions_{name}.csv")
             k_sel = select_k(result, config.sweep.selection, config.sweep.peak_floor)
             selected[name] = k_sel
-            row = result.row_for(k_sel)
+            row = next(row for row in result.rows if row.k == k_sel)
             # a k whose every repetition was +inf reports dunn2 as inf
             dunn = row.dunn2 if row.dunn2_defined else math.inf
             km_rows.append(ReportRow(

@@ -44,8 +44,9 @@ class Thresholds:
     sigma2: float = 0.0   # tf-idf-sum cutoff, strict ">"
 
     def __post_init__(self) -> None:
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("thresholds must be non-negative")
+        # "not >=" so that NaN fails too; it would cut every row
+        if not self.sigma1 >= 0 or not self.sigma2 >= 0:
+            raise ValueError(f"thresholds must be non-negative, got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +354,7 @@ def load_representation(path: str | Path, provenance: str | None = None) -> Repr
             raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
                              "expected two non-negative integers 'rows cols'")
         n_rows, n_cols = int(header[0]), int(header[1])
-        labels: list[str] = []
+        labels: dict[str, int] = {}   # key -> row, in row order
         rows = np.zeros((n_rows, n_cols), dtype=float)
         for i in range(n_rows):
             line = fh.readline().rstrip("\n")
@@ -361,7 +362,10 @@ def load_representation(path: str | Path, provenance: str | None = None) -> Repr
                 key, values = line.split("\t", 1)
             else:
                 key, _, values = line.partition(" ")
-            labels.append(key)
+            if key in labels:
+                raise ValueError(f"{path}: row {i} repeats the key {key!r} of row "
+                                 f"{labels[key]}")
+            labels[key] = i
             parsed = [float(v) for v in values.split()]
             if len(parsed) != n_cols:
                 raise ValueError(f"{path}: row {i} has {len(parsed)} values, expected {n_cols}")

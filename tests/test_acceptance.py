@@ -327,8 +327,7 @@ def test_criterion_08_validity_indices_against_oracles():
             clustering = make_clustering(ids)
             gold_labels = {f"p{i}": f"L{int(g)}"
                            for i, g in enumerate(rng.integers(0, 3, size=n))}
-            gold = GoldStandard(mapping=gold_labels,
-                                labels=frozenset(gold_labels.values()))
+            gold = GoldStandard(mapping=gold_labels)
             assert purity(clustering, gold) == oracle_purity(
                 clustering.assignment, gold_labels)
 
@@ -341,8 +340,7 @@ def test_criterion_08_validity_indices_against_oracles():
 
         identical = make_clustering([0, 0, 1, 1, 2])
         same_gold = {f"p{i}": f"L{c}" for i, c in enumerate([0, 0, 1, 1, 2])}
-        assert purity(identical, GoldStandard(
-            mapping=same_gold, labels=frozenset(same_gold.values()))) == 1.0
+        assert purity(identical, GoldStandard(mapping=same_gold)) == 1.0
 
         d4 = np.array([[0.0, 0.1, 0.9, 0.9], [0.1, 0.0, 0.9, 0.9],
                        [0.9, 0.9, 0.0, 0.2], [0.9, 0.9, 0.2, 0.0]])

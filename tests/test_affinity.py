@@ -381,6 +381,14 @@ def test_load_rejects_an_empty_file(tmp_path):
         load_clustering(path)
 
 
+def test_load_names_the_file_of_an_invalid_clustering(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text("np_key,cluster_id\na,0\nb,2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         r"cluster ids \[0, 2\] are not 0..1$"):
+        load_clustering(path)
+
+
 @pytest.mark.parametrize("rows, line, message", [
     ("alpha,0\nbeta\n", 3, "expected 2 fields \\(np_key, cluster_id\\), got 1"),
     ("alpha,0\nbeta,1,2\n", 3, "expected 2 fields \\(np_key, cluster_id\\), got 3"),

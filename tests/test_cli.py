@@ -325,6 +325,45 @@ def test_errors_exit_one_with_message(tmp_path, workdir):
     assert code == 1 and f"error: {bad}: bad header '3'" in err
 
 
+@pytest.mark.parametrize("stage", [
+    ["cluster", "kmeans", "{rep}", "-o", "{out}", "-k", "2"],
+    ["cluster", "ap", "{rep}", "-o", "{out}"],
+    ["evaluate", "{clustering}", "{rep}", "{gold}"],
+    ["sweep", "{rep}", "-o", "{out}", "--k-max", "3"],
+], ids=["kmeans", "ap", "evaluate", "sweep"])
+def test_stages_reject_a_repeated_representation_key(tmp_path, workdir, mini_gold_path,
+                                                      stage):
+    rep = tmp_path / "rep.txt"
+    rep.write_text("4 2\na\t1.0 0.0\nb\t0.0 1.0\na\t1.0 1.0\nc\t1.0 0.2\n")
+    out = tmp_path / "out.csv"
+    argv = [arg.format(rep=rep, out=out, clustering=workdir / "km.csv",
+                       gold=mini_gold_path) for arg in stage]
+    code, stdout, err = run_cli(argv)
+    assert code == 1 and stdout == "", err
+    assert err == f"error: {rep}: row 2 repeats the key 'a' of row 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("pipeline", ["--sigma1", "-1"], "thresholds must be non-negative"),
+    ("pipeline", ["--sigma1", "nan"], "thresholds must be non-negative"),
+    ("pipeline", ["--nmf-rank", "0"], "nmf_rank must be >= 1, got 0"),
+    ("pipeline", ["--w2v-dim", "0"], "dim, window, negatives and epochs must all be >= 1"),
+    ("featurize", ["--sigma2", "nan"], "thresholds must be non-negative"),
+], ids=["negative sigma1", "nan sigma1", "zero nmf rank", "zero w2v dim", "nan sigma2"])
+def test_bad_config_values_fail_before_any_output(tmp_path, workdir, mini_corpus_path,
+                                                  mini_gold_path, command, flags, message):
+    out = tmp_path / "out"
+    if command == "pipeline":
+        argv = ["pipeline", "--corpus", str(mini_corpus_path), "--gold",
+                str(mini_gold_path), "--out", str(out)] + PIPELINE_FLAGS + flags
+    else:
+        argv = ["featurize", str(workdir / "couples.tsv"), "-o", str(out)] + flags
+    code, _, err = run_cli(argv)
+    assert code == 1 and err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
 def test_featurize_rejects_an_empty_couple_key(tmp_path):
     couples = tmp_path / "couples.tsv"
     couples.write_text("run\tsubject\tcat\ts1\nrun\tsubject\t\ts1\n")

@@ -197,7 +197,7 @@ def test_vocab_order_frequency_then_alphabetical():
     table = train_skipgram(corpus, SkipgramConfig(dim=4, window=2, epochs=1,
                                                   min_count=2))
     # c:3, a:3, b:3 -> alphabetical among ties; d:1 filtered out
-    assert table.words() == ("a", "b", "c")
+    assert table.words == ("a", "b", "c")
     assert "d" not in table
 
 
@@ -310,9 +310,8 @@ def test_config_validation():
 # ------------------------------------------------------------ composition
 
 def table_from(rows):
-    vocab = {w: i for i, w in enumerate(rows)}
-    vectors = np.array([rows[w] for w in vocab], dtype=float)
-    return EmbeddingTable(vocab=vocab, vectors=vectors)
+    return EmbeddingTable(words=tuple(rows),
+                          vectors=np.array(list(rows.values()), dtype=float))
 
 
 def test_np_vectors_mean_composition():
@@ -388,6 +387,9 @@ def test_load_rejects_malformed_files(tmp_path):
         load_embeddings(path)
     path.write_text("1 3\nword 1.0 2.0\n")
     with pytest.raises(ValueError, match="row 0 has 2 values, expected 3"):
+        load_embeddings(path)
+    path.write_text("2 2\ncat 1.0 2.0\ncat 0.5 -1.5\n")
+    with pytest.raises(ValueError, match=r"emb\.txt: row 1 repeats the key 'cat' of row 0"):
         load_embeddings(path)
 
 

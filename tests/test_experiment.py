@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from termforge.clustering import KmeansConfig, affinity_propagation, kmeans
 from termforge.evaluation import GoldStandard
 from termforge.experiment import (
+    PipelineConfig,
     Selection,
     SweepConfig,
     SweepResult,
@@ -47,6 +49,22 @@ def test_sweep_config_validation():
         SweepConfig(peak_floor=0.0)
     with pytest.raises(ValueError, match="unknown representations"):
         SweepConfig(representations=("NP_VPC", "bogus"))
+    for sigmas in ({"sigma1": -1.0}, {"sigma1": math.nan}, {"sigma2": math.nan}):
+        with pytest.raises(ValueError, match="thresholds must be non-negative"):
+            SweepConfig(**sigmas)
+
+
+def test_pipeline_config_validation():
+    with pytest.raises(ValueError, match="nmf_rank must be >= 1, got 0"):
+        PipelineConfig(nmf_rank=0)
+    # the w2v fields are checked by the SkipgramConfig they build
+    with pytest.raises(ValueError, match="dim, window, negatives and epochs"):
+        PipelineConfig(w2v_dim=0)
+    with pytest.raises(ValueError, match="min_count"):
+        PipelineConfig(w2v_min_count=0)
+    config = PipelineConfig(sweep=SweepConfig(master_seed=3), w2v_dim=8)
+    assert config.skipgram_config().dim == 8
+    assert config.skipgram_config().seed == derive_seed(3, "w2v")
 
 
 # ------------------------------------------------------------------ sweeps
@@ -59,8 +77,7 @@ def sweep_rep(n=8, dim=4, seed=0):
 
 
 def sweep_gold(n=8):
-    return GoldStandard(mapping={f"t{i}": f"L{i % 3}" for i in range(n)},
-                        labels=frozenset({"L0", "L1", "L2"}))
+    return GoldStandard(mapping={f"t{i}": f"L{i % 3}" for i in range(n)})
 
 
 def small_config(**kw):
@@ -124,8 +141,19 @@ def test_run_sweep_too_few_distinct_rows():
         run_sweep(rep, None, small_config(k_min=3, k_max=4))
 
 
+def test_every_algorithm_names_a_repeated_key():
+    # the first "a" sits alone and the second with "b": a key -> id dict
+    # keeps one id for "a", so a cluster would seem to vanish
+    rep = make_rep([[0.0, 1.0], [1.0, 0.0], [1.0, 0.1]], keys=("a", "b", "a"))
+    for run in (lambda: kmeans(rep, KmeansConfig(k=2)),
+                lambda: affinity_propagation(rep),
+                lambda: run_sweep(rep, None, small_config(k_min=2, k_max=3))):
+        with pytest.raises(ValueError, match=r"^repeated labels \['a'\]$"):
+            run()
+
+
 def test_run_sweep_disjoint_gold_fails_early():
-    gold = GoldStandard(mapping={"zzz": "L"}, labels=frozenset({"L"}))
+    gold = GoldStandard(mapping={"zzz": "L"})
     with pytest.raises(ValueError, match="no clustered term appears"):
         run_sweep(sweep_rep(), gold, small_config())
 
@@ -138,7 +166,7 @@ def curve_result(purities, k_min=2):
     (all other index columns undefined)."""
     rows = tuple(
         SweepRow(k=k_min + t, repetitions=1, purity=p, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=1)
+                 silhouette=None, dunn2_defined=0)
         for t, p in enumerate(purities))
     return SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
 
@@ -194,11 +222,11 @@ def test_select_k_one_row_and_empty():
 def test_combined_curve_sums_normalized_indices():
     rows = (
         SweepRow(k=2, repetitions=1, purity=0.0, ari=None, dunn2=None,
-                 silhouette=1.0, dunn2_defined=0, silhouette_defined=1),
+                 silhouette=1.0, dunn2_defined=0),
         SweepRow(k=3, repetitions=1, purity=1.0, ari=None, dunn2=None,
-                 silhouette=3.0, dunn2_defined=0, silhouette_defined=1),
+                 silhouette=3.0, dunn2_defined=0),
         SweepRow(k=4, repetitions=1, purity=0.5, ari=None, dunn2=None,
-                 silhouette=2.0, dunn2_defined=0, silhouette_defined=1),
+                 silhouette=2.0, dunn2_defined=0),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     assert combined_curve(result) == [0.0 + 0.0, 1.0 + 1.0, 0.5 + 0.5]
@@ -207,11 +235,11 @@ def test_combined_curve_sums_normalized_indices():
 def test_combined_curve_imputes_missing_points_at_half():
     rows = (
         SweepRow(k=2, repetitions=1, purity=0.0, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=0),
+                 silhouette=None, dunn2_defined=0),
         SweepRow(k=3, repetitions=1, purity=1.0, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=0),
+                 silhouette=None, dunn2_defined=0),
         SweepRow(k=4, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=0),
+                 silhouette=None, dunn2_defined=0),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     assert combined_curve(result) == [0.0, 1.0, 0.5]
@@ -220,9 +248,9 @@ def test_combined_curve_imputes_missing_points_at_half():
 def test_combined_curve_with_nothing_defined():
     rows = (
         SweepRow(k=2, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=0),
+                 silhouette=None, dunn2_defined=0),
         SweepRow(k=3, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0, silhouette_defined=0),
+                 silhouette=None, dunn2_defined=0),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     with pytest.raises(ValueError, match="every index value is undefined"):

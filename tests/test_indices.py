@@ -38,8 +38,7 @@ FOUR_POINT_CLUSTERING = make_clustering([0, 0, 1, 1])
 
 
 def gold(mapping):
-    return GoldStandard(mapping=dict(mapping),
-                        labels=frozenset(mapping.values()))
+    return GoldStandard(mapping=dict(mapping))
 
 
 # ------------------------------------------------------------------- gold

@@ -23,29 +23,29 @@ from util import make_rep, oracle_kmeans, spherical_objective, traced_peak
 
 
 def test_clustering_validates_cluster_ids():
-    with pytest.raises(ValueError, match="not 0..1"):
-        Clustering(labels=("a", "b"), assignment={"a": 0, "b": 2},
-                   n_clusters=2, algorithm="x")
+    with pytest.raises(ValueError, match=r"cluster ids \[0, 2\] are not 0..1"):
+        Clustering(labels=("a", "b"), ids=(0, 2), algorithm="x")
 
 
 def test_clustering_validates_label_match():
-    with pytest.raises(ValueError, match="do not match"):
-        Clustering(labels=("a", "b"), assignment={"a": 0, "c": 1},
-                   n_clusters=2, algorithm="x")
+    with pytest.raises(ValueError, match="3 cluster ids for 2 labels"):
+        Clustering(labels=("a", "b"), ids=(0, 1, 1), algorithm="x")
+    with pytest.raises(ValueError, match="1 cluster ids for 2 labels"):
+        Clustering(labels=("a", "b"), ids=(0,), algorithm="x")
 
 
 def test_clustering_rejects_repeated_labels():
-    # a dict keeps one id per key, so a repeated label would count twice in
-    # members() and cluster_ids() but once in the assignment
+    # the assignment dict would keep one id per key, so a repeated label
+    # would count twice in members() and ids but once in the assignment
     with pytest.raises(ValueError, match=r"repeated labels \['alpha'\]"):
-        Clustering(labels=("alpha", "alpha", "beta"), assignment={"alpha": 0, "beta": 1},
-                   n_clusters=2, algorithm="x")
+        Clustering(labels=("alpha", "alpha", "beta"), ids=(0, 0, 1), algorithm="x")
 
 
 def test_cluster_ids_and_members():
-    c = Clustering(labels=("a", "b", "c"), assignment={"a": 1, "b": 0, "c": 1},
-                   n_clusters=2, algorithm="x")
-    assert c.cluster_ids().tolist() == [1, 0, 1]
+    c = Clustering(labels=("a", "b", "c"), ids=(1, 0, 1), algorithm="x")
+    assert c.ids == (1, 0, 1)
+    assert c.n_clusters == 2
+    assert c.assignment == {"a": 1, "b": 0, "c": 1}
     assert c.members() == {0: ("b",), 1: ("a", "c")}
 
 
@@ -120,9 +120,8 @@ def test_kmeans_objective_matches_recomputation():
     rng = np.random.default_rng(3)
     rep = make_rep(rng.random((12, 4)) + 0.05)
     result = kmeans(rep, KmeansConfig(k=3, seed=5))
-    ids = result.cluster_ids()
     assert result.objective == pytest.approx(
-        spherical_objective(rep.matrix, ids.tolist(), 3), abs=1e-9)
+        spherical_objective(rep.matrix, list(result.ids), 3), abs=1e-9)
 
 
 def test_kmeans_deterministic():
@@ -196,7 +195,7 @@ def test_kmeans_always_ends_on_fresh_assignment():
     result = kmeans(rep, KmeansConfig(k=4, seed=1, rel_tol=0.0))
     normalized = rep.matrix / np.linalg.norm(rep.matrix, axis=1, keepdims=True)
     dissim = 1.0 - normalized @ result.centroids.T
-    ids = result.cluster_ids()
+    ids = np.array(result.ids)
     nearest = dissim.min(axis=1)
     chosen = dissim[np.arange(len(ids)), ids]
     assert np.all(chosen <= nearest + 1e-12)
@@ -213,9 +212,8 @@ def test_kmeans_invariants_on_random_instances(params):
     m = rng.random((n, 3)) + 0.05
     assume(distinct_row_count(m) >= k)
     result = kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
-    ids = result.cluster_ids()
     # every cluster non-empty, ids exactly 0..k-1
-    assert set(ids.tolist()) == set(range(k))
+    assert set(result.ids) == set(range(k))
     # objective history never increases (up to float noise)
     history = result.objective_history
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
@@ -233,7 +231,7 @@ def test_kmeans_keeps_no_n_by_d_copy():
     assert geometry.distinct == 400
     results = []
     peak = traced_peak(lambda: results.append(kmeans(geometry, KmeansConfig(k=6, seed=0))))
-    assert np.bincount(results[0].cluster_ids()).tolist() == [66, 67, 67, 67, 67, 66]
+    assert np.bincount(results[0].ids).tolist() == [66, 67, 67, 67, 67, 66]
     assert peak < 0.9 * m.nbytes
 
 
@@ -259,7 +257,7 @@ def kmeans_oracle_cases():
 def assert_matches_oracle(rep, k, seed):
     result = kmeans(rep, KmeansConfig(k=k, seed=seed))
     labels, centroids, history, converged = oracle_kmeans(rep.matrix, k, seed)
-    assert result.cluster_ids().tolist() == labels
+    assert list(result.ids) == labels
     assert np.array_equal(result.centroids, centroids)
     assert result.objective_history == history
     assert result.objective == history[-1]

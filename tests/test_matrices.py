@@ -198,6 +198,13 @@ def test_negative_thresholds_rejected():
         Thresholds(sigma1=-1.0)
 
 
+@pytest.mark.parametrize("sigmas", [{"sigma1": math.nan}, {"sigma2": math.nan}])
+def test_nan_thresholds_rejected(sigmas):
+    # a NaN cutoff would compare false everywhere and cut every row
+    with pytest.raises(ValueError, match="non-negative"):
+        Thresholds(**sigmas)
+
+
 def oracle_cut(dense, sigma):
     """Single-pass bidirectional cut: keep rows/cols with sum strictly above
     sigma, then drop rows/cols the joint cut left entirely zero."""
@@ -374,6 +381,14 @@ def test_load_representation_rejects_malformed_layout(tmp_path, text, message):
     path = tmp_path / "rep.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_representation(path)
+
+
+def test_load_representation_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "rep.txt"
+    path.write_text("3 2\na\t1.0 0.0\nb\t0.0 1.0\na\t1.0 1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2 repeats "
+                                         "the key 'a' of row 0$"):
         load_representation(path)
 
 

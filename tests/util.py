@@ -64,9 +64,8 @@ def make_clustering(labels_by_point, keys=None, algorithm="test"):
     """Clustering from a label sequence; point i gets key keys[i] or 'p<i>'."""
     if keys is None:
         keys = tuple(f"p{i}" for i in range(len(labels_by_point)))
-    assignment = {k: int(c) for k, c in zip(keys, labels_by_point)}
-    return Clustering(labels=tuple(keys), assignment=assignment,
-                      n_clusters=max(labels_by_point) + 1, algorithm=algorithm)
+    return Clustering(labels=tuple(keys), ids=tuple(int(c) for c in labels_by_point),
+                      algorithm=algorithm)
 
 
 def make_rep(matrix, keys=None, provenance=NP_VPC):
