@@ -19,9 +19,9 @@ from .embeddings import (EmbeddingTable, SkipgramConfig, np_vectors,
 from .evaluation import (GoldStandard, IndexReport, adjusted_rand, dunn2,
                          evaluate_clustering, load_gold_standard, purity,
                          silhouette_width)
-from .experiment import (PipelineConfig, Report, ReportRow, Selection,
-                         SweepConfig, SweepResult, derive_seed, run_pipeline,
-                         run_sweep, select_k)
+from .experiment import (PipelineConfig, ReportRow, Selection, SweepConfig,
+                         SweepResult, derive_seed, run_pipeline, run_sweep,
+                         select_k)
 from .extraction import (Couple, ExtractionConfig, Role, extract_corpus,
                          extract_couples)
 from .matrices import (CooccurrenceMatrix, Representation, Thresholds,
@@ -38,7 +38,7 @@ __all__ = [
     "EmbeddingTable", "SkipgramConfig", "np_vectors", "train_skipgram",
     "GoldStandard", "IndexReport", "adjusted_rand", "dunn2",
     "evaluate_clustering", "load_gold_standard", "purity", "silhouette_width",
-    "PipelineConfig", "Report", "ReportRow", "Selection", "SweepConfig",
+    "PipelineConfig", "ReportRow", "Selection", "SweepConfig",
     "SweepResult", "derive_seed", "run_pipeline", "run_sweep", "select_k",
     "Couple", "ExtractionConfig", "Role",
     "extract_corpus", "extract_couples",

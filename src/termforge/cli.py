@@ -87,10 +87,9 @@ def _cmd_extract(args) -> int:
 
 def _cmd_featurize(args) -> int:
     thresholds = _config(Thresholds, args)
-    couples = read_couples_tsv(args.couples)
+    matrices = build_matrices(read_couples_tsv(args.couples), thresholds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrices = build_matrices(couples, thresholds)
     names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
     for name, matrix in zip(names, matrices):
         save_matrix(matrix, out / f"{name}.mtx")
@@ -145,16 +144,13 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     clustering = load_clustering(args.clustering)
     rep = load_representation(args.rep)
-    if tuple(clustering.labels) != tuple(rep.row_labels):
-        raise ValueError("clustering and representation label sets differ; "
-                         "evaluate needs the representation the clustering was built from")
     gold = load_gold_standard(args.gold)
     report = evaluate_clustering(Geometry(rep), clustering, gold)
     name = args.representation or rep.provenance
     print("representation,algorithm,n_clusters,ratio,purity,ari,dunn2,silhouette,coverage")
     print(",".join([
-        name, clustering.algorithm, str(report.n_clusters),
-        format_value(report.n_clusters / gold.n_labels),
+        name, clustering.algorithm, str(clustering.n_clusters),
+        format_value(clustering.n_clusters / gold.n_labels),
         format_value(report.purity), format_value(report.adjusted_rand),
         format_value(report.dunn2), format_value(report.silhouette),
         format_value(report.coverage)]))
@@ -194,8 +190,8 @@ def _cmd_pipeline(args) -> int:
         except FileNotFoundError:
             print(f"error: [evaluation] gold standard not found: {args.gold}; "
                   "external indices will be NA", file=sys.stderr)
-    report = run_pipeline(corpus, gold, config, args.out)
-    log.info("report with %d rows written to %s", len(report.rows),
+    rows = run_pipeline(corpus, gold, config, args.out)
+    log.info("report with %d rows written to %s", len(rows),
              Path(args.out) / "report.csv")
     return 0
 

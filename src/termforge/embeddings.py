@@ -75,9 +75,6 @@ class EmbeddingTable:
     def vocab(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.words)}
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab
-
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.vocab[word]]
 

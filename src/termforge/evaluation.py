@@ -40,7 +40,6 @@ class GoldStandard:
 
 @dataclass(frozen=True)
 class IndexReport:
-    n_clusters: int
     purity: float | None          # None without a gold standard
     adjusted_rand: float | None
     dunn2: float | None           # may be +inf; None when n_clusters < 2
@@ -72,14 +71,17 @@ def load_gold_standard(path: str | Path) -> GoldStandard:
     return GoldStandard(mapping=mapping)
 
 
-def _check_dissimilarity(d: np.ndarray | Geometry, n: int) -> np.ndarray:
-    formed = isinstance(d, Geometry)
-    d = d.dissimilarity if formed else np.asarray(d, dtype=float)
+def _check_dissimilarity(d: np.ndarray | Geometry, clustering: Clustering) -> np.ndarray:
+    if isinstance(d, Geometry):
+        if d.row_labels != tuple(clustering.labels):
+            raise ValueError("clustering and representation label sets differ; evaluate "
+                             "needs the representation the clustering was built from")
+        # a geometry's D is valid by construction and read-only
+        return d.dissimilarity
+    n = len(clustering.labels)
+    d = np.asarray(d, dtype=float)
     if d.shape != (n, n):
         raise ValueError(f"dissimilarity shape {d.shape} does not match {n} labels")
-    if formed:
-        # a geometry's D is valid by construction and read-only
-        return d
     # "not <=" so that NaN fails too
     if not np.abs(d.diagonal()).max(initial=0.0) <= 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
@@ -92,8 +94,8 @@ def _cluster_sums(dissimilarity: np.ndarray, clustering: Clustering
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validated d, ids, cluster sizes, the n x k one-hot assignment matrix
     Z, and S = D @ Z, whose entry S[i, c] sums d from point i to cluster c."""
+    d = _check_dissimilarity(dissimilarity, clustering)
     ids = np.array(clustering.ids, dtype=int)
-    d = _check_dissimilarity(dissimilarity, ids.size)
     onehot = np.zeros((ids.size, clustering.n_clusters))
     onehot[np.arange(ids.size), ids] = 1.0
     sizes = np.bincount(ids, minlength=clustering.n_clusters)
@@ -155,11 +157,6 @@ def _contingency(clustering: Clustering, gold: GoldStandard) -> Counter:
     return table
 
 
-def coverage(clustering: Clustering, gold: GoldStandard) -> float:
-    found = sum(1 for lbl in clustering.labels if lbl in gold.mapping)
-    return found / len(clustering.labels)
-
-
 def _purity(contingency: Counter) -> float:
     majority: dict[int, int] = {}  # cluster id -> count of its most frequent gold label
     for (cluster, _), count in contingency.items():
@@ -213,11 +210,13 @@ def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Cluste
     """All four indices for one clustering; external columns stay None
     without a gold standard, internal columns stay None below 2 clusters.
     ``dissimilarity`` is D, or the clustered representation's Geometry,
-    whose D is formed once from checked rows and is not checked again."""
+    whose D is formed once from checked rows and is not checked again; its
+    rows must be the clustering's labels, in order."""
     if clustering.n_clusters >= 2:
         sil = silhouette_width(dissimilarity, clustering)
         dn2 = dunn2(dissimilarity, clustering)
     else:
+        _check_dissimilarity(dissimilarity, clustering)
         sil = dn2 = None
     if gold is not None:
         contingency = _contingency(clustering, gold)
@@ -226,9 +225,8 @@ def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Cluste
         cov = sum(contingency.values()) / len(clustering.labels)
     else:
         pur = ari = cov = None
-    return IndexReport(n_clusters=clustering.n_clusters, purity=pur,
-                       adjusted_rand=ari, dunn2=dn2, silhouette=sil,
-                       coverage=cov)
+    return IndexReport(purity=pur, adjusted_rand=ari, dunn2=dn2,
+                       silhouette=sil, coverage=cov)
 
 
 def format_value(x) -> str:

@@ -81,7 +81,6 @@ class RepetitionRecord:
     k: int
     repetition: int
     seed: int
-    n_clusters: int
     purity: float | None
     ari: float | None
     dunn2: float | None        # may be +inf
@@ -91,12 +90,10 @@ class RepetitionRecord:
 @dataclass(frozen=True)
 class SweepRow:
     k: int
-    repetitions: int
     purity: float | None       # means over defined repetition values
     ari: float | None
     dunn2: float | None        # None when every repetition was undefined/inf
     silhouette: float | None
-    dunn2_defined: int
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,6 @@ class ReportRow:
     ari: float | None
     dunn2: float | None
     silhouette: float | None
-
-
-@dataclass(frozen=True)
-class Report:
-    rows: tuple[ReportRow, ...]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -170,7 +162,7 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
             unconverged += not clustering.converged
             report = evaluate_clustering(geometry, clustering, gold)
             batch.append(RepetitionRecord(
-                k=k, repetition=r, seed=seed, n_clusters=k,
+                k=k, repetition=r, seed=seed,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
         if unconverged == len(batch):
@@ -187,10 +179,8 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
         if excluded:
             log.info("%s k=%d: %d undefined dunn2 value(s) excluded from the mean",
                      rep.provenance, k, excluded)
-        rows.append(SweepRow(k=k, repetitions=len(batch),
-                             purity=_mean(purities), ari=_mean(aris),
-                             dunn2=_mean(dunns), silhouette=_mean(sils),
-                             dunn2_defined=len(dunns)))
+        rows.append(SweepRow(k=k, purity=_mean(purities), ari=_mean(aris),
+                             dunn2=_mean(dunns), silhouette=_mean(sils)))
     return SweepResult(representation=rep.provenance, rows=tuple(rows),
                        cells=tuple(records), warnings=tuple(warnings))
 
@@ -336,8 +326,6 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
     extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
-        if not couples:
-            raise ValueError("no couples extracted from the corpus")
         if out_dir is not None:
             write_couples_tsv(couples, out_dir / "couples.tsv", header=True)
 
@@ -376,8 +364,8 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
 REPORT_HEADER = ("clusterer", "representation", "n_clusters", "ratio",
                  "purity", "ari", "dunn2", "silhouette")
 CURVES_HEADER = ("k", "purity", "ari", "dunn2", "silhouette")
-REPETITIONS_HEADER = ("k", "repetition", "seed", "n_clusters",
-                      "purity", "ari", "dunn2", "silhouette")
+REPETITIONS_HEADER = ("k", "repetition", "seed", "purity", "ari", "dunn2",
+                      "silhouette")
 
 
 def _write_table(path: Path, header: tuple[str, ...], records) -> None:
@@ -389,8 +377,8 @@ def _write_table(path: Path, header: tuple[str, ...], records) -> None:
                               for column in header) + "\n")
 
 
-def write_report_csv(report: Report, path: Path) -> None:
-    _write_table(path, REPORT_HEADER, report.rows)
+def write_report_csv(rows: Sequence[ReportRow], path: Path) -> None:
+    _write_table(path, REPORT_HEADER, rows)
 
 
 def write_curves_csv(result: SweepResult, path: Path) -> None:
@@ -424,7 +412,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
-                 config: PipelineConfig, out_dir: str | Path) -> Report:
+                 config: PipelineConfig, out_dir: str | Path) -> tuple[ReportRow, ...]:
     """Full workflow: representations, K-Means sweep + k selection, one AP
     run per representation, Table-style report plus curve/repetition CSVs
     and a manifest.  Without a gold standard the external columns are NA.
@@ -460,7 +448,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             selected[name] = k_sel
             row = next(row for row in result.rows if row.k == k_sel)
             # a k whose every repetition was +inf reports dunn2 as inf
-            dunn = row.dunn2 if row.dunn2_defined else math.inf
+            dunn = math.inf if row.dunn2 is None else row.dunn2
             km_rows.append(ReportRow(
                 clusterer="KM", representation=name, n_clusters=k_sel,
                 ratio=(k_sel / n_gold_labels if n_gold_labels else None),
@@ -480,8 +468,8 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                 purity=index_report.purity, ari=index_report.adjusted_rand,
                 dunn2=index_report.dunn2, silhouette=index_report.silhouette))
 
-    report = Report(rows=tuple(km_rows + ap_rows))
-    write_report_csv(report, out / "report.csv")
+    rows = tuple(km_rows + ap_rows)
+    write_report_csv(rows, out / "report.csv")
 
     manifest = {
         "config": _config_dict(config),
@@ -499,4 +487,4 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return report
+    return rows

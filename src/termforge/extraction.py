@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Sentence, Token
 
@@ -134,32 +134,36 @@ def extract_couples(sentence: Sentence, config: ExtractionConfig = DEFAULT_CONFI
 
 
 def extract_corpus(corpus: Corpus, config: ExtractionConfig = DEFAULT_CONFIG) -> tuple[Couple, ...]:
-    """Every sentence's couples, in corpus order; duplicates are frequencies."""
-    return tuple(c for sentence in corpus.sentences() for c in extract_couples(sentence, config))
+    """Every sentence's couples, in corpus order; duplicates are frequencies.
+    A corpus that yields none is an error."""
+    couples = tuple(c for sentence in corpus.sentences() for c in extract_couples(sentence, config))
+    return _require_couples(couples, "the corpus")
+
+
+def _require_couples(couples: tuple[Couple, ...], source: str | Path) -> tuple[Couple, ...]:
+    """``couples``, unless there are none: no later stage has rows to work on."""
+    if not couples:
+        raise ValueError(f"no couples extracted from {source}")
+    return couples
 
 
 COUPLES_HEADER = ("vpc", "role", "np", "sentence_id")
 
 
-def write_couples_tsv(couples: Sequence[Couple], out: str | Path | TextIO, header: bool = False) -> None:
+def write_couples_tsv(couples: Sequence[Couple], path: str | Path, header: bool = False) -> None:
     """TSV: ``vpc_key  role  np_text  sentence_id``, one line per occurrence."""
-    def _write(fh: TextIO) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write("\t".join(COUPLES_HEADER) + "\n")
         for c in couples:
             fh.write(f"{c.vpc}\t{c.role.value}\t{c.np}\t{c.sentence_id}\n")
 
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(out)
 
-
-def read_couples_tsv(source: str | Path | TextIO) -> tuple[Couple, ...]:
-    """Read the TSV format back; a leading header line is auto-detected."""
-    def _read(fh: TextIO) -> tuple[Couple, ...]:
-        couples: list[Couple] = []
+def read_couples_tsv(path: str | Path) -> tuple[Couple, ...]:
+    """Read the TSV format back; a leading header line is auto-detected.
+    A file that holds no couple is an error."""
+    couples: list[Couple] = []
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -180,9 +184,4 @@ def read_couples_tsv(source: str | Path | TextIO) -> tuple[Couple, ...]:
             if not np_key:
                 raise ValueError(f"couples TSV line {lineno}: empty np")
             couples.append(Couple(vpc, role, np_key, sentence_id))
-        return tuple(couples)
-
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return _read(fh)
-    return _read(source)
+    return _require_couples(tuple(couples), path)

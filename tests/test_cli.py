@@ -21,6 +21,7 @@ from termforge.matrices import (
     load_matrix,
     load_representation,
 )
+from util import conllu_sentence
 
 SIGMAS = ["--sigma1", "2", "--sigma2", "0.5"]
 
@@ -83,6 +84,26 @@ def test_extract_header_flag(tmp_path, mini_corpus_path):
     code, _, _ = run_cli(["extract", str(mini_corpus_path), "-o", str(out), "--header"])
     assert code == 0
     assert out.read_text().splitlines()[0] == "vpc\trole\tnp\tsentence_id"
+
+
+def test_extract_without_couples_fails_and_writes_nothing(tmp_path):
+    no_verbs = tmp_path / "sky.conllu"
+    no_verbs.write_text(conllu_sentence([(1, "sky", "sky", "NOUN", 0, "root")]) + "\n")
+    out = tmp_path / "couples.tsv"
+    code, _, err = run_cli(["extract", str(no_verbs), "-o", str(out)])
+    assert code == 1
+    assert "error: no couples extracted from the corpus" in err
+    assert not out.exists()
+
+
+def test_featurize_without_couples_fails_and_writes_nothing(tmp_path):
+    couples = tmp_path / "couples.tsv"
+    couples.write_text("vpc\trole\tnp\tsentence_id\n")
+    out = tmp_path / "mats"
+    code, _, err = run_cli(["featurize", str(couples), "-o", str(out)])
+    assert code == 1
+    assert f"error: no couples extracted from {couples}" in err
+    assert not out.exists()
 
 
 def test_featurize_outputs(workdir):

@@ -198,7 +198,7 @@ def test_vocab_order_frequency_then_alphabetical():
                                                   min_count=2))
     # c:3, a:3, b:3 -> alphabetical among ties; d:1 filtered out
     assert table.words == ("a", "b", "c")
-    assert "d" not in table
+    assert "d" not in table.vocab
 
 
 def test_empty_vocab_raises():

@@ -96,7 +96,6 @@ def test_run_sweep_shape_and_grid():
     assert result.warnings == ()
     for cell in result.cells:
         assert cell.seed == derive_seed(0, NP_VPC, cell.k, cell.repetition)
-        assert cell.n_clusters == cell.k
 
 
 def test_run_sweep_deterministic():
@@ -109,11 +108,9 @@ def test_run_sweep_means_recompute_from_cells():
     result = run_sweep(sweep_rep(), sweep_gold(), small_config())
     for row in result.rows:
         batch = [c for c in result.cells if c.k == row.k]
-        assert row.repetitions == len(batch)
         purities = [c.purity for c in batch]
         assert row.purity == pytest.approx(sum(purities) / len(purities))
         finite_dunns = [c.dunn2 for c in batch if math.isfinite(c.dunn2)]
-        assert row.dunn2_defined == len(finite_dunns)
         if finite_dunns:
             assert row.dunn2 == pytest.approx(sum(finite_dunns) / len(finite_dunns))
         else:
@@ -165,8 +162,7 @@ def curve_result(purities, k_min=2):
     """SweepResult whose combined curve is the min-max image of `purities`
     (all other index columns undefined)."""
     rows = tuple(
-        SweepRow(k=k_min + t, repetitions=1, purity=p, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0)
+        SweepRow(k=k_min + t, purity=p, ari=None, dunn2=None, silhouette=None)
         for t, p in enumerate(purities))
     return SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
 
@@ -221,12 +217,9 @@ def test_select_k_one_row_and_empty():
 
 def test_combined_curve_sums_normalized_indices():
     rows = (
-        SweepRow(k=2, repetitions=1, purity=0.0, ari=None, dunn2=None,
-                 silhouette=1.0, dunn2_defined=0),
-        SweepRow(k=3, repetitions=1, purity=1.0, ari=None, dunn2=None,
-                 silhouette=3.0, dunn2_defined=0),
-        SweepRow(k=4, repetitions=1, purity=0.5, ari=None, dunn2=None,
-                 silhouette=2.0, dunn2_defined=0),
+        SweepRow(k=2, purity=0.0, ari=None, dunn2=None, silhouette=1.0),
+        SweepRow(k=3, purity=1.0, ari=None, dunn2=None, silhouette=3.0),
+        SweepRow(k=4, purity=0.5, ari=None, dunn2=None, silhouette=2.0),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     assert combined_curve(result) == [0.0 + 0.0, 1.0 + 1.0, 0.5 + 0.5]
@@ -234,12 +227,9 @@ def test_combined_curve_sums_normalized_indices():
 
 def test_combined_curve_imputes_missing_points_at_half():
     rows = (
-        SweepRow(k=2, repetitions=1, purity=0.0, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0),
-        SweepRow(k=3, repetitions=1, purity=1.0, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0),
-        SweepRow(k=4, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0),
+        SweepRow(k=2, purity=0.0, ari=None, dunn2=None, silhouette=None),
+        SweepRow(k=3, purity=1.0, ari=None, dunn2=None, silhouette=None),
+        SweepRow(k=4, purity=None, ari=None, dunn2=None, silhouette=None),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     assert combined_curve(result) == [0.0, 1.0, 0.5]
@@ -247,10 +237,8 @@ def test_combined_curve_imputes_missing_points_at_half():
 
 def test_combined_curve_with_nothing_defined():
     rows = (
-        SweepRow(k=2, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0),
-        SweepRow(k=3, repetitions=1, purity=None, ari=None, dunn2=None,
-                 silhouette=None, dunn2_defined=0),
+        SweepRow(k=2, purity=None, ari=None, dunn2=None, silhouette=None),
+        SweepRow(k=3, purity=None, ari=None, dunn2=None, silhouette=None),
     )
     result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
     with pytest.raises(ValueError, match="every index value is undefined"):

@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 
 import pytest
@@ -204,44 +203,54 @@ def test_tsv_header_written_and_auto_detected(tmp_path, mini_corpus):
     assert read_couples_tsv(out) == couples
 
 
-def test_tsv_reader_rejects_bad_role():
-    bad = io.StringIO("run\tdonkey\tcat\ts1\n")
+def test_tsv_reader_rejects_bad_role(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("run\tdonkey\tcat\ts1\n")
     with pytest.raises(ValueError, match="line 1: unknown role 'donkey'"):
         read_couples_tsv(bad)
 
 
-def test_tsv_reader_rejects_an_empty_vpc():
-    bad = io.StringIO("run\tsubject\tcat\ts1\n\tobject\tcat\ts2\n")
+def test_tsv_reader_rejects_an_empty_vpc(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("run\tsubject\tcat\ts1\n\tobject\tcat\ts2\n")
     with pytest.raises(ValueError, match="couples TSV line 2: empty vpc"):
         read_couples_tsv(bad)
 
 
-def test_tsv_reader_rejects_an_np_that_normalizes_to_nothing():
+def test_tsv_reader_rejects_an_np_that_normalizes_to_nothing(tmp_path):
+    bad = tmp_path / "bad.tsv"
     for np_text in ("", "  "):
-        bad = io.StringIO(f"run\tsubject\t{np_text}\ts1\n")
+        bad.write_text(f"run\tsubject\t{np_text}\ts1\n")
         with pytest.raises(ValueError, match="couples TSV line 1: empty np"):
             read_couples_tsv(bad)
 
 
-def test_tsv_reader_rejects_wrong_field_count():
-    bad = io.StringIO("run\tsubject\tcat\n")
+def test_tsv_reader_rejects_wrong_field_count(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("run\tsubject\tcat\n")
     with pytest.raises(ValueError, match="expected 4 fields, got 3"):
         read_couples_tsv(bad)
 
 
-def test_vpc_key_and_round_trip_of_prepositional_keys():
+def test_tsv_reader_rejects_a_file_without_couples(tmp_path):
+    header_only = tmp_path / "couples.tsv"
+    header_only.write_text("vpc\trole\tnp\tsentence_id\n")
+    with pytest.raises(ValueError, match="no couples extracted from .*couples.tsv"):
+        read_couples_tsv(header_only)
+
+
+def test_vpc_key_and_round_trip_of_prepositional_keys(tmp_path):
     couples = (Couple("travel_by", Role.OBJECT, "boat", "s1"),)
-    buf = io.StringIO()
-    write_couples_tsv(couples, buf)
-    buf.seek(0)
-    back = read_couples_tsv(buf)
+    path = tmp_path / "couples.tsv"
+    write_couples_tsv(couples, path)
+    back = read_couples_tsv(path)
     # couples are immutable values: equal and hashed alike when read back
     assert back == couples and hash(back) == hash(couples)
     with pytest.raises(AttributeError):
         couples[0].vpc = "travel"
 
 
-def test_round_trip_of_verb_lemmas_with_underscores():
+def test_round_trip_of_verb_lemmas_with_underscores(tmp_path):
     # the key is read back whole, never split at its first "_"
     corpus = parse_conllu(join_sentences([
         conllu_sentence([
@@ -263,8 +272,7 @@ def test_round_trip_of_verb_lemmas_with_underscores():
         ("set_up", Role.SUBJECT, "bart"),
         ("set_up_with", Role.OBJECT, "tool"),
     }
-    buf = io.StringIO()
-    write_couples_tsv(couples, buf, header=True)
-    buf.seek(0)
-    assert read_couples_tsv(buf) == couples
+    path = tmp_path / "couples.tsv"
+    write_couples_tsv(couples, path, header=True)
+    assert read_couples_tsv(path) == couples
 

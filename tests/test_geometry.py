@@ -11,8 +11,8 @@ import pytest
 
 import termforge.experiment
 from termforge.cli import main
-from termforge.clustering import (_AP_LIVE_ARRAYS, ApConfig, Geometry, KmeansConfig,
-                                  _ap_scratch_bytes, affinity_propagation,
+from termforge.clustering import (_AP_LIVE_ARRAYS, ApConfig, Clustering, Geometry,
+                                  KmeansConfig, _ap_scratch_bytes, affinity_propagation,
                                   distinct_row_count, kmeans,
                                   pairwise_cosine_dissimilarity, save_clustering)
 from termforge.evaluation import (GoldStandard, dunn2, evaluate_clustering,
@@ -41,7 +41,7 @@ def reference_cells(rep, gold, config):
             report = evaluate_clustering(pairwise_cosine_dissimilarity(rep.matrix),
                                          clustering, gold)
             cells.append(RepetitionRecord(
-                k=k, repetition=r, seed=seed, n_clusters=k,
+                k=k, repetition=r, seed=seed,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
     return tuple(cells)
@@ -198,16 +198,38 @@ def bad_dissimilarities(d):
             "diagonal|symmetric": with_nan}
 
 
-@pytest.mark.parametrize("index", [
+INDICES = pytest.mark.parametrize("index", [
     silhouette_width, dunn2,
     lambda d, clustering: evaluate_clustering(d, clustering, None)],
     ids=["silhouette_width", "dunn2", "evaluate_clustering"])
+
+
+@INDICES
 def test_indices_still_check_d_after_a_pipeline_run(after_a_pipeline_run, index):
     d, clustering = valid_d_and_clustering()
     index(d, clustering)
     for match, bad in bad_dissimilarities(d).items():
         with pytest.raises(ValueError, match=match):
             index(bad, clustering)
+
+
+@INDICES
+def test_indices_reject_a_geometry_of_other_rows(index):
+    rep = duplicated_and_scaled_rep()
+    clustering = kmeans(rep, KmeansConfig(k=3))
+    index(Geometry(rep), clustering)
+    keys = rep.row_labels
+    # same size: other keys, and the same keys in another order
+    for other in (tuple(f"u{i}" for i in range(len(keys))), keys[::-1]):
+        with pytest.raises(ValueError, match="label sets differ"):
+            index(Geometry(make_rep(rep.matrix, keys=other)), clustering)
+
+
+def test_single_cluster_evaluation_rejects_a_geometry_of_other_rows():
+    rep = make_rep([[1.0, 0.0], [0.0, 1.0]], keys=("x", "y"))
+    one_cluster = Clustering(labels=("p", "q"), ids=(0, 0), algorithm="test")
+    with pytest.raises(ValueError, match="label sets differ"):
+        evaluate_clustering(Geometry(rep), one_cluster, None)
 
 
 def test_kmeans_still_checks_its_input_after_a_pipeline_run(after_a_pipeline_run):

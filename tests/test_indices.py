@@ -9,7 +9,6 @@ from termforge.evaluation import (
     GoldStandard,
     adjusted_rand,
     ari_from_assignments,
-    coverage,
     dunn2,
     evaluate_clustering,
     format_value,
@@ -207,7 +206,7 @@ def test_purity_scores_only_the_gold_intersection():
     clustering = make_clustering([0, 0, 1])
     gs = gold({"p0": "A", "p1": "B"})   # p2 is not in the gold standard
     assert purity(clustering, gs) == pytest.approx(0.5)
-    assert coverage(clustering, gs) == pytest.approx(2 / 3)
+    assert evaluate_clustering(np.zeros((3, 3)), clustering, gs).coverage == pytest.approx(2 / 3)
 
 
 def test_purity_empty_intersection_is_an_error():
@@ -335,7 +334,6 @@ def test_silhouette_and_dunn2_match_naive_oracles(seed):
 def test_evaluate_clustering_full_report():
     gs = gold({"p0": "A", "p1": "A", "p2": "B", "p3": "B"})
     report = evaluate_clustering(FOUR_POINT_D, FOUR_POINT_CLUSTERING, gs)
-    assert report.n_clusters == 2
     assert report.purity == 1.0
     assert report.adjusted_rand == 1.0
     assert report.dunn2 == pytest.approx(4.5)

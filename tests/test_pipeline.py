@@ -47,32 +47,32 @@ def parse_cell(text):
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory, mini_corpus, mini_gold):
     out = tmp_path_factory.mktemp("pipe")
-    report = run_pipeline(mini_corpus, mini_gold, tiny_config(), out)
-    return out, report
+    rows = run_pipeline(mini_corpus, mini_gold, tiny_config(), out)
+    return out, rows
 
 
 def test_report_has_km_then_ap_in_representation_order(pipeline_out):
-    _, report = pipeline_out
-    assert len(report.rows) == 8
-    assert [r.clusterer for r in report.rows] == ["KM"] * 4 + ["AP"] * 4
-    assert [r.representation for r in report.rows[:4]] == list(REPRESENTATIONS)
-    assert [r.representation for r in report.rows[4:]] == list(REPRESENTATIONS)
+    _, rows = pipeline_out
+    assert len(rows) == 8
+    assert [r.clusterer for r in rows] == ["KM"] * 4 + ["AP"] * 4
+    assert [r.representation for r in rows[:4]] == list(REPRESENTATIONS)
+    assert [r.representation for r in rows[4:]] == list(REPRESENTATIONS)
 
 
 def test_report_ratio_is_clusters_over_gold_labels(pipeline_out):
-    _, report = pipeline_out
-    for row in report.rows:
+    _, rows = pipeline_out
+    for row in rows:
         assert row.ratio == row.n_clusters / 3
         assert 0.0 <= row.purity <= 1.0
         assert -1.0 <= row.ari <= 1.0
 
 
 def test_report_csv_round_trips(pipeline_out):
-    out, report = pipeline_out
+    out, rows = pipeline_out
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == ",".join(REPORT_HEADER)
     assert len(lines) == 9
-    for line, row in zip(lines[1:], report.rows):
+    for line, row in zip(lines[1:], rows):
         cells = line.split(",")
         assert cells[0] == row.clusterer
         assert cells[1] == row.representation
@@ -120,9 +120,9 @@ def test_manifest_shape(pipeline_out, mini_corpus):
 
 
 def test_selected_k_rows_match_curves(pipeline_out):
-    out, report = pipeline_out
+    out, rows = pipeline_out
     manifest = json.loads((out / "manifest.json").read_text())
-    for row in report.rows[:4]:
+    for row in rows[:4]:
         k_sel = manifest["selected_k"][row.representation]
         assert row.n_clusters == k_sel
         lines = (out / f"curves_{row.representation}.csv").read_text().splitlines()
@@ -139,7 +139,7 @@ def test_repetition_files_recompute_curve_means(pipeline_out):
         per_k = {}
         for line in reps_lines:
             cells = line.split(",")
-            per_k.setdefault(int(cells[0]), []).append(parse_cell(cells[4]))
+            per_k.setdefault(int(cells[0]), []).append(parse_cell(cells[3]))
         for line in curve_lines:
             cells = line.split(",")
             k = int(cells[0])
@@ -149,8 +149,8 @@ def test_repetition_files_recompute_curve_means(pipeline_out):
 
 def test_pipeline_without_gold(tmp_path, mini_corpus):
     out = tmp_path / "nogold"
-    report = run_pipeline(mini_corpus, None, tiny_config(), out)
-    for row in report.rows:
+    rows = run_pipeline(mini_corpus, None, tiny_config(), out)
+    for row in rows:
         assert row.ratio is None and row.purity is None and row.ari is None
         assert row.silhouette is not None
     manifest = json.loads((out / "manifest.json").read_text())
