@@ -16,9 +16,8 @@ from .corpus import (ConlluParseError, Corpus, CorpusStats, Sentence, Token,
                      corpus_stats, load_corpus, parse_conllu)
 from .embeddings import (EmbeddingTable, SkipgramConfig, np_vectors,
                          train_skipgram)
-from .evaluation import (GoldStandard, IndexReport, adjusted_rand, dunn2,
-                         evaluate_clustering, load_gold_standard, purity,
-                         silhouette_width)
+from .evaluation import (GoldStandard, IndexReport, dunn2, evaluate_clustering,
+                         load_gold_standard, purity, silhouette_width)
 from .experiment import (PipelineConfig, ReportRow, Selection, SweepConfig,
                          SweepResult, derive_seed, run_pipeline, run_sweep,
                          select_k)
@@ -36,7 +35,7 @@ __all__ = [
     "ConlluParseError", "Corpus", "CorpusStats", "Sentence", "Token",
     "corpus_stats", "load_corpus", "parse_conllu",
     "EmbeddingTable", "SkipgramConfig", "np_vectors", "train_skipgram",
-    "GoldStandard", "IndexReport", "adjusted_rand", "dunn2",
+    "GoldStandard", "IndexReport", "dunn2",
     "evaluate_clustering", "load_gold_standard", "purity", "silhouette_width",
     "PipelineConfig", "ReportRow", "Selection", "SweepConfig",
     "SweepResult", "derive_seed", "run_pipeline", "run_sweep", "select_k",

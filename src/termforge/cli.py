@@ -28,8 +28,8 @@ from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
                          config_from_dict, run_pipeline, run_sweep,
                          write_curves_csv, write_repetitions_csv)
 from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
-from .matrices import (MatrixKind, Representation, Thresholds, NP_VPC, NP_VPC_NMF,
-                       NP_VPC_TFIDF, REPRESENTATIONS, load_matrix, load_representation,
+from .matrices import (Representation, Thresholds, NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF,
+                       REPRESENTATIONS, load_matrix, load_representation,
                        make_representation, representation_from_matrix,
                        save_matrix, save_representation)
 from .nmf import nmf
@@ -80,7 +80,7 @@ def _cmd_extract(args) -> int:
     corpus = load_corpus(args.corpus)
     config = _config(PipelineConfig, args)
     couples = extract_corpus(corpus, SCHEMES[config.scheme](root_only=config.root_only))
-    write_couples_tsv(couples, args.out, header=args.header)
+    write_couples_tsv(couples, args.out)
     log.info("wrote %d couples to %s", len(couples), args.out)
     return 0
 
@@ -102,7 +102,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_encode_nmf(args) -> int:
-    counts = load_matrix(args.matrix, MatrixKind.MERGED_COUNTS)
+    counts = load_matrix(args.matrix)
     pair = nmf(counts, **_given(args, ("rank", "max_iter", "tol", "seed")))
     rep = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
     save_representation(rep, args.out)
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(SCHEMES))
     p.add_argument("--root-only", action="store_true",
                    help="only extract from root verbs")
-    p.add_argument("--header", action="store_true", default=False, help="write a header line")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("featurize", help="build and threshold co-occurrence matrices")

@@ -201,10 +201,6 @@ def ari_from_assignments(xs, ys) -> float:
     return _adjusted_rand(Counter(zip(xs, ys)))
 
 
-def adjusted_rand(clustering: Clustering, gold: GoldStandard) -> float:
-    return _adjusted_rand(_contingency(clustering, gold))
-
-
 def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Clustering,
                         gold: GoldStandard | None) -> IndexReport:
     """All four indices for one clustering; external columns stay None

@@ -287,6 +287,10 @@ class PipelineConfig:
                              f"expected one of {sorted(SCHEMES)}")
         if self.nmf_rank < 1:
             raise ValueError(f"nmf_rank must be >= 1, got {self.nmf_rank}")
+        if self.nmf_max_iter < 1:
+            raise ValueError(f"nmf_max_iter must be >= 1, got {self.nmf_max_iter}")
+        if not self.nmf_tol >= 0:   # "not >=" so that NaN fails too
+            raise ValueError(f"nmf_tol must be >= 0, got {self.nmf_tol}")
         self.skipgram_config()   # checks the w2v fields
 
     def skipgram_config(self) -> SkipgramConfig:
@@ -327,7 +331,7 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
         if out_dir is not None:
-            write_couples_tsv(couples, out_dir / "couples.tsv", header=True)
+            write_couples_tsv(couples, out_dir / "couples.tsv")
 
     with _stage("matrices"):
         matrices = build_matrices(
@@ -387,13 +391,6 @@ def write_curves_csv(result: SweepResult, path: Path) -> None:
 
 def write_repetitions_csv(result: SweepResult, path: Path) -> None:
     _write_table(path, REPETITIONS_HEADER, result.cells)
-
-
-def _config_dict(config: PipelineConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["sweep"]["selection"] = config.sweep.selection.value
-    raw["sweep"]["representations"] = list(config.sweep.representations)
-    return raw
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -472,7 +469,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     write_report_csv(rows, out / "report.csv")
 
     manifest = {
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "corpus": {"n_documents": corpus.n_documents,
                    "n_sentences": sum(1 for _ in corpus.sentences())},
         "gold": ({"n_terms": len(gold.mapping), "n_labels": gold.n_labels}

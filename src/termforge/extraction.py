@@ -150,11 +150,11 @@ def _require_couples(couples: tuple[Couple, ...], source: str | Path) -> tuple[C
 COUPLES_HEADER = ("vpc", "role", "np", "sentence_id")
 
 
-def write_couples_tsv(couples: Sequence[Couple], path: str | Path, header: bool = False) -> None:
-    """TSV: ``vpc_key  role  np_text  sentence_id``, one line per occurrence."""
+def write_couples_tsv(couples: Sequence[Couple], path: str | Path) -> None:
+    """TSV: the header line ``vpc  role  np  sentence_id``, then one line
+    ``vpc_key  role  np_text  sentence_id`` per occurrence."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write("\t".join(COUPLES_HEADER) + "\n")
+        fh.write("\t".join(COUPLES_HEADER) + "\n")
         for c in couples:
             fh.write(f"{c.vpc}\t{c.role.value}\t{c.np}\t{c.sentence_id}\n")
 

@@ -6,13 +6,14 @@ nine-block structure (pure-subject, pure-object and common parts).  Two
 bi-directional reductions operate on such matrices: a frequency cutoff
 (keep rows/columns whose sum exceeds sigma1) and a Tf-Idf value cutoff
 (weight first, then keep rows/columns whose weighted sum exceeds sigma2).
-Both are single-pass: sums are computed on the input matrix only.
+Both are single-pass: sums are computed on the input matrix only.  Each
+function takes any ``CooccurrenceMatrix``; ``experiment.build_matrices``
+fixes the order of the stages.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,17 +22,6 @@ import numpy as np
 from .extraction import Couple, Role
 
 log = logging.getLogger(__name__)
-
-
-class MatrixKind(Enum):
-    SUBJECT_COUNTS = "SubjectCounts"
-    OBJECT_COUNTS = "ObjectCounts"
-    MERGED_COUNTS = "MergedCounts"
-    TFIDF = "TfIdf"
-
-    @property
-    def is_counts(self) -> bool:
-        return self is not MatrixKind.TFIDF
 
 
 class ThresholdError(ValueError):
@@ -103,7 +93,6 @@ class CooccurrenceMatrix:
     row_labels: tuple[str, ...]   # NP keys
     col_labels: tuple[str, ...]   # VPC keys
     values: Csr                   # non-negative
-    kind: MatrixKind
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -129,14 +118,12 @@ def build_role_matrix(couples: Sequence[Couple], role: Role) -> CooccurrenceMatr
     i = [row_index[c.np] for c in selected]
     j = [col_index[c.vpc] for c in selected]
     values = Csr.from_triplets(i, j, np.ones(len(selected)), (len(rows), len(cols)))
-    kind = MatrixKind.SUBJECT_COUNTS if role is Role.SUBJECT else MatrixKind.OBJECT_COUNTS
-    return CooccurrenceMatrix(tuple(rows), tuple(cols), values, kind)
+    return CooccurrenceMatrix(tuple(rows), tuple(cols), values)
 
 
 def merge_matrices(subj: CooccurrenceMatrix, obj: CooccurrenceMatrix) -> CooccurrenceMatrix:
-    """Union of label spaces; cells present in both inputs are summed."""
-    if subj.kind is not MatrixKind.SUBJECT_COUNTS or obj.kind is not MatrixKind.OBJECT_COUNTS:
-        raise ValueError(f"merge expects (SubjectCounts, ObjectCounts), got ({subj.kind}, {obj.kind})")
+    """Union of label spaces; cells present in both inputs are summed, so
+    the order of the inputs does not matter."""
     rows = sorted(set(subj.row_labels) | set(obj.row_labels))
     cols = sorted(set(subj.col_labels) | set(obj.col_labels))
     row_index = {k: i for i, k in enumerate(rows)}
@@ -150,7 +137,7 @@ def merge_matrices(subj: CooccurrenceMatrix, obj: CooccurrenceMatrix) -> Cooccur
         data.append(part.values.data)
     values = Csr.from_triplets(np.concatenate(i), np.concatenate(j), np.concatenate(data),
                                (len(rows), len(cols)))
-    return CooccurrenceMatrix(tuple(rows), tuple(cols), values, MatrixKind.MERGED_COUNTS)
+    return CooccurrenceMatrix(tuple(rows), tuple(cols), values)
 
 
 def _bidirectional_cut(m: CooccurrenceMatrix, cutoff: float, symbol: str) -> CooccurrenceMatrix:
@@ -166,14 +153,11 @@ def _bidirectional_cut(m: CooccurrenceMatrix, cutoff: float, symbol: str) -> Coo
         )
     rows = tuple(m.row_labels[r] for r in kept_rows)
     cols = tuple(m.col_labels[c] for c in kept_cols)
-    return CooccurrenceMatrix(rows, cols, Csr.from_triplets(i, j, data, (len(rows), len(cols))),
-                              m.kind)
+    return CooccurrenceMatrix(rows, cols, Csr.from_triplets(i, j, data, (len(rows), len(cols))))
 
 
 def apply_frequency_threshold(m: CooccurrenceMatrix, t: Thresholds) -> CooccurrenceMatrix:
     """Keep rows and columns whose count sum exceeds sigma1 (strict)."""
-    if not m.kind.is_counts:
-        raise ValueError(f"frequency threshold expects a counts matrix, got {m.kind}")
     return _bidirectional_cut(m, t.sigma1, "sigma1")
 
 
@@ -181,21 +165,16 @@ def tfidf_weight(m: CooccurrenceMatrix) -> CooccurrenceMatrix:
     """Weight counts with NPs as terms and VPCs as documents:
     w(i,j) = f(i,j) * ln(M / df_i), M the column count, df_i the number of
     distinct VPCs NP i co-occurs with."""
-    if not m.kind.is_counts:
-        raise ValueError(f"tfidf expects a counts matrix, got {m.kind}")
     n_cols = len(m.col_labels)
     rows = m.values.row_ids()
     df = np.diff(m.values.indptr)
     weighted = m.values.data * np.log(n_cols / df[rows])
     return CooccurrenceMatrix(m.row_labels, m.col_labels,
-                              Csr.from_triplets(rows, m.values.indices, weighted, m.shape),
-                              MatrixKind.TFIDF)
+                              Csr.from_triplets(rows, m.values.indices, weighted, m.shape))
 
 
 def apply_value_threshold(m: CooccurrenceMatrix, t: Thresholds) -> CooccurrenceMatrix:
     """Keep rows and columns whose Tf-Idf sum exceeds sigma2 (strict)."""
-    if m.kind is not MatrixKind.TFIDF:
-        raise ValueError(f"value threshold expects a TfIdf matrix, got {m.kind}")
     return _bidirectional_cut(m, t.sigma2, "sigma2")
 
 
@@ -282,7 +261,7 @@ def save_matrix(m: CooccurrenceMatrix, path: str | Path) -> None:
         "".join(f"{k}\n" for k in m.col_labels), encoding="utf-8")
 
 
-def load_matrix(path: str | Path, kind: MatrixKind) -> CooccurrenceMatrix:
+def load_matrix(path: str | Path) -> CooccurrenceMatrix:
     """Read ``save_matrix`` output, or any Matrix Market ``coordinate real``
     or ``coordinate integer`` ``general`` file; duplicate entries are summed."""
     path = Path(path)
@@ -313,7 +292,7 @@ def load_matrix(path: str | Path, kind: MatrixKind) -> CooccurrenceMatrix:
     if values.shape != (len(rows), len(cols)):
         raise ValueError(f"{path}: matrix shape {values.shape} does not match sidecar labels "
                          f"({len(rows)} rows, {len(cols)} cols)")
-    return CooccurrenceMatrix(rows, cols, values, kind)
+    return CooccurrenceMatrix(rows, cols, values)
 
 
 def save_representation(rep: Representation, path: str | Path) -> None:

@@ -40,9 +40,15 @@ _EXPANSION_FLOOR = 1e-6   # relative to ||M||^2; below it, use the residual
 class FactorPair:
     W: np.ndarray                     # n_rows x rank, >= 0
     H: np.ndarray                     # rank x n_cols, >= 0
-    iterations_run: int
-    final_error: float
     error_history: tuple[float, ...]  # error after init, then after each iteration
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.error_history) - 1
+
+    @property
+    def final_error(self) -> float:
+        return self.error_history[-1]
 
 
 def _as_csr(m) -> Csr:
@@ -117,6 +123,10 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
         raise ValueError("matrix has negative entries")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if max_iter < 1:   # zero iterations would return the random start as W
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol >= 0:   # "not >=" so that NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     effective_rank = min(rank, *M.shape)
     if effective_rank < rank:
         log.warning("rank %d clamped to %d for %s matrix", rank, effective_rank, M.shape)
@@ -139,7 +149,6 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
 
     WtW = Wt @ Wt.T
     history = [error(Wt, H, times_mt(H), WtW, H @ H.T)]
-    iterations = 0
     for _ in range(max_iter):
         H *= times_m(Wt) / (WtW @ H + _EPS)
         HMt = times_mt(H)
@@ -148,13 +157,11 @@ def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
         WtW = Wt @ Wt.T
         err = error(Wt, H, HMt, WtW, HHt)
         history.append(err)
-        iterations += 1
         prev = history[-2]
         if prev == 0.0:
             break
         if (prev - err) / prev < tol:
             break
     log.info("nmf: %dx%d, rank %d: %d iterations, final error %r",
-             *M.shape, effective_rank, iterations, history[-1])
-    return FactorPair(W=np.ascontiguousarray(Wt.T), H=H, iterations_run=iterations,
-                      final_error=history[-1], error_history=tuple(history))
+             *M.shape, effective_rank, len(history) - 1, history[-1])
+    return FactorPair(W=np.ascontiguousarray(Wt.T), H=H, error_history=tuple(history))

@@ -28,7 +28,6 @@ from termforge.extraction import Couple, Role, extract_couples
 from termforge.matrices import (
     CooccurrenceMatrix,
     Csr,
-    MatrixKind,
     ThresholdError,
     Thresholds,
     apply_frequency_threshold,
@@ -141,7 +140,7 @@ def test_criterion_03_threshold_strict_single_pass():
             m = CooccurrenceMatrix(
                 tuple(f"n{i}" for i in range(dense.shape[0])),
                 tuple(f"v{j}" for j in range(dense.shape[1])),
-                Csr.from_triplets(*nz, dense[nz], dense.shape), MatrixKind.MERGED_COUNTS)
+                Csr.from_triplets(*nz, dense[nz], dense.shape))
 
             row_keep = [i for i in range(dense.shape[0]) if dense[i].sum() > sigma]
             col_keep = [j for j in range(dense.shape[1]) if dense[:, j].sum() > sigma]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from termforge import cli, experiment
+from termforge import cli
 from termforge.cli import main
 from termforge.clustering import ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
@@ -14,7 +14,6 @@ from termforge.embeddings import SkipgramConfig, load_embeddings
 from termforge.experiment import PipelineConfig, Selection, SweepConfig
 from termforge.extraction import ExtractionConfig, extract_corpus, read_couples_tsv
 from termforge.matrices import (
-    MatrixKind,
     NP_VPC,
     NP_VPC_TFIDF,
     Thresholds,
@@ -79,11 +78,36 @@ def test_extract_matches_library(workdir, mini_corpus_path):
     assert couples == expected
 
 
-def test_extract_header_flag(tmp_path, mini_corpus_path):
-    out = tmp_path / "c.tsv"
-    code, _, _ = run_cli(["extract", str(mini_corpus_path), "-o", str(out), "--header"])
-    assert code == 0
-    assert out.read_text().splitlines()[0] == "vpc\trole\tnp\tsentence_id"
+def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
+                                        mini_gold_path):
+    # README's stages with the quick-start settings: workdir ran extract,
+    # featurize and cluster ap; the sweep is the pipeline's NP_VPC sweep
+    run, stages = tmp_path / "mini_run", tmp_path / "stages"
+    stages.mkdir()
+    for argv in (
+            ["pipeline", "--corpus", str(mini_corpus_path), "--gold", str(mini_gold_path),
+             "--out", str(run), "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2",
+             "--k-max", "10", "--reps", "3", "--seed", "7",
+             "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3"],
+            ["sweep", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+             "-o", str(stages / "curves.csv"), "--gold", str(mini_gold_path),
+             "--k-min", "2", "--k-max", "10", "--reps", "3", "--seed", "7",
+             "--representation", NP_VPC,
+             "--repetitions-out", str(stages / "repetitions.csv")]):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    same = {"couples.tsv": workdir / "couples.tsv",
+            f"ap_{NP_VPC}.csv": workdir / "ap.csv",
+            f"ap_{NP_VPC}.csv.meta.json": workdir / "ap.csv.meta.json",
+            f"curves_{NP_VPC}.csv": stages / "curves.csv",
+            f"repetitions_{NP_VPC}.csv": stages / "repetitions.csv"}
+    for name in ("np_vpc.mtx", "np_vpc_tfidf.mtx"):
+        for suffix in ("", ".rows", ".cols"):
+            same[name + suffix] = workdir / "mat" / (name + suffix)
+    for name in (NP_VPC, NP_VPC_TFIDF):
+        same[f"rep_{name}.txt"] = workdir / "mat" / f"rep_{name}.txt"
+    for name, stage_output in same.items():
+        assert stage_output.read_bytes() == (run / name).read_bytes(), name
 
 
 def test_extract_without_couples_fails_and_writes_nothing(tmp_path):
@@ -112,7 +136,7 @@ def test_featurize_outputs(workdir):
         assert (mat / f"{name}.mtx").exists()
         assert (mat / f"{name}.mtx.rows").exists()
         assert (mat / f"{name}.mtx.cols").exists()
-    counts = load_matrix(mat / "np_vpc.mtx", MatrixKind.MERGED_COUNTS)
+    counts = load_matrix(mat / "np_vpc.mtx")
     assert counts.shape == (16, 14)
     # thresholded count sums all clear the sigma1=2 cutoff
     assert counts.row_sums().min() > 2.0
@@ -123,7 +147,7 @@ def test_featurize_outputs(workdir):
 
 def test_encode_nmf_output(workdir):
     rep = load_representation(workdir / "rep_nmf.txt")
-    counts = load_matrix(workdir / "mat" / "np_vpc.mtx", MatrixKind.MERGED_COUNTS)
+    counts = load_matrix(workdir / "mat" / "np_vpc.mtx")
     assert rep.row_labels == counts.row_labels
     assert rep.matrix.shape == (16, 5)
     assert np.all(rep.matrix >= 0)
@@ -140,6 +164,14 @@ def test_encode_nmf_logs_its_result_once(workdir, tmp_path, caplog):
     assert code == 0
     reports = [m for m in caplog.messages if "iterations" in m]
     assert len(reports) == 1 and reports[0].startswith("nmf: 16x14, rank 5: ")
+
+
+def test_encode_nmf_without_iterations_fails_and_writes_nothing(workdir, tmp_path):
+    out = tmp_path / "w.txt"
+    code, _, err = run_cli(["encode", "nmf", str(workdir / "mat" / "np_vpc.mtx"),
+                            "-o", str(out), "--rank", "3", "--max-iter", "0"])
+    assert code == 1 and err == "error: max_iter must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_encode_w2v_output(workdir):
@@ -273,7 +305,7 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
         nmf_max_iter=50, nmf_tol=1e-3, w2v_negatives=3,
         ap=ApConfig(preference=-0.5, damping=0.7, max_iter=300, convergence_window=20))
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"config": experiment._config_dict(config)}))
+    manifest.write_text(json.dumps({"config": dataclasses.asdict(config)}))
     capture(monkeypatch, "run_pipeline", "load_corpus")
     argv = ["pipeline", "--corpus", "c", "--out", "o", "--config", str(manifest)]
     (_, _, passed, _), _ = config_passed(argv)
@@ -293,13 +325,16 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
     ('{"sweep": {"selection": "best"}}', "'best' is not a valid Selection"),
     ('[1, 2]', "bad pipeline config"),
     ('{"config": ', "Expecting value"),
+    ('{"nmf_max_iter": 0}', "nmf_max_iter must be >= 1, got 0"),
 ])
 def test_pipeline_rejects_a_bad_config_file(tmp_path, text, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    code, _, err = run_cli(["pipeline", "--corpus", "c", "--out", str(tmp_path / "o"),
+    out = tmp_path / "o"
+    code, _, err = run_cli(["pipeline", "--corpus", "c", "--out", str(out),
                             "--config", str(bad)])
     assert code == 1 and err.startswith(f"error: {bad}: ") and fragment in err, err
+    assert not out.exists()
 
 
 def test_pipeline_missing_gold_continues_without_external_indices(

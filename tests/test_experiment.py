@@ -57,6 +57,11 @@ def test_sweep_config_validation():
 def test_pipeline_config_validation():
     with pytest.raises(ValueError, match="nmf_rank must be >= 1, got 0"):
         PipelineConfig(nmf_rank=0)
+    with pytest.raises(ValueError, match="nmf_max_iter must be >= 1, got 0"):
+        PipelineConfig(nmf_max_iter=0)
+    for tol in (-1e-5, math.nan):
+        with pytest.raises(ValueError, match="nmf_tol must be >= 0"):
+            PipelineConfig(nmf_tol=tol)
     # the w2v fields are checked by the SkipgramConfig they build
     with pytest.raises(ValueError, match="dim, window, negatives and epochs"):
         PipelineConfig(w2v_dim=0)

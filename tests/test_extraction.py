@@ -197,9 +197,11 @@ def test_tsv_round_trip(tmp_path, mini_corpus):
 def test_tsv_header_written_and_auto_detected(tmp_path, mini_corpus):
     couples = extract_corpus(mini_corpus)
     out = tmp_path / "couples.tsv"
-    write_couples_tsv(couples, out, header=True)
-    first = out.read_text().splitlines()[0]
+    write_couples_tsv(couples, out)
+    first, rest = out.read_text().split("\n", 1)
     assert first == "vpc\trole\tnp\tsentence_id"
+    assert read_couples_tsv(out) == couples
+    out.write_text(rest)   # a file without the header reads the same
     assert read_couples_tsv(out) == couples
 
 
@@ -273,6 +275,6 @@ def test_round_trip_of_verb_lemmas_with_underscores(tmp_path):
         ("set_up_with", Role.OBJECT, "tool"),
     }
     path = tmp_path / "couples.tsv"
-    write_couples_tsv(couples, path, header=True)
+    write_couples_tsv(couples, path)
     assert read_couples_tsv(path) == couples
 

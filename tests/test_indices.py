@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from termforge.evaluation import (
     GoldStandard,
-    adjusted_rand,
     ari_from_assignments,
     dunn2,
     evaluate_clustering,

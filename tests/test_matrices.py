@@ -11,7 +11,6 @@ from termforge.matrices import (
     NP_VPC,
     CooccurrenceMatrix,
     Csr,
-    MatrixKind,
     Representation,
     ThresholdError,
     Thresholds,
@@ -29,13 +28,13 @@ from termforge.matrices import (
 )
 
 
-def counts_matrix(dense, kind=MatrixKind.MERGED_COUNTS, rows=None, cols=None):
+def counts_matrix(dense, rows=None, cols=None):
     dense = np.asarray(dense, dtype=float)
     rows = rows or tuple(f"n{i}" for i in range(dense.shape[0]))
     cols = cols or tuple(f"v{j}" for j in range(dense.shape[1]))
     i, j = np.nonzero(dense)
     values = Csr.from_triplets(i, j, dense[i, j], dense.shape)
-    return CooccurrenceMatrix(tuple(rows), tuple(cols), values, kind)
+    return CooccurrenceMatrix(tuple(rows), tuple(cols), values)
 
 
 def couple_set(subject_counts, object_counts):
@@ -74,7 +73,6 @@ def test_csr_sums_duplicates_drops_zeros_and_sorts():
 def test_build_role_matrix_counts_duplicates():
     couples = couple_set({("cat", "chase"): 3, ("dog", "chase"): 1}, {})
     m = build_role_matrix(couples, Role.SUBJECT)
-    assert m.kind is MatrixKind.SUBJECT_COUNTS
     assert m.row_labels == ("cat", "dog")
     assert m.col_labels == ("chase",)
     assert m.toarray().tolist() == [[3.0], [1.0]]
@@ -83,7 +81,6 @@ def test_build_role_matrix_counts_duplicates():
 def test_build_role_matrix_filters_by_role():
     couples = couple_set({("cat", "chase"): 1}, {("mouse", "chase"): 2})
     m = build_role_matrix(couples, Role.OBJECT)
-    assert m.kind is MatrixKind.OBJECT_COUNTS
     assert m.row_labels == ("mouse",)
     assert m.toarray().tolist() == [[2.0]]
 
@@ -104,18 +101,18 @@ def test_merge_hand_example():
     couples = couple_set(subj, obj)
     merged = merge_matrices(build_role_matrix(couples, Role.SUBJECT),
                             build_role_matrix(couples, Role.OBJECT))
-    assert merged.kind is MatrixKind.MERGED_COUNTS
     assert merged.row_labels == ("cat", "dog", "mouse")
     assert merged.col_labels == ("bark", "chase")
     assert merged.toarray().tolist() == [[0, 3], [1, 0], [0, 4]]
 
 
-def test_merge_requires_role_kinds():
-    couples = couple_set({("a", "v"): 1}, {("a", "v"): 1})
+def test_merge_is_symmetric():
+    couples = couple_set({("a", "v"): 1, ("b", "w"): 2}, {("a", "v"): 3, ("c", "u"): 1})
     subj = build_role_matrix(couples, Role.SUBJECT)
     obj = build_role_matrix(couples, Role.OBJECT)
-    with pytest.raises(ValueError, match="merge expects"):
-        merge_matrices(obj, subj)
+    forward, backward = merge_matrices(subj, obj), merge_matrices(obj, subj)
+    assert (backward.row_labels, backward.col_labels) == (forward.row_labels, forward.col_labels)
+    assert np.array_equal(backward.toarray(), forward.toarray())
 
 
 occurrence_tables = st.dictionaries(
@@ -182,17 +179,6 @@ def test_threshold_zero_keeps_everything_nonzero():
     assert cut.toarray().tolist() == [[1.0, 0.0], [0.0, 2.0]]
 
 
-def test_frequency_threshold_rejects_tfidf():
-    weighted = tfidf_weight(counts_matrix([[1, 1], [1, 0]]))
-    with pytest.raises(ValueError, match="counts matrix"):
-        apply_frequency_threshold(weighted, Thresholds())
-
-
-def test_value_threshold_rejects_counts():
-    with pytest.raises(ValueError, match="TfIdf"):
-        apply_value_threshold(counts_matrix([[1]]), Thresholds())
-
-
 def test_negative_thresholds_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         Thresholds(sigma1=-1.0)
@@ -241,7 +227,6 @@ def test_threshold_matches_brute_force_cut(dense, sigma):
 def test_tfidf_hand_example():
     m = counts_matrix([[2, 0, 1], [0, 3, 0]])
     weighted = tfidf_weight(m)
-    assert weighted.kind is MatrixKind.TFIDF
     expected = np.array([
         [2 * math.log(3 / 2), 0.0, 1 * math.log(3 / 2)],
         [0.0, 3 * math.log(3 / 1), 0.0],
@@ -281,11 +266,10 @@ def test_matrix_save_load_round_trip(tmp_path):
     path = tmp_path / "m.mtx"
     save_matrix(m, path)
     assert (tmp_path / "m.mtx.rows").read_text() == "jazz band\nguitar\n"
-    loaded = load_matrix(path, MatrixKind.MERGED_COUNTS)
+    loaded = load_matrix(path)
     assert loaded.row_labels == m.row_labels
     assert loaded.col_labels == m.col_labels
     assert np.array_equal(loaded.toarray(), m.toarray())
-    assert loaded.kind is MatrixKind.MERGED_COUNTS
 
 
 def test_matrix_load_rejects_sidecar_mismatch(tmp_path):
@@ -294,7 +278,7 @@ def test_matrix_load_rejects_sidecar_mismatch(tmp_path):
     save_matrix(m, path)
     (tmp_path / "m.mtx.rows").write_text("only-one\n")
     with pytest.raises(ValueError, match="does not match sidecar labels"):
-        load_matrix(path, MatrixKind.MERGED_COUNTS)
+        load_matrix(path)
 
 
 def test_make_representation_drops_zero_rows():

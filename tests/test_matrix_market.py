@@ -12,7 +12,6 @@ from termforge.extraction import SCHEMES, extract_corpus
 from termforge.matrices import (
     CooccurrenceMatrix,
     Csr,
-    MatrixKind,
     Thresholds,
     load_matrix,
     save_matrix,
@@ -29,17 +28,16 @@ def mmwrite_text(m: CooccurrenceMatrix) -> str:
     return buf.getvalue().decode("ascii")
 
 
-def labeled(values: Csr, kind=MatrixKind.MERGED_COUNTS) -> CooccurrenceMatrix:
+def labeled(values: Csr) -> CooccurrenceMatrix:
     return CooccurrenceMatrix(tuple(f"n {i}" for i in range(values.shape[0])),
-                              tuple(f"v_{j}" for j in range(values.shape[1])),
-                              values, kind)
+                              tuple(f"v_{j}" for j in range(values.shape[1])), values)
 
 
 def special_matrix() -> CooccurrenceMatrix:
     # 3 x 4, not symmetric: scipy writes symmetric matrices under 100 rows
     # as "symmetric", which save_matrix never does
     rows, cols = [0, 0, 1, 2, 2, 2], [0, 3, 1, 0, 2, 3]
-    return labeled(Csr.from_triplets(rows, cols, SPECIAL_VALUES, (3, 4)), MatrixKind.TFIDF)
+    return labeled(Csr.from_triplets(rows, cols, SPECIAL_VALUES, (3, 4)))
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +68,8 @@ def test_load_matrix_round_trips(mini_matrices, tmp_path):
     for name, m in cases(mini_matrices).items():
         path = tmp_path / f"{name}.mtx"
         save_matrix(m, path)
-        back = load_matrix(path, m.kind)
-        assert (back.row_labels, back.col_labels, back.kind) == (m.row_labels, m.col_labels, m.kind)
+        back = load_matrix(path)
+        assert (back.row_labels, back.col_labels) == (m.row_labels, m.col_labels)
         assert back.values.shape == m.values.shape
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(back.values, field), getattr(m.values, field)), name
@@ -84,11 +82,10 @@ def test_load_matrix_reads_integer_files_and_sums_duplicates(tmp_path):
     save_matrix(labeled(Csr.from_triplets([0], [0], [1.0], (2, 3))), tmp_path / "labels.mtx")
     for suffix in (".rows", ".cols"):
         (tmp_path / f"m.mtx{suffix}").write_text((tmp_path / f"labels.mtx{suffix}").read_text())
-    assert load_matrix(path, MatrixKind.MERGED_COUNTS).toarray().tolist() == [[0, 2, 0], [5, 0, 1]]
+    assert load_matrix(path).toarray().tolist() == [[0, 2, 0], [5, 0, 1]]
     path.write_text("%%MatrixMarket matrix coordinate real general\n% note\n"
                     "2 3 3\n1 2 1.5\n2 3 4\n1 2 1\n")
-    assert load_matrix(path, MatrixKind.MERGED_COUNTS).toarray().tolist() == [[0, 2.5, 0],
-                                                                            [0, 0, 4]]
+    assert load_matrix(path).toarray().tolist() == [[0, 2.5, 0], [0, 0, 4]]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -109,5 +106,5 @@ def test_load_matrix_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.mtx"
     path.write_text(text)
     with pytest.raises(ValueError, match=message) as info:
-        load_matrix(path, MatrixKind.MERGED_COUNTS)
+        load_matrix(path)
     assert str(path) in str(info.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from termforge.matrices import CooccurrenceMatrix, Csr, MatrixKind
+from termforge.matrices import CooccurrenceMatrix, Csr
 from termforge.nmf import nmf, reconstruction_error
 from test_matrices import counts_matrix
 
@@ -150,6 +150,11 @@ def test_input_validation():
         nmf(np.array([[1.0, -0.5]]), rank=1)
     with pytest.raises(ValueError, match="rank must be >= 1"):
         nmf(np.ones((2, 2)), rank=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        nmf(np.ones((2, 2)), rank=1, max_iter=0)
+    for tol in (-1e-5, np.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            nmf(np.ones((2, 2)), rank=1, tol=tol)
     with pytest.raises(ValueError, match="cannot factorize"):
         nmf(np.zeros((0, 3)), rank=1)
     for bad in (np.nan, np.inf, -np.inf):
@@ -163,8 +168,7 @@ def test_accepts_sparse_and_cooccurrence_inputs():
     dense = np.array([[1.0, 0.0], [0.0, 2.0]])
     from_dense = nmf(dense, rank=2, max_iter=10, tol=0.0, seed=4)
     from_sparse = nmf(sp.csr_matrix(dense), rank=2, max_iter=10, tol=0.0, seed=4)
-    from_cooc = nmf(counts_matrix(dense, kind=MatrixKind.MERGED_COUNTS),
-                    rank=2, max_iter=10, tol=0.0, seed=4)
+    from_cooc = nmf(counts_matrix(dense), rank=2, max_iter=10, tol=0.0, seed=4)
     assert np.array_equal(from_dense.W, from_sparse.W)
     assert np.array_equal(from_dense.W, from_cooc.W)
 
