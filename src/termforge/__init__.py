@@ -9,8 +9,8 @@ silhouette, Dunn2, purity and adjusted Rand against a gold standard.
 
 __version__ = "0.1.0"
 
-from .clustering import (ApConfig, Clustering, KmeansConfig,
-                         affinity_propagation, cosine_dissimilarity, kmeans,
+from .clustering import (ApConfig, Clustering, Geometry, KmeansConfig,
+                         affinity_propagation, kmeans,
                          pairwise_cosine_dissimilarity)
 from .corpus import (ConlluParseError, Corpus, CorpusStats, Sentence, Token,
                      corpus_stats, load_corpus, parse_conllu)
@@ -26,12 +26,12 @@ from .extraction import (Couple, ExtractionConfig, Role, extract_corpus,
 from .matrices import (CooccurrenceMatrix, Representation, Thresholds,
                        apply_frequency_threshold, apply_value_threshold,
                        build_role_matrix, merge_matrices, tfidf_weight)
-from .nmf import FactorPair, nmf, reconstruction_error
+from .nmf import FactorPair, nmf
 
 __all__ = [
     "__version__",
-    "ApConfig", "Clustering", "KmeansConfig", "affinity_propagation",
-    "cosine_dissimilarity", "kmeans", "pairwise_cosine_dissimilarity",
+    "ApConfig", "Clustering", "Geometry", "KmeansConfig", "affinity_propagation",
+    "kmeans", "pairwise_cosine_dissimilarity",
     "ConlluParseError", "Corpus", "CorpusStats", "Sentence", "Token",
     "corpus_stats", "load_corpus", "parse_conllu",
     "EmbeddingTable", "SkipgramConfig", "np_vectors", "train_skipgram",
@@ -44,5 +44,5 @@ __all__ = [
     "CooccurrenceMatrix", "Representation", "Thresholds",
     "apply_frequency_threshold", "apply_value_threshold", "build_role_matrix",
     "merge_matrices", "tfidf_weight",
-    "FactorPair", "nmf", "reconstruction_error",
+    "FactorPair", "nmf",
 ]

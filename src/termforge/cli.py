@@ -126,13 +126,13 @@ def _cmd_encode_w2v(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    rep = load_representation(args.rep)
+    geometry = Geometry(load_representation(args.rep))
     if args.algorithm == "kmeans":
         config = _config(KmeansConfig, args)
-        clustering = kmeans(rep, config)
+        clustering = kmeans(geometry, config)
     else:
         config = _config(ApConfig, args)
-        clustering = affinity_propagation(rep, config)
+        clustering = affinity_propagation(geometry, config)
         if not clustering.converged:
             print(f"warning: {AP_NOT_CONVERGED}", file=sys.stderr)
     save_clustering(clustering, args.out, config=dataclasses.asdict(config))
@@ -158,9 +158,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rep = load_representation(args.rep, provenance=args.representation)
+    geometry = Geometry(load_representation(args.rep, provenance=args.representation))
     gold = load_gold_standard(args.gold) if args.gold else None
-    result = run_sweep(rep, gold, _config(SweepConfig, args))
+    result = run_sweep(geometry, gold, _config(SweepConfig, args))
     write_curves_csv(result, Path(args.out))
     if args.repetitions_out:
         write_repetitions_csv(result, Path(args.repetitions_out))

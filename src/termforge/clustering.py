@@ -108,48 +108,6 @@ class ApConfig:
             raise ValueError("max_iter and convergence_window must be >= 1")
 
 
-def cosine_dissimilarity(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]; zero vectors are a caller error."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine dissimilarity undefined for a zero vector")
-    return float(min(2.0, max(0.0, 1.0 - float(a @ b) / (na * nb))))
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    norms = np.linalg.norm(matrix, axis=1)
-    if not np.all(np.isfinite(norms)):
-        bad = np.flatnonzero(~np.isfinite(norms))[:5]
-        raise ValueError(f"non-finite rows at indices {bad.tolist()} (NaN, inf or a "
-                         "norm that overflows); fix or drop them before clustering")
-    if np.any(norms == 0.0):
-        bad = np.flatnonzero(norms == 0.0)[:5]
-        raise ValueError(f"all-zero rows at indices {bad.tolist()}; drop them before clustering")
-    return matrix / norms[:, None]
-
-
-def _pairwise(normalized: np.ndarray) -> np.ndarray:
-    # in place, so two n x n arrays are live at most: d += d.T buffers the
-    # overlapping transpose and gives exactly d + d.T
-    d = normalized @ normalized.T
-    np.subtract(1.0, d, out=d)
-    d += d.T
-    d /= 2.0
-    np.clip(d, 0.0, 2.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def _count_distinct(normalized: np.ndarray) -> int:
-    # hashing row bytes needs no sort; + 0.0 turns -0.0 into 0.0 so the two
-    # zeros count as one value, as they compare equal.  Row by row, so the
-    # matrix is not copied whole.
-    return len({(row + 0.0).tobytes() for row in normalized})
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -166,47 +124,57 @@ class Geometry:
     zero on the diagonal by construction.  Both arrays are read-only, so
     what was checked stays true.
 
-    ``kmeans``, ``affinity_propagation``, ``distinct_row_count`` and
-    ``pairwise_cosine_dissimilarity`` take a geometry in place of the
-    representation or its matrix, and the validity indices take one in
-    place of D; each returns exactly what it returns for the representation
-    itself.
+    ``kmeans``, ``affinity_propagation`` and ``experiment.run_sweep`` take
+    a geometry, and the validity indices take one in place of D.
     """
 
     def __init__(self, rep: Representation) -> None:
         self.row_labels = tuple(rep.row_labels)
         self.provenance = rep.provenance
-        self.normalized = _read_only(_normalize_rows(rep.matrix))
-
-    @classmethod
-    def of(cls, rep: Representation | Geometry) -> Geometry:
-        return rep if isinstance(rep, cls) else cls(rep)
+        matrix = np.asarray(rep.matrix, dtype=float)
+        norms = np.linalg.norm(matrix, axis=1)
+        if not np.all(np.isfinite(norms)):
+            bad = np.flatnonzero(~np.isfinite(norms))[:5]
+            raise ValueError(f"non-finite rows at indices {bad.tolist()} (NaN, inf or a "
+                             "norm that overflows); fix or drop them before clustering")
+        if np.any(norms == 0.0):
+            bad = np.flatnonzero(norms == 0.0)[:5]
+            raise ValueError(f"all-zero rows at indices {bad.tolist()}; "
+                             "drop them before clustering")
+        self.normalized = _read_only(matrix / norms[:, None])
 
     @cached_property
     def distinct(self) -> int:
-        return _count_distinct(self.normalized)
+        # hashing row bytes needs no sort; + 0.0 turns -0.0 into 0.0 so the
+        # two zeros count as one value, as they compare equal.  Row by row,
+        # so the matrix is not copied whole.
+        return len({(row + 0.0).tobytes() for row in self.normalized})
 
     @cached_property
     def dissimilarity(self) -> np.ndarray:
-        return _read_only(_pairwise(self.normalized))
+        # in place, so two n x n arrays are live at most: d += d.T buffers
+        # the overlapping transpose and gives exactly d + d.T
+        d = self.normalized @ self.normalized.T
+        np.subtract(1.0, d, out=d)
+        d += d.T
+        d /= 2.0
+        np.clip(d, 0.0, 2.0, out=d)
+        np.fill_diagonal(d, 0.0)
+        return _read_only(d)
 
     def release_dissimilarity(self) -> None:
         """Free D; it is formed again on next use."""
         self.__dict__.pop("dissimilarity", None)
 
 
-def pairwise_cosine_dissimilarity(matrix: np.ndarray | Geometry) -> np.ndarray:
-    """Symmetric pairwise matrix with an exactly zero diagonal."""
-    if isinstance(matrix, Geometry):
-        return matrix.dissimilarity
-    return _pairwise(_normalize_rows(matrix))
+def pairwise_cosine_dissimilarity(geometry: Geometry) -> np.ndarray:
+    """The geometry's D: symmetric, with an exactly zero diagonal."""
+    return geometry.dissimilarity
 
 
-def distinct_row_count(matrix: np.ndarray | Geometry) -> int:
+def distinct_row_count(geometry: Geometry) -> int:
     """Number of distinct directions (unique L2-normalized rows)."""
-    if isinstance(matrix, Geometry):
-        return matrix.distinct
-    return _count_distinct(_normalize_rows(matrix))
+    return geometry.distinct
 
 
 def _kmeanspp_init(normalized: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -278,19 +246,19 @@ def _assign_and_repair(normalized: np.ndarray,
     return labels, _objective(dissimilarity, labels), repaired
 
 
-def kmeans(rep: Representation | Geometry, config: KmeansConfig) -> Clustering:
-    """Spherical K-Means: normalize, k-means++ init, iterate assignment and
-    normalized-mean centroid updates until the objective's relative
-    improvement falls below rel_tol.  A run whose empty-cluster repair
-    leaves the labels and centroids an earlier repair left would repeat the
-    steps since then until max_iter, so it ends there, not converged.
+def kmeans(geometry: Geometry, config: KmeansConfig) -> Clustering:
+    """Spherical K-Means on the geometry's normalized rows: k-means++ init,
+    then assignment and normalized-mean centroid updates until the
+    objective's relative improvement falls below rel_tol.  A run whose
+    empty-cluster repair leaves the labels and centroids an earlier repair
+    left would repeat the steps since then until max_iter, so it ends there,
+    not converged.
 
     Always ends on an assignment step, so no point is left with a stale
     cluster against the final centroids.  The objective is read from the
     n x k dissimilarities that step forms, so outside an empty-cluster repair
     no n x d array beyond one cluster's member rows is made.
     """
-    geometry = Geometry.of(rep)
     normalized = geometry.normalized
     if config.k > geometry.distinct:
         raise ValueError(f"k={config.k} exceeds the {geometry.distinct} distinct rows")
@@ -462,16 +430,15 @@ def _ap_messages(s: np.ndarray, damping: float, max_iter: int,
     return r, a, converged, iterations
 
 
-def affinity_propagation(rep: Representation | Geometry,
+def affinity_propagation(geometry: Geometry,
                          config: ApConfig = ApConfig()) -> Clustering:
     """Frey-Dueck message passing on s(i,j) = 1 - cosine dissimilarity, with
     the diagonal set to the preference (median off-diagonal similarity by
     default).  Points are assigned to the exemplar of highest clean cosine
     similarity, which is formed again after message passing has freed its
     arrays, so _AP_LIVE_ARRAYS n x n arrays and the block scratch are live
-    at most.  A geometry's D is freed first (formed again on next use), as
+    at most.  The geometry's D is freed first (formed again on next use), as
     it would be one more."""
-    geometry = Geometry.of(rep)
     geometry.release_dissimilarity()
     normalized = geometry.normalized
     keys = geometry.row_labels

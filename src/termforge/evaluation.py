@@ -71,11 +71,26 @@ def load_gold_standard(path: str | Path) -> GoldStandard:
     return GoldStandard(mapping=mapping)
 
 
+def _label_mismatch(rows: tuple[str, ...], labels: tuple[str, ...]) -> str:
+    """Why a representation's rows are not a clustering's labels."""
+    only_labels = sorted(set(labels) - set(rows))
+    only_rows = sorted(set(rows) - set(labels))
+    if only_labels or only_rows:
+        return (f"clustering and representation label sets differ: only in the "
+                f"clustering {only_labels[:5]}, only in the representation "
+                f"{only_rows[:5]}; evaluate needs the representation the "
+                "clustering was built from")
+    at = next((i for i, (row, label) in enumerate(zip(rows, labels)) if row != label),
+              min(len(rows), len(labels)))
+    return (f"clustering and representation hold the same NP keys in another "
+            f"order: they first differ at position {at}; the clustering's rows "
+            "must follow the representation's row order")
+
+
 def _check_dissimilarity(d: np.ndarray | Geometry, clustering: Clustering) -> np.ndarray:
     if isinstance(d, Geometry):
         if d.row_labels != tuple(clustering.labels):
-            raise ValueError("clustering and representation label sets differ; evaluate "
-                             "needs the representation the clustering was built from")
+            raise ValueError(_label_mismatch(d.row_labels, tuple(clustering.labels)))
         # a geometry's D is valid by construction and read-only
         return d.dissimilarity
     n = len(clustering.labels)

@@ -70,9 +70,13 @@ class SweepConfig:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.peak_floor <= 1.0:
             raise ValueError("peak_floor must be in (0, 1]")
+        if not self.representations:
+            raise ValueError("representations must name at least one representation")
         unknown = set(self.representations) - set(REPRESENTATIONS)
         if unknown:
             raise ValueError(f"unknown representations: {sorted(unknown)}")
+        if len(set(self.representations)) != len(self.representations):
+            raise ValueError(f"repeated representations in {list(self.representations)}")
         Thresholds(self.sigma1, self.sigma2)   # checks them
 
 
@@ -127,27 +131,26 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
+def run_sweep(geometry: Geometry, gold: GoldStandard | None,
               config: SweepConfig) -> SweepResult:
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
     seeded runs per k; means per k exclude undefined values (counted).
-    Every cell reuses one geometry of ``rep`` (it may be one already)."""
+    Every cell reuses the one geometry."""
     warnings: list[str] = []
-    geometry = Geometry.of(rep)
     distinct = distinct_row_count(geometry)
     k_hi = min(config.k_max, distinct)
     if k_hi < config.k_max:
         warnings.append(
-            f"{rep.provenance}: k_max {config.k_max} clipped to {k_hi} "
+            f"{geometry.provenance}: k_max {config.k_max} clipped to {k_hi} "
             f"(only {distinct} distinct rows)")
         log.warning(warnings[-1])
     if k_hi < config.k_min:
         raise ValueError(
-            f"{rep.provenance}: cannot sweep k >= {config.k_min} with only "
+            f"{geometry.provenance}: cannot sweep k >= {config.k_min} with only "
             f"{distinct} distinct rows")
-    if gold is not None and not any(lbl in gold.mapping for lbl in rep.row_labels):
+    if gold is not None and not any(lbl in gold.mapping for lbl in geometry.row_labels):
         raise ValueError(
-            f"{rep.provenance}: no clustered term appears in the gold standard")
+            f"{geometry.provenance}: no clustered term appears in the gold standard")
 
     # D is formed here, once; every cell's evaluation reads it from the geometry
     pairwise_cosine_dissimilarity(geometry)
@@ -157,7 +160,7 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
         batch: list[RepetitionRecord] = []
         unconverged = 0
         for r in range(config.repetitions):
-            seed = derive_seed(config.master_seed, rep.provenance, k, r)
+            seed = derive_seed(config.master_seed, geometry.provenance, k, r)
             clustering = kmeans(geometry, KmeansConfig(k=k, seed=seed))
             unconverged += not clustering.converged
             report = evaluate_clustering(geometry, clustering, gold)
@@ -166,7 +169,7 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
         if unconverged == len(batch):
-            warnings.append(f"{rep.provenance} k={k}: every K-Means cell "
+            warnings.append(f"{geometry.provenance} k={k}: every K-Means cell "
                             f"({len(batch)} repetition(s)) hit max_iter before converging")
             log.warning(warnings[-1])
         records.extend(batch)
@@ -178,10 +181,10 @@ def run_sweep(rep: Representation | Geometry, gold: GoldStandard | None,
         excluded = len(batch) - len(dunns)
         if excluded:
             log.info("%s k=%d: %d undefined dunn2 value(s) excluded from the mean",
-                     rep.provenance, k, excluded)
+                     geometry.provenance, k, excluded)
         rows.append(SweepRow(k=k, purity=_mean(purities), ari=_mean(aris),
                              dunn2=_mean(dunns), silhouette=_mean(sils)))
-    return SweepResult(representation=rep.provenance, rows=tuple(rows),
+    return SweepResult(representation=geometry.provenance, rows=tuple(rows),
                        cells=tuple(records), warnings=tuple(warnings))
 
 
@@ -401,7 +404,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if "selection" in sweep:
             sweep["selection"] = Selection(sweep["selection"])
         if "representations" in sweep:
-            sweep["representations"] = tuple(sweep["representations"])
+            names = sweep["representations"]
+            if not isinstance(names, (list, tuple)):
+                raise ValueError(f"sweep.representations must be a list of names, "
+                                 f"got {names!r}")
+            sweep["representations"] = tuple(names)
         return PipelineConfig(**{**raw, "sweep": SweepConfig(**sweep),
                                  "ap": ApConfig(**raw.get("ap", {}))})
     except (AttributeError, TypeError) as exc:  # not an object, or an unknown key

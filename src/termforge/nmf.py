@@ -5,11 +5,12 @@ multiplicative update rules (Lee and Seung).  Both factors stay elementwise
 non-negative by construction and the error is non-increasing across
 iterations, which the tests assert step by step via ``error_history``.
 
-The updates run on M in compressed sparse rows, so a sparse count matrix is
-never made dense: W^T M and H M^T = (M H^T)^T each gather a factor's columns
-at M's entries and sum them per row of M^T or M (W is held transposed, so
-both gathers read contiguous rows), and H M^T serves both the W update and
-the error.  The error comes from the expansion
+The updates run on a ``CooccurrenceMatrix``'s values M, held in compressed
+sparse rows, so a sparse count matrix is never made dense: W^T M and
+H M^T = (M H^T)^T each gather a factor's columns at M's entries and sum them
+per row of M^T or M (W is held transposed, so both gathers read contiguous
+rows), and H M^T serves both the W update and the error.  The error comes
+from the expansion
 
     ||M - WH||^2 = ||M||^2 - 2 <W, M H^T> + <W^T W, H H^T>,
 
@@ -51,21 +52,6 @@ class FactorPair:
         return self.error_history[-1]
 
 
-def _as_csr(m) -> Csr:
-    """m as a Csr with duplicate entries summed.  A scipy sparse matrix is
-    read through its ``tocoo()``, so scipy is never imported here."""
-    if isinstance(m, CooccurrenceMatrix):
-        return m.values
-    if hasattr(m, "tocoo"):
-        coo = m.tocoo()
-        return Csr.from_triplets(coo.row, coo.col, coo.data, coo.shape)
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"cannot factorize matrix of shape {m.shape}")
-    rows, cols = np.nonzero(m)
-    return Csr.from_triplets(rows, cols, m[rows, cols], m.shape)
-
-
 def _residual_norm(M: Csr, rows: np.ndarray, W: np.ndarray, H: np.ndarray) -> float:
     """||M - WH||_F from the dense residual; ``rows`` is ``M.row_ids()``."""
     residual = W @ H
@@ -95,26 +81,17 @@ def _times_transpose(T: Csr, rank: int):
     return product
 
 
-def reconstruction_error(m, W: np.ndarray, H: np.ndarray) -> float:
-    """Frobenius norm of M - WH."""
-    M = _as_csr(m)
-    W = np.asarray(W, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if W.shape[0] != M.shape[0] or H.shape[1] != M.shape[1] or W.shape[1] != H.shape[0]:
-        raise ValueError(
-            f"shape mismatch: M {M.shape}, W {W.shape}, H {H.shape}")
-    return _residual_norm(M, M.row_ids(), W, H)
-
-
-def nmf(m, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
+def nmf(m: CooccurrenceMatrix, rank: int = 100, max_iter: int = 500, tol: float = 1e-5,
         seed: int = 0) -> FactorPair:
-    """Factorize a non-negative matrix; rank is clamped to the matrix
-    dimensions (with a warning) when it exceeds them.
+    """Factorize the values of a co-occurrence matrix, which are checked
+    non-negative and finite, as ``load_matrix`` reads files from outside;
+    rank is clamped to the matrix dimensions (with a warning) when it
+    exceeds them.
 
     Stops when the relative error improvement drops below ``tol`` or after
     ``max_iter`` iterations.
     """
-    M = _as_csr(m)
+    M = m.values
     if 0 in M.shape:
         raise ValueError(f"cannot factorize matrix of shape {M.shape}")
     if not np.all(np.isfinite(M.data)):

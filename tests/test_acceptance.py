@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from termforge.cli import main as cli_main
-from termforge.clustering import ApConfig, KmeansConfig, affinity_propagation, kmeans
+from termforge.clustering import (ApConfig, Geometry, KmeansConfig, affinity_propagation,
+                                  kmeans)
 from termforge.corpus import load_corpus
 from termforge.evaluation import (
     GoldStandard,
@@ -36,6 +37,7 @@ from termforge.matrices import (
 )
 from termforge.embeddings import sgns_loss_and_grads
 from termforge.nmf import nmf
+from test_matrices import counts_matrix
 from util import (
     brute_force_exemplars,
     brute_force_kmeans,
@@ -172,8 +174,8 @@ def test_criterion_04_nmf_descent_and_recovery():
             rng = np.random.default_rng(seed)
             shape = (int(rng.integers(2, 13)), int(rng.integers(2, 13)))
             rank = int(rng.integers(1, min(6, min(shape) + 1)))
-            pair = nmf(rng.random(shape) * 3, rank=rank, max_iter=30, tol=0.0,
-                       seed=seed)
+            pair = nmf(counts_matrix(rng.random(shape) * 3), rank=rank, max_iter=30,
+                       tol=0.0, seed=seed)
             assert np.all(pair.W >= 0)
             assert np.all(pair.H >= 0)
             # tol=0.0 still stops once float noise makes improvement
@@ -182,7 +184,7 @@ def test_criterion_04_nmf_descent_and_recovery():
             assert 2 <= len(history) <= 31
             assert all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
 
-        exact = nmf(np.array([[1.0, 2.0], [2.0, 4.0]]), rank=1, max_iter=500,
+        exact = nmf(counts_matrix([[1.0, 2.0], [2.0, 4.0]]), rank=1, max_iter=500,
                     tol=0.0, seed=0)
         assert exact.final_error < 1e-6
         assert time.perf_counter() - start < 10.0
@@ -249,7 +251,7 @@ def test_criterion_06_kmeans_matches_exhaustive_partition_search():
             rep = make_rep(points)
             best_run = math.inf
             for restart in range(20):
-                result = kmeans(rep, KmeansConfig(
+                result = kmeans(Geometry(rep), KmeansConfig(
                     k=k, seed=instance * 1000 + restart, max_iter=200,
                     rel_tol=0.0))
                 best_run = min(best_run, result.objective)
@@ -274,7 +276,7 @@ def test_criterion_07_affinity_propagation_sanity():
                 vectors.append(v)
                 keys.append(f"{name}{i}")
         rep = make_rep(np.array(vectors), keys=tuple(keys))
-        result = affinity_propagation(rep, ApConfig())
+        result = affinity_propagation(Geometry(rep), ApConfig())
         groups = {tuple(sorted(m)) for m in result.members().values()}
         assert groups == {("a0", "a1", "a2"), ("b0", "b1", "b2"),
                           ("c0", "c1", "c2")}
@@ -296,7 +298,7 @@ def test_criterion_07_affinity_propagation_sanity():
         pts = rng.random((5, 3)) + 0.1
         unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         top = float(np.max((unit @ unit.T)[~np.eye(5, dtype=bool)]))
-        singles = affinity_propagation(make_rep(pts), ApConfig(preference=top + 1.0))
+        singles = affinity_propagation(Geometry(make_rep(pts)), ApConfig(preference=top + 1.0))
         assert singles.n_clusters == 5
         assert time.perf_counter() - start < 5.0
 

@@ -14,6 +14,7 @@ from termforge import clustering
 from termforge.cli import main
 from termforge.clustering import (
     ApConfig,
+    Geometry,
     affinity_propagation,
     load_clustering,
     save_clustering,
@@ -45,8 +46,9 @@ def test_zero_rows_are_rejected_before_any_n_by_n_work():
     rep = make_rep(np.zeros((0, 5)), keys=())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="needs at least one row; the representation has none"):
-            affinity_propagation(rep, ApConfig())
+        with pytest.raises(ValueError,
+                           match="needs at least one row; the representation has none"):
+            affinity_propagation(Geometry(rep), ApConfig())
 
 
 def test_cluster_ap_command_rejects_a_representation_without_rows(tmp_path, capsys):
@@ -62,7 +64,7 @@ def test_cluster_ap_command_rejects_a_representation_without_rows(tmp_path, caps
 
 def test_single_point_is_its_own_exemplar():
     rep = make_rep([[1.0, 2.0]], keys=("only",))
-    result = affinity_propagation(rep, ApConfig())
+    result = affinity_propagation(Geometry(rep), ApConfig())
     assert result.n_clusters == 1
     assert result.exemplars == {0: "only"}
     assert result.assignment == {"only": 0}
@@ -72,12 +74,12 @@ def test_single_point_is_its_own_exemplar():
 
 def test_single_point_explicit_preference():
     rep = make_rep([[1.0]], keys=("only",))
-    result = affinity_propagation(rep, ApConfig(preference=-5.0))
+    result = affinity_propagation(Geometry(rep), ApConfig(preference=-5.0))
     assert result.objective == -5.0
 
 
 def test_three_orthogonal_groups_recovered():
-    result = affinity_propagation(three_orthogonal_groups(), ApConfig())
+    result = affinity_propagation(Geometry(three_orthogonal_groups()), ApConfig())
     assert result.algorithm == "affinity_propagation"
     assert result.n_clusters == 3
     groups = {tuple(sorted(m)) for m in result.members().values()}
@@ -86,7 +88,7 @@ def test_three_orthogonal_groups_recovered():
 
 
 def test_exemplars_belong_to_their_clusters_and_order_by_key():
-    result = affinity_propagation(three_orthogonal_groups(), ApConfig())
+    result = affinity_propagation(Geometry(three_orthogonal_groups()), ApConfig())
     for cid, key in result.exemplars.items():
         assert result.assignment[key] == cid
     ordered = [result.exemplars[c] for c in range(result.n_clusters)]
@@ -95,7 +97,7 @@ def test_exemplars_belong_to_their_clusters_and_order_by_key():
 
 def test_duplicates_land_in_the_same_cluster():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    result = affinity_propagation(make_rep(m, keys=("p", "q", "r", "s")), ApConfig())
+    result = affinity_propagation(Geometry(make_rep(m, keys=("p", "q", "r", "s"))), ApConfig())
     assert result.assignment["p"] == result.assignment["q"]
     assert result.assignment["r"] == result.assignment["s"]
     assert result.n_clusters == 2
@@ -107,7 +109,7 @@ def test_high_preference_gives_all_singletons():
     normalized = m / np.linalg.norm(m, axis=1, keepdims=True)
     sims = normalized @ normalized.T
     top = float(np.max(sims[~np.eye(5, dtype=bool)]))
-    result = affinity_propagation(make_rep(m), ApConfig(preference=top + 1.0))
+    result = affinity_propagation(Geometry(make_rep(m)), ApConfig(preference=top + 1.0))
     assert result.n_clusters == 5
     assert sorted(result.assignment.values()) == [0, 1, 2, 3, 4]
 
@@ -115,8 +117,8 @@ def test_high_preference_gives_all_singletons():
 def test_deterministic_across_runs():
     rng = np.random.default_rng(2)
     rep = make_rep(rng.random((12, 4)) + 0.05)
-    a = affinity_propagation(rep, ApConfig())
-    b = affinity_propagation(rep, ApConfig())
+    a = affinity_propagation(Geometry(rep), ApConfig())
+    b = affinity_propagation(Geometry(rep), ApConfig())
     assert a.assignment == b.assignment
     assert a.exemplars == b.exemplars
     assert a.objective == b.objective
@@ -124,7 +126,7 @@ def test_deterministic_across_runs():
 
 def test_objective_is_net_similarity():
     rep = three_orthogonal_groups()
-    result = affinity_propagation(rep, ApConfig())
+    result = affinity_propagation(Geometry(rep), ApConfig())
     normalized = rep.matrix / np.linalg.norm(rep.matrix, axis=1, keepdims=True)
     sims = normalized @ normalized.T
     n = len(rep.row_labels)
@@ -143,7 +145,7 @@ def test_objective_is_net_similarity():
 def test_non_convergence_is_reported():
     rng = np.random.default_rng(3)
     rep = make_rep(rng.random((8, 3)) + 0.05)
-    result = affinity_propagation(rep, ApConfig(max_iter=2, convergence_window=50))
+    result = affinity_propagation(Geometry(rep), ApConfig(max_iter=2, convergence_window=50))
     assert not result.converged
 
 
@@ -152,8 +154,8 @@ def test_scale_invariant_for_exact_scalings():
     m = rng.random((9, 3)) + 0.1
     scaled = m.copy()
     scaled[2] *= 8.0  # power of two: bitwise identical after normalization
-    a = affinity_propagation(make_rep(m), ApConfig())
-    b = affinity_propagation(make_rep(scaled), ApConfig())
+    a = affinity_propagation(Geometry(make_rep(m)), ApConfig())
+    b = affinity_propagation(Geometry(make_rep(scaled)), ApConfig())
     assert a.assignment == b.assignment
 
 
@@ -201,7 +203,7 @@ def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
     outcomes = set()
     for name, matrix, config in _oracle_cases():
         seen.clear()
-        affinity_propagation(make_rep(matrix), config)
+        affinity_propagation(Geometry(make_rep(matrix)), config)
         (s, damping, max_iter, window, (r, a, converged, _)), = seen
         normalized = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
         sims = normalized @ normalized.T
@@ -219,7 +221,7 @@ def test_messages_match_the_rule_by_rule_oracle(monkeypatch):
 def test_clusterings_match_the_end_to_end_oracle():
     for name, matrix, config in _oracle_cases():
         rep = make_rep(matrix)
-        result = affinity_propagation(rep, config)
+        result = affinity_propagation(Geometry(rep), config)
         assignment, exemplars, objective, converged = oracle_affinity_propagation(
             matrix, rep.row_labels, config.preference, config.damping,
             config.max_iter, config.convergence_window)
@@ -236,9 +238,9 @@ def test_memory_guard_rejects_before_allocating(monkeypatch):
     # bytes: 8 * (4n^2 + 2n) is 4048 at n = 11 and 4800 at n = 12
     fits = 11
     matrix = np.random.default_rng(5).random((fits + 1, 3)) + 0.05
-    affinity_propagation(make_rep(matrix[:fits]), ApConfig())
+    affinity_propagation(Geometry(make_rep(matrix[:fits])), ApConfig())
     with pytest.raises(ValueError, match=rf"n={fits + 1} .*GiB"):
-        affinity_propagation(make_rep(matrix), ApConfig())
+        affinity_propagation(Geometry(make_rep(matrix)), ApConfig())
 
 
 def test_memory_guard_is_a_tagged_pipeline_error(monkeypatch, tmp_path, mini_corpus):
@@ -297,7 +299,7 @@ def test_block_rule_on_the_benchmark_sizes(n, blocks):
 def test_ap_logs_the_iterations_the_oracle_runs(caplog, case):
     (_, matrix, config), = [c for c in _oracle_cases() if c[0] == case]
     caplog.set_level(logging.INFO, logger="termforge.clustering")
-    result = affinity_propagation(make_rep(matrix), config)
+    result = affinity_propagation(Geometry(make_rep(matrix)), config)
     normalized = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
     sims = normalized @ normalized.T
     preference = float(np.median(sims[~np.eye(len(matrix), dtype=bool)]))
@@ -318,7 +320,7 @@ def test_ap_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     # enough rows that a split across CPUs would pay, were there one
     m = np.random.default_rng(6).random((1000, 5)) + 0.05
-    affinity_propagation(make_rep(m), ApConfig(max_iter=3))
+    affinity_propagation(Geometry(make_rep(m)), ApConfig(max_iter=3))
 
 
 def test_message_passing_state_is_freed_without_the_garbage_collector():
@@ -345,7 +347,7 @@ def test_message_passing_state_is_freed_without_the_garbage_collector():
 
 
 def test_save_load_round_trip(tmp_path):
-    result = affinity_propagation(three_orthogonal_groups(), ApConfig())
+    result = affinity_propagation(Geometry(three_orthogonal_groups()), ApConfig())
     path = tmp_path / "clusters.csv"
     save_clustering(result, path, config={"preference": "median"})
     loaded = load_clustering(path)

@@ -242,6 +242,17 @@ def test_evaluate_rejects_label_mismatch(workdir, mini_gold_path, tmp_path):
     assert "error:" in err and "label sets differ" in err
 
 
+def test_evaluate_names_a_clustering_in_another_row_order(workdir, mini_gold_path, tmp_path):
+    header, *rows = (workdir / "km.csv").read_text().splitlines()
+    reordered = tmp_path / "km.csv"
+    reordered.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    code, _, err = run_cli(["evaluate", str(reordered),
+                            str(workdir / "mat" / f"rep_{NP_VPC}.txt"), str(mini_gold_path)])
+    assert code == 1
+    assert ("error: clustering and representation hold the same NP keys in another "
+            "order: they first differ at position 0;") in err, err
+
+
 def test_sweep_command(workdir, mini_gold_path, tmp_path):
     curves = tmp_path / "curves.csv"
     raw = tmp_path / "raw.csv"
@@ -326,12 +337,21 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
     ('[1, 2]', "bad pipeline config"),
     ('{"config": ', "Expecting value"),
     ('{"nmf_max_iter": 0}', "nmf_max_iter must be >= 1, got 0"),
+    # a run with no representation wrote couples, matrices and an empty report
+    ('{"sweep": {"representations": []}}',
+     "representations must name at least one representation"),
+    # each name ran once but was written twice into the manifest
+    ('{"sweep": {"representations": ["NP_VPC", "NP_VPC"]}}',
+     "repeated representations in ['NP_VPC', 'NP_VPC']"),
+    # a string was read as its characters
+    ('{"sweep": {"representations": "NP_VPC"}}',
+     "sweep.representations must be a list of names, got 'NP_VPC'"),
 ])
-def test_pipeline_rejects_a_bad_config_file(tmp_path, text, fragment):
+def test_pipeline_rejects_a_bad_config_file(tmp_path, mini_corpus_path, text, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     out = tmp_path / "o"
-    code, _, err = run_cli(["pipeline", "--corpus", "c", "--out", str(out),
+    code, _, err = run_cli(["pipeline", "--corpus", str(mini_corpus_path), "--out", str(out),
                             "--config", str(bad)])
     assert code == 1 and err.startswith(f"error: {bad}: ") and fragment in err, err
     assert not out.exists()
@@ -405,8 +425,10 @@ def test_stages_reject_a_repeated_representation_key(tmp_path, workdir, mini_gol
     ("pipeline", ["--sigma1", "nan"], "thresholds must be non-negative"),
     ("pipeline", ["--nmf-rank", "0"], "nmf_rank must be >= 1, got 0"),
     ("pipeline", ["--w2v-dim", "0"], "dim, window, negatives and epochs must all be >= 1"),
+    ("pipeline", ["--representations", NP_VPC, NP_VPC], "repeated representations"),
     ("featurize", ["--sigma2", "nan"], "thresholds must be non-negative"),
-], ids=["negative sigma1", "nan sigma1", "zero nmf rank", "zero w2v dim", "nan sigma2"])
+], ids=["negative sigma1", "nan sigma1", "zero nmf rank", "zero w2v dim",
+        "repeated representation", "nan sigma2"])
 def test_bad_config_values_fail_before_any_output(tmp_path, workdir, mini_corpus_path,
                                                   mini_gold_path, command, flags, message):
     out = tmp_path / "out"
@@ -481,15 +503,15 @@ def test_cli_defaults_are_the_config_defaults(monkeypatch, tmp_path):
     (_, config), _ = config_passed(["encode", "w2v", "c.conllu", "-o", "e"])
     assert config == SkipgramConfig()
 
-    capture(monkeypatch, "kmeans", "load_representation")
+    capture(monkeypatch, "kmeans", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "kmeans", "r", "-o", "x", "-k", "3"])
     assert config == KmeansConfig(k=3)
 
-    capture(monkeypatch, "affinity_propagation", "load_representation")
+    capture(monkeypatch, "affinity_propagation", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x"])
     assert config == ApConfig()
 
-    capture(monkeypatch, "run_sweep", "load_representation")
+    capture(monkeypatch, "run_sweep", "load_representation", "Geometry")
     (_, _, config), _ = config_passed(["sweep", "r", "-o", "x"])
     assert config == SweepConfig()
 
@@ -523,12 +545,12 @@ def test_cli_flags_convert_to_config_types(monkeypatch):
     assert config.sweep.master_seed == 11
     assert (config.scheme, config.root_only) == ("ud", True)
 
-    capture(monkeypatch, "run_sweep", "load_representation")
+    capture(monkeypatch, "run_sweep", "load_representation", "Geometry")
     (_, _, config), _ = config_passed(["sweep", "r", "-o", "x", "--seed", "5",
                                        "--reps", "4"])
     assert (config.master_seed, config.repetitions) == (5, 4)
 
-    capture(monkeypatch, "affinity_propagation", "load_representation")
+    capture(monkeypatch, "affinity_propagation", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x",
                                     "--preference", "0.5"])
     assert config.preference == 0.5 and isinstance(config.preference, float)

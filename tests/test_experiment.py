@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from termforge.clustering import KmeansConfig, affinity_propagation, kmeans
+from termforge.clustering import Geometry, KmeansConfig, affinity_propagation, kmeans
 from termforge.evaluation import GoldStandard
 from termforge.experiment import (
     PipelineConfig,
@@ -92,7 +92,7 @@ def small_config(**kw):
 
 
 def test_run_sweep_shape_and_grid():
-    result = run_sweep(sweep_rep(), sweep_gold(), small_config())
+    result = run_sweep(Geometry(sweep_rep()), sweep_gold(), small_config())
     assert result.representation == NP_VPC
     assert [row.k for row in result.rows] == [2, 3, 4]
     assert len(result.cells) == 9
@@ -104,13 +104,13 @@ def test_run_sweep_shape_and_grid():
 
 
 def test_run_sweep_deterministic():
-    a = run_sweep(sweep_rep(), sweep_gold(), small_config())
-    b = run_sweep(sweep_rep(), sweep_gold(), small_config())
+    a = run_sweep(Geometry(sweep_rep()), sweep_gold(), small_config())
+    b = run_sweep(Geometry(sweep_rep()), sweep_gold(), small_config())
     assert a == b
 
 
 def test_run_sweep_means_recompute_from_cells():
-    result = run_sweep(sweep_rep(), sweep_gold(), small_config())
+    result = run_sweep(Geometry(sweep_rep()), sweep_gold(), small_config())
     for row in result.rows:
         batch = [c for c in result.cells if c.k == row.k]
         purities = [c.purity for c in batch]
@@ -123,7 +123,7 @@ def test_run_sweep_means_recompute_from_cells():
 
 
 def test_run_sweep_clips_k_max_with_warning():
-    result = run_sweep(sweep_rep(n=5), sweep_gold(5),
+    result = run_sweep(Geometry(sweep_rep(n=5)), sweep_gold(5),
                        small_config(k_max=50, repetitions=1))
     assert [row.k for row in result.rows] == [2, 3, 4, 5]
     assert result.warnings == (
@@ -131,7 +131,7 @@ def test_run_sweep_clips_k_max_with_warning():
 
 
 def test_run_sweep_without_gold_leaves_external_columns_none():
-    result = run_sweep(sweep_rep(), None, small_config(repetitions=1))
+    result = run_sweep(Geometry(sweep_rep()), None, small_config(repetitions=1))
     for cell in result.cells:
         assert cell.purity is None and cell.ari is None
         assert cell.silhouette is not None
@@ -140,16 +140,16 @@ def test_run_sweep_without_gold_leaves_external_columns_none():
 def test_run_sweep_too_few_distinct_rows():
     rep = make_rep([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # 2 distinct
     with pytest.raises(ValueError, match="cannot sweep k >= 3 with only 2"):
-        run_sweep(rep, None, small_config(k_min=3, k_max=4))
+        run_sweep(Geometry(rep), None, small_config(k_min=3, k_max=4))
 
 
 def test_every_algorithm_names_a_repeated_key():
     # the first "a" sits alone and the second with "b": a key -> id dict
     # keeps one id for "a", so a cluster would seem to vanish
     rep = make_rep([[0.0, 1.0], [1.0, 0.0], [1.0, 0.1]], keys=("a", "b", "a"))
-    for run in (lambda: kmeans(rep, KmeansConfig(k=2)),
-                lambda: affinity_propagation(rep),
-                lambda: run_sweep(rep, None, small_config(k_min=2, k_max=3))):
+    for run in (lambda: kmeans(Geometry(rep), KmeansConfig(k=2)),
+                lambda: affinity_propagation(Geometry(rep)),
+                lambda: run_sweep(Geometry(rep), None, small_config(k_min=2, k_max=3))):
         with pytest.raises(ValueError, match=r"^repeated labels \['a'\]$"):
             run()
 
@@ -157,7 +157,7 @@ def test_every_algorithm_names_a_repeated_key():
 def test_run_sweep_disjoint_gold_fails_early():
     gold = GoldStandard(mapping={"zzz": "L"})
     with pytest.raises(ValueError, match="no clustered term appears"):
-        run_sweep(sweep_rep(), gold, small_config())
+        run_sweep(Geometry(sweep_rep()), gold, small_config())
 
 
 # ---------------------------------------------------------------- select_k

@@ -1,9 +1,10 @@
 """One geometry per representation: the sweep and the pipeline normalize the
 rows, count the distinct ones and form D once per representation.  The
-results must equal those of the public per-call functions, and those
-functions must still check what outside callers give them."""
+results must equal those of a fresh geometry per call, and the geometry and
+the indices must still check what outside callers give them."""
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from termforge.experiment import (PipelineConfig, RepetitionRecord, SweepConfig,
                                   build_representations, derive_seed, run_pipeline,
                                   run_sweep)
 from termforge.matrices import NP_VPC, REPRESENTATIONS, Representation
-from util import make_rep, traced_peak
+from util import make_rep, naive_dissimilarity, traced_peak
 
 SWEEP = SweepConfig(k_min=2, k_max=5, repetitions=2, master_seed=7,
                     sigma1=2.0, sigma2=0.5)
@@ -30,15 +31,15 @@ PIPELINE = PipelineConfig(sweep=SWEEP, nmf_rank=5, nmf_max_iter=100,
 
 
 def reference_cells(rep, gold, config):
-    """The sweep's records from public calls on the representation, one
-    normalization, distinct count and D per cell."""
-    k_hi = min(config.k_max, distinct_row_count(rep.matrix))
+    """The sweep's records from public calls on the representation, a fresh
+    geometry, and so one normalization, distinct count and D, per call."""
+    k_hi = min(config.k_max, distinct_row_count(Geometry(rep)))
     cells = []
     for k in range(config.k_min, k_hi + 1):
         for r in range(config.repetitions):
             seed = derive_seed(config.master_seed, rep.provenance, k, r)
-            clustering = kmeans(rep, KmeansConfig(k=k, seed=seed))
-            report = evaluate_clustering(pairwise_cosine_dissimilarity(rep.matrix),
+            clustering = kmeans(Geometry(rep), KmeansConfig(k=k, seed=seed))
+            report = evaluate_clustering(pairwise_cosine_dissimilarity(Geometry(rep)),
                                          clustering, gold)
             cells.append(RepetitionRecord(
                 k=k, repetition=r, seed=seed,
@@ -68,10 +69,10 @@ def assert_sweep_and_ap_match_public_calls(rep, gold):
     geometry = Geometry(rep)
     result = run_sweep(geometry, gold, SWEEP)
     assert result.cells == reference_cells(fresh_copy(rep), gold, SWEEP)
-    assert result == run_sweep(fresh_copy(rep), gold, SWEEP)
+    assert result == run_sweep(Geometry(fresh_copy(rep)), gold, SWEEP)
     # AP on the geometry the sweep used, as the pipeline runs it
     assert affinity_propagation(geometry, ApConfig()) == \
-        affinity_propagation(fresh_copy(rep), ApConfig())
+        affinity_propagation(Geometry(fresh_copy(rep)), ApConfig())
 
 
 @pytest.mark.parametrize("name", REPRESENTATIONS)
@@ -83,16 +84,19 @@ def test_sweep_and_ap_on_the_mini_representations_match_public_calls(
 def test_sweep_and_ap_with_duplicate_and_scaled_rows_match_public_calls():
     rep = duplicated_and_scaled_rep()
     gold = GoldStandard(mapping={key: f"L{i % 4}" for i, key in enumerate(rep.row_labels)})
-    assert distinct_row_count(rep.matrix) == 24
+    assert distinct_row_count(Geometry(rep)) == 24
     assert_sweep_and_ap_match_public_calls(rep, gold)
 
 
 def test_geometry_gives_what_the_matrix_gives_and_is_read_only():
     rep = duplicated_and_scaled_rep()
     geometry = Geometry(rep)
-    assert distinct_row_count(geometry) == distinct_row_count(rep.matrix)
+    assert distinct_row_count(geometry) == 24
     d = pairwise_cosine_dissimilarity(geometry)
-    assert d.tobytes() == pairwise_cosine_dissimilarity(rep.matrix).tobytes()
+    naive = [[naive_dissimilarity(a, b) for b in rep.matrix] for a in rep.matrix]
+    assert np.allclose(d, naive, rtol=0.0, atol=1e-12)
+    assert d.tobytes() == d.T.tobytes()
+    assert np.all(d.diagonal() == 0.0)
     for array in (geometry.normalized, d):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.5
@@ -158,7 +162,7 @@ def test_sweep_warns_when_every_cell_of_a_k_failed_to_converge(
     with_unconverged_kmeans(monkeypatch, lambda k, call: k == 3 or (k == 4 and call == 1))
     expected = ("NP_VPC k=3: every K-Means cell (2 repetition(s)) hit max_iter "
                 "before converging")
-    result = run_sweep(mini_reps[NP_VPC], mini_gold, SWEEP)
+    result = run_sweep(Geometry(mini_reps[NP_VPC]), mini_gold, SWEEP)
     assert result.warnings == (expected,)
 
     config = dataclasses.replace(
@@ -184,7 +188,8 @@ def after_a_pipeline_run(tmp_path_factory, mini_corpus, mini_gold):
 
 def valid_d_and_clustering():
     rep = duplicated_and_scaled_rep()
-    return pairwise_cosine_dissimilarity(rep.matrix), kmeans(rep, KmeansConfig(k=3))
+    geometry = Geometry(rep)
+    return pairwise_cosine_dissimilarity(geometry), kmeans(geometry, KmeansConfig(k=3))
 
 
 def bad_dissimilarities(d):
@@ -216,13 +221,22 @@ def test_indices_still_check_d_after_a_pipeline_run(after_a_pipeline_run, index)
 @INDICES
 def test_indices_reject_a_geometry_of_other_rows(index):
     rep = duplicated_and_scaled_rep()
-    clustering = kmeans(rep, KmeansConfig(k=3))
+    clustering = kmeans(Geometry(rep), KmeansConfig(k=3))
     index(Geometry(rep), clustering)
     keys = rep.row_labels
-    # same size: other keys, and the same keys in another order
-    for other in (tuple(f"u{i}" for i in range(len(keys))), keys[::-1]):
-        with pytest.raises(ValueError, match="label sets differ"):
-            index(Geometry(make_rep(rep.matrix, keys=other)), clustering)
+    # other keys, the same keys in another order, and one key left out
+    other_keys = tuple(f"u{i}" for i in range(len(keys)))
+    with pytest.raises(ValueError, match=re.escape(
+            "label sets differ: only in the clustering ['t0', 't1', 't10', 't11', 't12'], "
+            "only in the representation ['u0', 'u1', 'u10', 'u11', 'u12']")):
+        index(Geometry(make_rep(rep.matrix, keys=other_keys)), clustering)
+    with pytest.raises(ValueError, match="same NP keys in another order: they first "
+                                         "differ at position 0;"):
+        index(Geometry(make_rep(rep.matrix, keys=keys[::-1])), clustering)
+    with pytest.raises(ValueError, match=re.escape(
+            "label sets differ: only in the clustering ['t3'], only in the "
+            "representation []")):
+        index(Geometry(make_rep(rep.matrix[:-1], keys=keys[:3] + keys[4:])), clustering)
 
 
 def test_single_cluster_evaluation_rejects_a_geometry_of_other_rows():
@@ -235,14 +249,14 @@ def test_single_cluster_evaluation_rejects_a_geometry_of_other_rows():
 def test_kmeans_still_checks_its_input_after_a_pipeline_run(after_a_pipeline_run):
     rep = duplicated_and_scaled_rep()
     with pytest.raises(ValueError, match="k=25 exceeds the 24 distinct rows"):
-        kmeans(rep, KmeansConfig(k=25))
+        kmeans(Geometry(rep), KmeansConfig(k=25))
     three_directions = make_rep(np.resize(rep.matrix[:3], rep.matrix.shape))
     with pytest.raises(ValueError, match="k=4 exceeds the 3 distinct rows"):
-        kmeans(three_directions, KmeansConfig(k=4))
+        kmeans(Geometry(three_directions), KmeansConfig(k=4))
     matrix = rep.matrix.copy()
     matrix[4, 1] = np.inf
     with pytest.raises(ValueError, match=r"non-finite rows at indices \[4\]"):
-        kmeans(make_rep(matrix, keys=rep.row_labels), KmeansConfig(k=2))
+        kmeans(Geometry(make_rep(matrix, keys=rep.row_labels)), KmeansConfig(k=2))
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -251,7 +265,7 @@ def test_kmeans_still_checks_its_input_after_a_pipeline_run(after_a_pipeline_run
 def test_evaluate_command_still_rejects_a_bad_representation(
         after_a_pipeline_run, tmp_path, mini_gold_path, capsys, bad_row, message):
     rep = make_rep([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], keys=("alpha", "beta", "gamma"))
-    clustering = kmeans(rep, KmeansConfig(k=2))
+    clustering = kmeans(Geometry(rep), KmeansConfig(k=2))
     save_clustering(clustering, tmp_path / "km.csv")
     rep_path = tmp_path / "rep.txt"
     rep_path.write_text(f"3 2\nalpha\t1.0 0.0\nbeta\t{bad_row}\ngamma\t0.0 1.0\n")

@@ -10,14 +10,14 @@ from termforge.clustering import (
     Clustering,
     Geometry,
     KmeansConfig,
-    cosine_dissimilarity,
     distinct_row_count,
     kmeans,
     pairwise_cosine_dissimilarity,
 )
 from termforge.experiment import PipelineConfig, SweepConfig, build_representations
 from termforge.matrices import NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF
-from util import make_rep, oracle_kmeans, spherical_objective, traced_peak
+from util import (make_rep, naive_dissimilarity, oracle_kmeans, spherical_objective,
+                  traced_peak)
 
 # ----------------------------------------------------------- Clustering
 
@@ -53,44 +53,45 @@ def test_cluster_ids_and_members():
 
 
 def test_cosine_dissimilarity_basics():
-    assert cosine_dissimilarity([1.0, 0.0], [2.0, 0.0]) == 0.0
-    assert cosine_dissimilarity([1.0, 0.0], [0.0, 3.0]) == 1.0
-    assert cosine_dissimilarity([1.0, 0.0], [-1.0, 0.0]) == 2.0
+    # the same direction, orthogonal and opposite
+    d = pairwise_cosine_dissimilarity(Geometry(make_rep(
+        [[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])))
+    assert d[0, 1] == 0.0
+    assert d[0, 2] == 1.0
+    assert d[0, 3] == 2.0
 
 
 def test_cosine_dissimilarity_zero_vector_error():
-    with pytest.raises(ValueError, match="zero vector"):
-        cosine_dissimilarity([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"all-zero rows at indices \[0\]"):
+        Geometry(make_rep([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_pairwise_symmetric_zero_diagonal():
     rng = np.random.default_rng(0)
     m = rng.random((6, 3)) + 0.1
-    d = pairwise_cosine_dissimilarity(m)
+    d = pairwise_cosine_dissimilarity(Geometry(make_rep(m)))
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0) and np.all(d <= 2.0)
-    assert d[1, 4] == pytest.approx(cosine_dissimilarity(m[1], m[4]), abs=1e-12)
+    assert d[1, 4] == pytest.approx(naive_dissimilarity(m[1], m[4]), abs=1e-12)
 
 
 def test_pairwise_rejects_zero_rows():
     with pytest.raises(ValueError, match="all-zero rows at indices \\[1\\]"):
-        pairwise_cosine_dissimilarity(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        Geometry(make_rep(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
 def test_non_finite_rows_rejected():
     m = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0], [np.inf, 0.0]])
     with pytest.raises(ValueError, match=r"non-finite rows at indices \[1, 3\]"):
-        pairwise_cosine_dissimilarity(m)
-    with pytest.raises(ValueError, match=r"non-finite rows at indices \[1, 3\]"):
-        kmeans(make_rep(m), KmeansConfig(k=2))
+        Geometry(make_rep(m))
 
 
 def test_distinct_row_count_collapses_same_direction():
     m = np.array([[3.0, 4.0], [6.0, 8.0], [0.0, 1.0]])
-    assert distinct_row_count(m) == 2
-    assert distinct_row_count(np.eye(4)) == 4
-    assert distinct_row_count(np.array([[1.0, 0.0], [1.0, -0.0]])) == 1
+    assert distinct_row_count(Geometry(make_rep(m))) == 2
+    assert distinct_row_count(Geometry(make_rep(np.eye(4)))) == 4
+    assert distinct_row_count(Geometry(make_rep([[1.0, 0.0], [1.0, -0.0]]))) == 1
 
 
 # -------------------------------------------------------------- k-means
@@ -106,7 +107,7 @@ def orthogonal_pairs_rep():
 
 
 def test_kmeans_separates_orthogonal_duplicate_pairs():
-    result = kmeans(orthogonal_pairs_rep(), KmeansConfig(k=2, seed=0, rel_tol=0.0))
+    result = kmeans(Geometry(orthogonal_pairs_rep()), KmeansConfig(k=2, seed=0, rel_tol=0.0))
     assert result.algorithm == "kmeans"
     assert result.n_clusters == 2
     assert result.assignment["x1"] == result.assignment["x2"]
@@ -119,7 +120,7 @@ def test_kmeans_separates_orthogonal_duplicate_pairs():
 def test_kmeans_objective_matches_recomputation():
     rng = np.random.default_rng(3)
     rep = make_rep(rng.random((12, 4)) + 0.05)
-    result = kmeans(rep, KmeansConfig(k=3, seed=5))
+    result = kmeans(Geometry(rep), KmeansConfig(k=3, seed=5))
     assert result.objective == pytest.approx(
         spherical_objective(rep.matrix, list(result.ids), 3), abs=1e-9)
 
@@ -127,8 +128,8 @@ def test_kmeans_objective_matches_recomputation():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     rep = make_rep(rng.random((15, 3)) + 0.05)
-    a = kmeans(rep, KmeansConfig(k=4, seed=9))
-    b = kmeans(rep, KmeansConfig(k=4, seed=9))
+    a = kmeans(Geometry(rep), KmeansConfig(k=4, seed=9))
+    b = kmeans(Geometry(rep), KmeansConfig(k=4, seed=9))
     assert a.assignment == b.assignment
     assert a.objective == b.objective
     assert a.objective_history == b.objective_history
@@ -137,7 +138,7 @@ def test_kmeans_deterministic():
 def test_kmeans_seed_changes_init():
     rng = np.random.default_rng(5)
     rep = make_rep(rng.random((20, 3)) + 0.05)
-    histories = {kmeans(rep, KmeansConfig(k=3, seed=s)).objective_history[0]
+    histories = {kmeans(Geometry(rep), KmeansConfig(k=3, seed=s)).objective_history[0]
                  for s in range(6)}
     assert len(histories) > 1
 
@@ -145,7 +146,7 @@ def test_kmeans_seed_changes_init():
 def test_kmeans_k_must_not_exceed_distinct_rows():
     rep = make_rep([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="k=3 exceeds the 2 distinct rows"):
-        kmeans(rep, KmeansConfig(k=3))
+        kmeans(Geometry(rep), KmeansConfig(k=3))
 
 
 def test_kmeans_converges_at_an_exact_fit_on_the_mini_counts(mini_corpus):
@@ -162,9 +163,9 @@ def test_kmeans_converges_at_an_exact_fit_on_the_mini_counts(mini_corpus):
 def test_kmeans_rejects_zero_rows():
     rep = make_rep(np.eye(3))
     bad = make_rep(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    kmeans(rep, KmeansConfig(k=2))  # sanity: clean input works
+    kmeans(Geometry(rep), KmeansConfig(k=2))  # sanity: clean input works
     with pytest.raises(ValueError, match="all-zero rows"):
-        kmeans(bad, KmeansConfig(k=2))
+        Geometry(bad)
 
 
 def test_kmeans_config_validation():
@@ -182,8 +183,8 @@ def test_kmeans_scale_invariant_for_exact_scalings():
     m = rng.random((10, 3)) + 0.1
     scaled = m.copy()
     scaled[4] *= 4.0  # power of two keeps normalization bitwise identical
-    a = kmeans(make_rep(m), KmeansConfig(k=3, seed=2))
-    b = kmeans(make_rep(scaled), KmeansConfig(k=3, seed=2))
+    a = kmeans(Geometry(make_rep(m)), KmeansConfig(k=3, seed=2))
+    b = kmeans(Geometry(make_rep(scaled)), KmeansConfig(k=3, seed=2))
     assert a.assignment == b.assignment
     assert a.objective == b.objective
 
@@ -192,7 +193,7 @@ def test_kmeans_always_ends_on_fresh_assignment():
     # after convergence every point must sit with its nearest centroid
     rng = np.random.default_rng(11)
     rep = make_rep(rng.random((25, 4)) + 0.05)
-    result = kmeans(rep, KmeansConfig(k=4, seed=1, rel_tol=0.0))
+    result = kmeans(Geometry(rep), KmeansConfig(k=4, seed=1, rel_tol=0.0))
     normalized = rep.matrix / np.linalg.norm(rep.matrix, axis=1, keepdims=True)
     dissim = 1.0 - normalized @ result.centroids.T
     ids = np.array(result.ids)
@@ -210,8 +211,9 @@ def test_kmeans_invariants_on_random_instances(params):
     seed, n, k = params
     rng = np.random.default_rng(seed)
     m = rng.random((n, 3)) + 0.05
-    assume(distinct_row_count(m) >= k)
-    result = kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
+    geometry = Geometry(make_rep(m))
+    assume(geometry.distinct >= k)
+    result = kmeans(geometry, KmeansConfig(k=k, seed=seed))
     # every cluster non-empty, ids exactly 0..k-1
     assert set(result.ids) == set(range(k))
     # objective history never increases (up to float noise)
@@ -250,12 +252,12 @@ def kmeans_oracle_cases():
         dup = rng.integers(n, size=n // 3)
         m[rng.integers(n, size=dup.size)] = m[dup]
         m[rng.integers(n, size=3)] *= 3.7
-        for k in range(2, min(8, distinct_row_count(m)) + 1):
+        for k in range(2, min(8, Geometry(make_rep(m)).distinct) + 1):
             yield m, k, case
 
 
 def assert_matches_oracle(rep, k, seed):
-    result = kmeans(rep, KmeansConfig(k=k, seed=seed))
+    result = kmeans(Geometry(rep), KmeansConfig(k=k, seed=seed))
     labels, centroids, history, converged = oracle_kmeans(rep.matrix, k, seed)
     assert list(result.ids) == labels
     assert np.array_equal(result.centroids, centroids)
@@ -283,7 +285,7 @@ def test_kmeans_oracle_cases_reach_a_repair_after_an_update(monkeypatch):
     monkeypatch.setattr(termforge.clustering, "_repair_empty", counting)
     for m, k, seed in kmeans_oracle_cases():
         calls[0] = 0
-        kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
+        kmeans(Geometry(make_rep(m)), KmeansConfig(k=k, seed=seed))
     assert late_repairs[0] > 0
 
 
@@ -293,7 +295,7 @@ def test_a_repair_cycle_ends_the_run_at_once_unconverged():
     # labels and centroids and no step can converge
     ended = {}
     for m, k, seed in kmeans_oracle_cases():
-        result = kmeans(make_rep(m), KmeansConfig(k=k, seed=seed))
+        result = kmeans(Geometry(make_rep(m)), KmeansConfig(k=k, seed=seed))
         if not result.converged:
             ended[m.shape, k] = len(result.objective_history)
     assert ended == {((9, 8), 7): 3, ((10, 7), 8): 4, ((6, 7), 5): 3, ((6, 7), 6): 3}
@@ -303,5 +305,5 @@ def test_a_repair_cycle_ends_the_run_at_once_unconverged():
 def test_kmeans_matches_the_oracle_on_the_mini_counts(mini_corpus, provenance):
     config = PipelineConfig(sweep=SweepConfig(representations=(provenance,)))
     rep = build_representations(mini_corpus, config)[provenance]
-    for k in range(2, min(10, distinct_row_count(rep.matrix)) + 1):
+    for k in range(2, min(10, Geometry(rep).distinct) + 1):
         assert_matches_oracle(rep, k, seed=k)

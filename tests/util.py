@@ -60,6 +60,11 @@ def partitions_into(n, k):
             yield labels
 
 
+def naive_dissimilarity(a, b):
+    """Cosine dissimilarity of one pair, 1 - a.b / (|a| |b|)."""
+    return 1.0 - float(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
 def make_clustering(labels_by_point, keys=None, algorithm="test"):
     """Clustering from a label sequence; point i gets key keys[i] or 'p<i>'."""
     if keys is None:
