@@ -22,7 +22,8 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
                          MEDIAN_PREFERENCE, affinity_propagation, kmeans,
                          load_clustering, save_clustering)
 from .corpus import corpus_stats, load_corpus
-from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
+from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
+                         train_skipgram)
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
 from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
                          config_from_dict, run_pipeline, run_sweep,
@@ -119,8 +120,7 @@ def _cmd_encode_w2v(args) -> int:
     if args.compose:
         keys = [line for line in Path(args.compose).read_text(encoding="utf-8").splitlines()
                 if line.strip()]
-        rep = np_vectors(table, keys)
-        save_representation(rep, args.rep_out)
+        save_representation(require_composed(np_vectors(table, keys)), args.rep_out)
     log.info("trained %d vectors of dim %d", len(table.words), table.dim)
     return 0
 

@@ -208,31 +208,32 @@ def to_conllu(corpus: Corpus) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def load_corpus_file(path: str | Path) -> Corpus:
-    path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        return parse_conllu(f, default_doc_id=path.stem, source=str(path))
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load one corpus from a .conllu file or a directory of them.
 
-    Every ``*.conllu`` file in a directory contributes its documents,
-    in sorted filename order.
+    A file loads as a directory holding only that file.  Every
+    ``*.conllu`` file in a directory contributes its documents, in sorted
+    filename order; document and sentence ids are unique across the files,
+    as they are within one.
     """
     path = Path(path)
-    if path.is_file():
-        return load_corpus_file(path)
-    files = sorted(path.glob("*.conllu"))
+    files = [path] if path.is_file() else sorted(path.glob("*.conllu"))
     if not files:
         raise FileNotFoundError(f"no .conllu files under {path}")
     documents: list[tuple[str, tuple[Sentence, ...]]] = []
     seen_docs: set[str] = set()
+    seen_sents: set[str] = set()
     for f in files:
-        part = load_corpus_file(f)
+        with open(f, encoding="utf-8") as stream:
+            part = parse_conllu(stream, default_doc_id=f.stem, source=str(f))
         for doc_id, sents in part.documents:
             if doc_id in seen_docs:
                 raise ConlluParseError(f"duplicate document id {doc_id!r}", 1, str(f))
             seen_docs.add(doc_id)
+            for sentence in sents:
+                if sentence.id in seen_sents:
+                    raise ConlluParseError(
+                        f"duplicate sentence id {sentence.id!r}", 1, str(f))
+                seen_sents.add(sentence.id)
             documents.append((doc_id, sents))
     return Corpus(documents=tuple(documents))

@@ -250,6 +250,15 @@ def np_vectors(table: EmbeddingTable, nps: list[str]) -> Representation:
     return replace(rep, dropped_labels=tuple(dropped) + rep.dropped_labels)
 
 
+def require_composed(rep: Representation) -> Representation:
+    """``np_vectors``' result when it kept an NP; one that dropped every NP
+    key fails here, before a caller writes or clusters it."""
+    if not rep.n_rows:
+        raise ValueError(f"{rep.provenance}: all {len(rep.dropped_labels)} NP key(s) "
+                         "dropped (no in-vocab word, or an all-zero vector)")
+    return rep
+
+
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """One row per word, in vocabulary order, in the representation format
     (``matrices.save_representation``)."""

@@ -31,7 +31,8 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
                          affinity_propagation, distinct_row_count, kmeans,
                          pairwise_cosine_dissimilarity, save_clustering)
 from .corpus import Corpus
-from .embeddings import SkipgramConfig, np_vectors, save_embeddings, train_skipgram
+from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
+                         train_skipgram)
 from .evaluation import GoldStandard, evaluate_clustering, format_value
 from .extraction import (Couple, Role, SCHEMES, extract_corpus,
                          write_couples_tsv)
@@ -135,7 +136,8 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
               config: SweepConfig) -> SweepResult:
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
     seeded runs per k; means per k exclude undefined values (counted).
-    Every cell reuses the one geometry."""
+    Every cell reuses the one geometry.  Warnings are returned in the
+    result, not logged: the caller reports each once."""
     warnings: list[str] = []
     distinct = distinct_row_count(geometry)
     k_hi = min(config.k_max, distinct)
@@ -143,7 +145,6 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
         warnings.append(
             f"{geometry.provenance}: k_max {config.k_max} clipped to {k_hi} "
             f"(only {distinct} distinct rows)")
-        log.warning(warnings[-1])
     if k_hi < config.k_min:
         raise ValueError(
             f"{geometry.provenance}: cannot sweep k >= {config.k_min} with only "
@@ -171,7 +172,6 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
         if unconverged == len(batch):
             warnings.append(f"{geometry.provenance} k={k}: every K-Means cell "
                             f"({len(batch)} repetition(s)) hit max_iter before converging")
-            log.warning(warnings[-1])
         records.extend(batch)
         purities = [rec.purity for rec in batch if rec.purity is not None]
         aris = [rec.ari for rec in batch if rec.ari is not None]
@@ -324,25 +324,22 @@ def build_matrices(couples: Sequence[Couple], thresholds: Thresholds) -> Matrice
 
 
 def build_representations(corpus: Corpus, config: PipelineConfig,
-                          out_dir: Path | None = None) -> dict[str, Representation]:
-    """Extraction, matrices and all requested encodings in one pass;
-    optionally persists every intermediate artifact.  The couples and the
-    role matrices are freed once the matrix stage has produced the counts
-    and tf-idf matrices, so NMF, skip-gram and the dense encodings run
-    without them."""
+                          out_dir: Path) -> dict[str, Representation]:
+    """Extraction, matrices and all requested encodings in one pass, each
+    artifact written under ``out_dir``.  The couples and the role matrices
+    are freed once the matrix stage has produced the counts and tf-idf
+    matrices, so NMF, skip-gram and the dense encodings run without them."""
     extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
-        if out_dir is not None:
-            write_couples_tsv(couples, out_dir / "couples.tsv")
+        write_couples_tsv(couples, out_dir / "couples.tsv")
 
     with _stage("matrices"):
         matrices = build_matrices(
             couples, Thresholds(config.sweep.sigma1, config.sweep.sigma2))
         counts, weighted = matrices.counts, matrices.tfidf
-        if out_dir is not None:
-            save_matrix(counts, out_dir / "np_vpc.mtx")
-            save_matrix(weighted, out_dir / "np_vpc_tfidf.mtx")
+        save_matrix(counts, out_dir / "np_vpc.mtx")
+        save_matrix(weighted, out_dir / "np_vpc_tfidf.mtx")
     del couples, matrices
 
     wanted = config.sweep.representations
@@ -359,12 +356,10 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
             reps[NP_VPC_NMF] = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
         if NP_W2V in wanted:
             table = train_skipgram(corpus, config.skipgram_config())
-            if out_dir is not None:
-                save_embeddings(table, out_dir / "embeddings.txt")
-            reps[NP_W2V] = np_vectors(table, list(counts.row_labels))
-        if out_dir is not None:
-            for name, rep in reps.items():
-                save_representation(rep, out_dir / f"rep_{name}.txt")
+            save_embeddings(table, out_dir / "embeddings.txt")
+            reps[NP_W2V] = require_composed(np_vectors(table, list(counts.row_labels)))
+        for name, rep in reps.items():
+            save_representation(rep, out_dir / f"rep_{name}.txt")
     return reps
 
 
@@ -445,6 +440,8 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
         with _stage(f"sweep:{name}"):
             geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
             result = run_sweep(geometry, gold, config.sweep)
+            for warning in result.warnings:
+                log.warning(warning)
             warnings.extend(result.warnings)
             write_curves_csv(result, out / f"curves_{name}.csv")
             write_repetitions_csv(result, out / f"repetitions_{name}.csv")
@@ -461,6 +458,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             clustering = affinity_propagation(geometry, config.ap)
             if not clustering.converged:
                 warnings.append(f"{name}: {AP_NOT_CONVERGED}")
+                log.warning(warnings[-1])
             save_clustering(clustering, out / f"ap_{name}.csv",
                             config=dataclasses.asdict(config.ap))
             # AP freed D; it is formed again from the normalized rows

@@ -2,13 +2,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import termforge
 from termforge import cli
 from termforge.cli import main
-from termforge.clustering import ApConfig, KmeansConfig, load_clustering
+from termforge.clustering import AP_NOT_CONVERGED, ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
 from termforge.embeddings import SkipgramConfig, load_embeddings
 from termforge.experiment import PipelineConfig, Selection, SweepConfig
@@ -30,6 +35,15 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(argv):
+    """The CLI in a fresh interpreter, whose stderr holds what a shell sees:
+    the printed lines and the logged ones (in process, pytest's log capture
+    keeps the logged lines out of stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(termforge.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "termforge.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -269,12 +283,54 @@ def test_sweep_command(workdir, mini_gold_path, tmp_path):
 
 
 def test_sweep_clip_warning_on_stderr(workdir, tmp_path):
-    code, _, err = run_cli(["sweep", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
-                            "-o", str(tmp_path / "c.csv"),
-                            "--representation", NP_VPC,
+    done = run_cli_process(["sweep", workdir / "mat" / f"rep_{NP_VPC}.txt",
+                            "-o", tmp_path / "c.csv", "--representation", NP_VPC,
                             "--k-min", "2", "--k-max", "99", "--reps", "1"])
-    assert code == 0
-    assert "warning: NP_VPC: k_max 99 clipped to 16" in err
+    assert done.returncode == 0, done.stderr
+    assert "warning: NP_VPC: k_max 99 clipped to 16" in done.stderr
+    assert done.stderr.count("clipped") == 1, done.stderr
+
+
+def test_pipeline_ap_warning_on_stderr_once(tmp_path, mini_corpus_path, mini_gold_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "ap": {"max_iter": 5, "convergence_window": 5},
+        "sweep": {"k_min": 2, "k_max": 4, "repetitions": 1,
+                  "representations": [NP_VPC], "sigma1": 2.0}}))
+    out = tmp_path / "run"
+    done = run_cli_process(["pipeline", "--corpus", mini_corpus_path, "--gold", mini_gold_path,
+                            "--out", out, "--config", config])
+    assert done.returncode == 0, done.stderr
+    warning = f"{NP_VPC}: {AP_NOT_CONVERGED}"
+    assert warning in json.loads((out / "manifest.json").read_text())["warnings"]
+    assert done.stderr.count(AP_NOT_CONVERGED) == 1, done.stderr
+    assert f"WARNING termforge.experiment: {warning}\n" in done.stderr
+
+
+def test_encode_w2v_fails_when_every_np_key_is_dropped(tmp_path, mini_corpus_path):
+    keys = tmp_path / "keys.txt"
+    keys.write_text("zither\nquartz harp\n")
+    rep_out = tmp_path / "rep_NP_w2v.txt"
+    code, _, err = run_cli(["encode", "w2v", str(mini_corpus_path),
+                            "-o", str(tmp_path / "vecs.txt"), "--dim", "8", "--epochs", "1",
+                            "--compose", str(keys), "--rep-out", str(rep_out)])
+    assert code == 1
+    assert "error: NP_w2v: all 2 NP key(s) dropped" in err, err
+    assert not rep_out.exists()
+
+
+def test_pipeline_fails_at_representations_when_np_w2v_is_empty(
+        tmp_path, mini_corpus_path, mini_gold_path):
+    # at min-count 30 no word of an NP key is in the vocabulary
+    out = tmp_path / "run"
+    code, _, err = run_cli(["pipeline", "--corpus", str(mini_corpus_path),
+                            "--gold", str(mini_gold_path), "--out", str(out),
+                            "--representations", "NP_w2v", "--w2v-min-count", "30",
+                            "--w2v-dim", "8", "--w2v-epochs", "1", "--k-max", "5",
+                            "--reps", "1"])
+    assert code == 1
+    assert "error: [representations] NP_w2v: all 23 NP key(s) dropped" in err, err
+    assert not (out / "rep_NP_w2v.txt").exists()
 
 
 PIPELINE_FLAGS = ["--sigma1", "2", "--sigma2", "0.5", "--k-min", "2",

@@ -424,6 +424,19 @@ def test_load_corpus_directory_duplicate_doc(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_directory_duplicate_sentence_id(tmp_path):
+    # two files that repeat a sent_id fail as their concatenation does
+    docs = [f"# newdoc id = {name}\n" + conllu_sentence([NOUN_ROW], sent_id="s1") + "\n"
+            for name in ("a", "b")]
+    with pytest.raises(ConlluParseError, match="duplicate sentence id 's1'"):
+        parse_conllu("".join(docs))
+    for name, doc in zip(("a", "b"), docs):
+        (tmp_path / f"{name}.conllu").write_text(doc)
+    with pytest.raises(ConlluParseError) as exc:
+        load_corpus(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'b.conllu'}:1: duplicate sentence id 's1'"
+
+
 def test_load_corpus_directory_without_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path)

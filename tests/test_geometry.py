@@ -61,8 +61,8 @@ def duplicated_and_scaled_rep():
 
 
 @pytest.fixture(scope="module")
-def mini_reps(mini_corpus):
-    return build_representations(mini_corpus, PIPELINE)
+def mini_reps(mini_corpus, tmp_path_factory):
+    return build_representations(mini_corpus, PIPELINE, tmp_path_factory.mktemp("reps"))
 
 
 def assert_sweep_and_ap_match_public_calls(rep, gold):

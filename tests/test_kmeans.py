@@ -149,11 +149,11 @@ def test_kmeans_k_must_not_exceed_distinct_rows():
         kmeans(Geometry(rep), KmeansConfig(k=3))
 
 
-def test_kmeans_converges_at_an_exact_fit_on_the_mini_counts(mini_corpus):
+def test_kmeans_converges_at_an_exact_fit_on_the_mini_counts(mini_corpus, tmp_path):
     # k = distinct rows puts every point on its centroid; rounding must not
     # leave a negative objective that the relative stop test never accepts
     config = PipelineConfig(sweep=SweepConfig(representations=(NP_VPC,)))
-    geometry = Geometry(build_representations(mini_corpus, config)[NP_VPC])
+    geometry = Geometry(build_representations(mini_corpus, config, tmp_path)[NP_VPC])
     result = kmeans(geometry, KmeansConfig(k=geometry.distinct))
     assert result.converged
     assert len(result.objective_history) < KmeansConfig.max_iter
@@ -302,8 +302,8 @@ def test_a_repair_cycle_ends_the_run_at_once_unconverged():
 
 
 @pytest.mark.parametrize("provenance", [NP_VPC, NP_VPC_TFIDF, NP_VPC_NMF])
-def test_kmeans_matches_the_oracle_on_the_mini_counts(mini_corpus, provenance):
+def test_kmeans_matches_the_oracle_on_the_mini_counts(mini_corpus, tmp_path, provenance):
     config = PipelineConfig(sweep=SweepConfig(representations=(provenance,)))
-    rep = build_representations(mini_corpus, config)[provenance]
+    rep = build_representations(mini_corpus, config, tmp_path)[provenance]
     for k in range(2, min(10, Geometry(rep).distinct) + 1):
         assert_matches_oracle(rep, k, seed=k)

@@ -7,7 +7,7 @@ import pytest
 
 from termforge import experiment
 from termforge.clustering import Geometry, affinity_propagation
-from termforge.corpus import parse_conllu
+from termforge.corpus import load_corpus, parse_conllu
 from termforge.evaluation import evaluate_clustering
 from termforge.experiment import (
     REPORT_HEADER,
@@ -95,7 +95,7 @@ def test_all_artifacts_written(pipeline_out):
     assert expected <= names
 
 
-def test_manifest_shape(pipeline_out, mini_corpus):
+def test_manifest_shape(pipeline_out, mini_corpus, tmp_path):
     out, _ = pipeline_out
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config", "corpus", "gold", "selected_k",
@@ -109,7 +109,7 @@ def test_manifest_shape(pipeline_out, mini_corpus):
     assert "manifest.json" not in manifest["artifacts"]
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
     assert set(manifest["versions"]) == {"termforge", "numpy"}
-    reps = build_representations(mini_corpus, tiny_config())
+    reps = build_representations(mini_corpus, tiny_config(), tmp_path)
     assert manifest["representations"] == {
         name: {"rows": rep.n_rows, "cols": rep.matrix.shape[1]}
         for name, rep in reps.items()}
@@ -168,18 +168,35 @@ def test_pipeline_file_level_determinism(tmp_path, mini_corpus, mini_gold):
         assert file_a.read_bytes() == (b / file_a.name).read_bytes()
 
 
-def test_extraction_stage_error_is_tagged():
+def test_pipeline_on_a_two_file_split_writes_the_single_file_bytes(
+        tmp_path, mini_corpus_path, mini_gold):
+    text = mini_corpus_path.read_text(encoding="utf-8")
+    second = text.index("# newdoc", 1)
+    split = tmp_path / "split"
+    split.mkdir()
+    (split / "a.conllu").write_text(text[:second], encoding="utf-8")
+    (split / "b.conllu").write_text(text[second:], encoding="utf-8")
+    one, two = tmp_path / "one", tmp_path / "two"
+    run_pipeline(load_corpus(mini_corpus_path), mini_gold, tiny_config(), one)
+    run_pipeline(load_corpus(split), mini_gold, tiny_config(), two)
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_extraction_stage_error_is_tagged(tmp_path):
     no_verbs = parse_conllu(conllu_sentence([(1, "sky", "sky", "NOUN", 0, "root")]) + "\n")
     with pytest.raises(PipelineError, match=r"\[extraction\] no couples extracted") as exc:
-        build_representations(no_verbs, tiny_config())
+        build_representations(no_verbs, tiny_config(), tmp_path)
     assert exc.value.stage == "extraction"
 
 
-def test_matrices_stage_error_is_tagged(mini_corpus):
+def test_matrices_stage_error_is_tagged(mini_corpus, tmp_path):
     config = tiny_config(sweep=SweepConfig(k_min=2, k_max=5, repetitions=2,
                                            master_seed=7, sigma1=1e6))
     with pytest.raises(PipelineError, match=r"\[matrices\] sigma1 > 1000000.0"):
-        build_representations(mini_corpus, config)
+        build_representations(mini_corpus, config, tmp_path)
 
 
 def test_build_representations_subset(mini_corpus, tmp_path):
@@ -192,8 +209,8 @@ def test_build_representations_subset(mini_corpus, tmp_path):
     assert (tmp_path / f"rep_{NP_VPC}.txt").exists()
 
 
-def test_representation_shapes_consistent(mini_corpus):
-    reps = build_representations(mini_corpus, tiny_config())
+def test_representation_shapes_consistent(mini_corpus, tmp_path):
+    reps = build_representations(mini_corpus, tiny_config(), tmp_path)
     assert reps[NP_VPC].matrix.shape[0] == len(reps[NP_VPC].row_labels)
     assert reps[NP_VPC_NMF].matrix.shape[1] == 5          # nmf_rank
     assert reps[NP_W2V].matrix.shape[1] == 16             # w2v_dim
@@ -201,11 +218,12 @@ def test_representation_shapes_consistent(mini_corpus):
     assert reps[NP_VPC_NMF].row_labels == reps[NP_VPC].row_labels
 
 
-def test_tfidf_is_the_count_geometry_when_sigma2_cuts_nothing(mini_corpus, mini_gold):
+def test_tfidf_is_the_count_geometry_when_sigma2_cuts_nothing(mini_corpus, mini_gold,
+                                                              tmp_path):
     # tfidf_weight scales each NP row by one scalar, ln(M / df_i), and
     # every clusterer and index reads cosine geometry, which ignores it
     config = PipelineConfig(sweep=SweepConfig(representations=(NP_VPC, NP_VPC_TFIDF)))
-    reps = build_representations(mini_corpus, config)
+    reps = build_representations(mini_corpus, config, tmp_path)
     assert reps[NP_VPC_TFIDF].matrix.shape == reps[NP_VPC].matrix.shape
     counts, tfidf = Geometry(reps[NP_VPC]), Geometry(reps[NP_VPC_TFIDF])
     assert tfidf.row_labels == counts.row_labels
@@ -222,7 +240,7 @@ class _Couples(list):
     """The extracted couples in a list that takes weak references."""
 
 
-def test_couples_are_freed_before_nmf(monkeypatch, mini_corpus):
+def test_couples_are_freed_before_nmf(monkeypatch, mini_corpus, tmp_path):
     extract, fit = experiment.extract_corpus, experiment.nmf
     refs, freed = [], []
 
@@ -237,7 +255,7 @@ def test_couples_are_freed_before_nmf(monkeypatch, mini_corpus):
 
     monkeypatch.setattr(experiment, "extract_corpus", extract_weakly)
     monkeypatch.setattr(experiment, "nmf", fit_checking)
-    build_representations(mini_corpus, tiny_config())
+    build_representations(mini_corpus, tiny_config(), tmp_path)
     assert freed == [True]
 
 
