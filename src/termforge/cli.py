@@ -4,10 +4,12 @@
     termforge extract   <corpus> -o couples.tsv
     termforge featurize <couples.tsv> -o <dir> [--sigma1 N --sigma2 N]
     termforge encode    nmf|w2v ...
-    termforge cluster   kmeans|ap <rep-file> ...
-    termforge evaluate  <clustering.csv> <rep-file> <gold.tsv>
-    termforge sweep     <rep-file> --gold <tsv> -o curves.csv
+    termforge cluster   kmeans|ap <rep> ...
+    termforge evaluate  <clustering.csv> <rep> <gold.tsv>
+    termforge sweep     <rep> --gold <tsv> -o curves.csv
     termforge pipeline  --corpus <path> --gold <tsv> --out <dir> ...
+
+A <rep> is a representation file or a count .mtx such as mats/np_vpc.mtx.
 """
 from __future__ import annotations
 
@@ -29,14 +31,14 @@ from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
                          config_from_dict, run_pipeline, run_sweep,
                          write_curves_csv, write_repetitions_csv)
 from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
-from .matrices import (Representation, Thresholds, NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF,
-                       REPRESENTATIONS, load_matrix, load_representation,
-                       make_representation, representation_from_matrix,
+from .matrices import (Representation, Thresholds, NP_VPC_NMF, REPRESENTATIONS,
+                       load_matrix, load_representation, make_representation,
                        save_matrix, save_representation)
 from .nmf import nmf
 
 log = logging.getLogger(__name__)
 
+REP_HELP = "a representation file, or a count .mtx with its sidecars"
 SELECT_NAMES = {"first-peak": Selection.FIRST_PEAK, "global": Selection.GLOBAL}
 
 
@@ -94,9 +96,6 @@ def _cmd_featurize(args) -> int:
     names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
     for name, matrix in zip(names, matrices):
         save_matrix(matrix, out / f"{name}.mtx")
-    for name, matrix in ((NP_VPC, matrices.counts), (NP_VPC_TFIDF, matrices.tfidf)):
-        save_representation(representation_from_matrix(matrix, name),
-                            out / f"rep_{name}.txt")
     log.info("matrices under %s: np_vpc %s, tfidf %s", out,
              matrices.counts.shape, matrices.tfidf.shape)
     return 0
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu_sub = clu.add_subparsers(dest="algorithm", required=True)
 
     p = clu_sub.add_parser("kmeans", help="spherical K-Means")
-    p.add_argument("rep")
+    p.add_argument("rep", help=REP_HELP)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--seed", type=int)
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = clu_sub.add_parser("ap", help="affinity propagation")
-    p.add_argument("rep")
+    p.add_argument("rep", help=REP_HELP)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--preference", type=real_or_median,
                    help=f"real value or '{MEDIAN_PREFERENCE}'")
@@ -275,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="validity indices for one clustering")
     p.add_argument("clustering")
-    p.add_argument("rep")
+    p.add_argument("rep", help=REP_HELP)
     p.add_argument("gold")
     p.add_argument("--representation", default=None, help="name for the output row")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="K-Means k sweep over one representation")
-    p.add_argument("rep")
+    p.add_argument("rep", help=REP_HELP)
     p.add_argument("-o", "--out", required=True, help="curves CSV output")
     p.add_argument("--gold", default=None)
     p.add_argument("--representation", default=None, help="representation name for seeds")

@@ -136,6 +136,12 @@ def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
     return tuple(tokens)
 
 
+def _claim(ids: set[str], kind: str, value: str, lineno: int, source: str | None) -> None:
+    if value in ids:
+        raise ConlluParseError(f"duplicate {kind} id {value!r}", lineno, source)
+    ids.add(value)
+
+
 def parse_conllu(
     text: str | TextIO,
     default_doc_id: str = "doc",
@@ -144,10 +150,18 @@ def parse_conllu(
     """Parse a CoNLL-U character stream into a Corpus, by the rules in the
     module docstring; multiword-range (``1-2``) and empty-node (``5.1``)
     lines are skipped."""
+    return Corpus(documents=tuple(_parse(text, default_doc_id, source, set(), set())))
+
+
+def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
+           document_ids: set[str], sentence_ids: set[str],
+           ) -> list[tuple[str, tuple[Sentence, ...]]]:
+    """``parse_conllu``'s documents.  ``document_ids`` and ``sentence_ids``
+    hold the ids taken so far, by earlier files too: a repeat fails at the
+    line that closes its sentence or opens its document."""
     stream = io.StringIO(text) if isinstance(text, str) else text
     documents: dict[str, list[Sentence]] = {}  # by id, in input order
     doc_id, sents = default_doc_id, []  # the open document
-    sentence_ids: set[str] = set()
     shared: dict = {}  # one object per field value and per token row
     rows: list[tuple[int, list[str]]] = []  # (line number, columns) of the open sentence
     sent_id: str | None = None
@@ -173,12 +187,11 @@ def parse_conllu(
         # a blank line or a newdoc comment closes the open sentence
         if rows:
             if not documents:  # a sentence before any newdoc opens the default document
+                _claim(document_ids, "document", doc_id, lineno, source)
                 documents[doc_id] = sents
             sentence = Sentence(id=sent_id or f"{doc_id}.s{len(sents) + 1}",
                                 tokens=_sentence_tokens(rows, source, shared))
-            if sentence.id in sentence_ids:
-                raise ConlluParseError(f"duplicate sentence id {sentence.id!r}", lineno, source)
-            sentence_ids.add(sentence.id)
+            _claim(sentence_ids, "sentence", sentence.id, lineno, source)
             sents.append(sentence)
             rows = []
         sent_id = None
@@ -186,10 +199,9 @@ def parse_conllu(
             if not eq:
                 unnamed_docs += 1
             doc_id = value.strip() if eq else f"{default_doc_id}{unnamed_docs}"
-            if doc_id in documents:
-                raise ConlluParseError(f"duplicate document id {doc_id!r}", lineno, source)
+            _claim(document_ids, "document", doc_id, lineno, source)
             sents = documents[doc_id] = []
-    return Corpus(documents=tuple((d, tuple(s)) for d, s in documents.items()))
+    return [(d, tuple(s)) for d, s in documents.items()]
 
 
 def to_conllu(corpus: Corpus) -> str:
@@ -221,19 +233,9 @@ def load_corpus(path: str | Path) -> Corpus:
     if not files:
         raise FileNotFoundError(f"no .conllu files under {path}")
     documents: list[tuple[str, tuple[Sentence, ...]]] = []
-    seen_docs: set[str] = set()
-    seen_sents: set[str] = set()
+    document_ids: set[str] = set()
+    sentence_ids: set[str] = set()
     for f in files:
         with open(f, encoding="utf-8") as stream:
-            part = parse_conllu(stream, default_doc_id=f.stem, source=str(f))
-        for doc_id, sents in part.documents:
-            if doc_id in seen_docs:
-                raise ConlluParseError(f"duplicate document id {doc_id!r}", 1, str(f))
-            seen_docs.add(doc_id)
-            for sentence in sents:
-                if sentence.id in seen_sents:
-                    raise ConlluParseError(
-                        f"duplicate sentence id {sentence.id!r}", 1, str(f))
-                seen_sents.add(sentence.id)
-            documents.append((doc_id, sents))
+            documents += _parse(stream, f.stem, str(f), document_ids, sentence_ids)
     return Corpus(documents=tuple(documents))

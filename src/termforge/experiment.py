@@ -326,9 +326,10 @@ def build_matrices(couples: Sequence[Couple], thresholds: Thresholds) -> Matrice
 def build_representations(corpus: Corpus, config: PipelineConfig,
                           out_dir: Path) -> dict[str, Representation]:
     """Extraction, matrices and all requested encodings in one pass, each
-    artifact written under ``out_dir``.  The couples and the role matrices
-    are freed once the matrix stage has produced the counts and tf-idf
-    matrices, so NMF, skip-gram and the dense encodings run without them."""
+    artifact written under ``out_dir`` (the count representations as their
+    ``.mtx``).  The couples and the role matrices are freed once the matrix
+    stage has produced the counts and tf-idf matrices, so NMF, skip-gram
+    and the dense encodings run without them."""
     extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
     with _stage("extraction"):
         couples = extract_corpus(corpus, extraction_config)
@@ -354,12 +355,12 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
                        tol=config.nmf_tol,
                        seed=derive_seed(config.sweep.master_seed, "nmf"))
             reps[NP_VPC_NMF] = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
+            save_representation(reps[NP_VPC_NMF], out_dir / f"rep_{NP_VPC_NMF}.txt")
         if NP_W2V in wanted:
             table = train_skipgram(corpus, config.skipgram_config())
             save_embeddings(table, out_dir / "embeddings.txt")
             reps[NP_W2V] = require_composed(np_vectors(table, list(counts.row_labels)))
-        for name, rep in reps.items():
-            save_representation(rep, out_dir / f"rep_{name}.txt")
+            save_representation(reps[NP_W2V], out_dir / f"rep_{NP_W2V}.txt")
     return reps
 
 

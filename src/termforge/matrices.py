@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,7 +263,8 @@ def save_matrix(m: CooccurrenceMatrix, path: str | Path) -> None:
 
 def load_matrix(path: str | Path) -> CooccurrenceMatrix:
     """Read ``save_matrix`` output, or any Matrix Market ``coordinate real``
-    or ``coordinate integer`` ``general`` file; duplicate entries are summed."""
+    or ``coordinate integer`` ``general`` file; duplicate entries are summed.
+    A repeated row key or a non-finite value fails, naming its row."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -292,41 +293,36 @@ def load_matrix(path: str | Path) -> CooccurrenceMatrix:
     if values.shape != (len(rows), len(cols)):
         raise ValueError(f"{path}: matrix shape {values.shape} does not match sidecar labels "
                          f"({len(rows)} rows, {len(cols)} cols)")
+    first: dict[str, int] = {}
+    for i, key in enumerate(rows):
+        if first.setdefault(key, i) != i:
+            raise ValueError(f"{path}: row {i} repeats the key {key!r} of row {first[key]}")
+    finite = np.isfinite(values.data)
+    if not finite.all():
+        i = values.row_ids()[np.argmin(finite)]
+        raise ValueError(f"{path}: row {i} ({rows[i]}) has non-finite values")
     return CooccurrenceMatrix(rows, cols, values)
 
 
 def save_representation(rep: Representation, path: str | Path) -> None:
     """Labeled dense text: header ``rows cols``, then ``key<TAB>v1 v2 ...``
-    (NP keys may contain spaces, so the key is tab-separated).  The one
-    writer of this format: embedding tables and NMF's H use it too."""
+    spelled by ``repr`` (NP keys may contain spaces, so the key is
+    tab-separated).  The one writer of this format: embedding tables and
+    NMF's H use it too.  Count representations are stored as ``.mtx``."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rep.n_rows} {rep.matrix.shape[1] if rep.matrix.size else 0}\n")
-        for key, cells in zip(rep.row_labels, _row_texts(np.asarray(rep.matrix, dtype=float))):
-            fh.write(key + "\t" + " ".join(cells) + "\n")
-
-
-def _row_texts(matrix: np.ndarray) -> Iterator[Iterable[str]]:
-    """Each row's values as ``repr`` spells them.  In a matrix that is mostly
-    +0.0, as count matrices are, those entries are spelled "0.0" without a
-    ``repr`` call; -0.0 keeps its sign."""
-    values = matrix.ravel()
-    written = np.flatnonzero((values != 0.0) | np.signbit(values))
-    if 2 * written.size >= values.size:
-        # placing each text costs more than the repr calls it would save
-        return (map(repr, row.tolist()) for row in matrix)
-    texts = ["0.0"] * values.size
-    for i, text in zip(written.tolist(), map(repr, values[written].tolist())):
-        texts[i] = text
-    n_cols = matrix.shape[1]
-    return (texts[i:i + n_cols] for i in range(0, values.size, n_cols))
+        for key, row in zip(rep.row_labels, np.asarray(rep.matrix, dtype=float)):
+            fh.write(key + "\t" + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_representation(path: str | Path, provenance: str | None = None) -> Representation:
-    """Read ``save_representation`` output.  A space in place of the tab
-    after the key is read too, so word2vec-style text tables load (their
-    keys cannot contain spaces)."""
+    """Read ``save_representation`` output, or a count ``.mtx`` with its
+    sidecars.  A space in place of the tab after the key is read too, so
+    word2vec-style text tables load (their keys cannot contain spaces)."""
     path = Path(path)
+    if path.suffix == ".mtx":
+        return representation_from_matrix(load_matrix(path), provenance or path.stem)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(h.isdecimal() for h in header):

@@ -61,9 +61,9 @@ def workdir(tmp_path_factory, mini_corpus_path):
          "--dim", "16", "--epochs", "2",
          "--compose", str(root / "mat" / "np_vpc.mtx.rows"),
          "--rep-out", str(root / "rep_w2v.txt")],
-        ["cluster", "kmeans", str(root / "mat" / f"rep_{NP_VPC}.txt"),
+        ["cluster", "kmeans", str(root / "mat" / "np_vpc.mtx"),
          "-o", str(root / "km.csv"), "-k", "3", "--seed", "7"],
-        ["cluster", "ap", str(root / "mat" / f"rep_{NP_VPC}.txt"),
+        ["cluster", "ap", str(root / "mat" / "np_vpc.mtx"),
          "-o", str(root / "ap.csv")],
     ]
     for argv in steps:
@@ -103,7 +103,7 @@ def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
              "--out", str(run), "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2",
              "--k-max", "10", "--reps", "3", "--seed", "7",
              "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3"],
-            ["sweep", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+            ["sweep", str(workdir / "mat" / "np_vpc.mtx"),
              "-o", str(stages / "curves.csv"), "--gold", str(mini_gold_path),
              "--k-min", "2", "--k-max", "10", "--reps", "3", "--seed", "7",
              "--representation", NP_VPC,
@@ -118,8 +118,6 @@ def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
     for name in ("np_vpc.mtx", "np_vpc_tfidf.mtx"):
         for suffix in ("", ".rows", ".cols"):
             same[name + suffix] = workdir / "mat" / (name + suffix)
-    for name in (NP_VPC, NP_VPC_TFIDF):
-        same[f"rep_{name}.txt"] = workdir / "mat" / f"rep_{name}.txt"
     for name, stage_output in same.items():
         assert stage_output.read_bytes() == (run / name).read_bytes(), name
 
@@ -145,18 +143,19 @@ def test_featurize_without_couples_fails_and_writes_nothing(tmp_path):
 
 
 def test_featurize_outputs(workdir):
+    # each matrix is its .mtx and sidecars; no dense copy of the counts
     mat = workdir / "mat"
-    for name in ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf"):
-        assert (mat / f"{name}.mtx").exists()
-        assert (mat / f"{name}.mtx.rows").exists()
-        assert (mat / f"{name}.mtx.cols").exists()
+    names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
+    assert {p.name for p in mat.iterdir()} == {
+        f"{name}.mtx{suffix}" for name in names for suffix in ("", ".rows", ".cols")}
     counts = load_matrix(mat / "np_vpc.mtx")
     assert counts.shape == (16, 14)
     # thresholded count sums all clear the sigma1=2 cutoff
     assert counts.row_sums().min() > 2.0
-    rep = load_representation(mat / f"rep_{NP_VPC}.txt")
-    assert rep.row_labels == counts.row_labels
-    assert (mat / f"rep_{NP_VPC_TFIDF}.txt").exists()
+    rep = load_representation(mat / "np_vpc.mtx", NP_VPC)
+    assert rep.row_labels == counts.row_labels and rep.provenance == NP_VPC
+    assert np.array_equal(rep.matrix, counts.toarray())
+    assert load_representation(mat / "np_vpc_tfidf.mtx").provenance == "np_vpc_tfidf"
 
 
 def test_encode_nmf_output(workdir):
@@ -215,7 +214,7 @@ def test_cluster_ap_output(workdir):
 
 def test_cluster_ap_numeric_preference(workdir, tmp_path):
     out = tmp_path / "ap_hi.csv"
-    code, _, _ = run_cli(["cluster", "ap", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+    code, _, _ = run_cli(["cluster", "ap", str(workdir / "mat" / "np_vpc.mtx"),
                           "-o", str(out), "--preference", "2.0"])
     assert code == 0
     assert load_clustering(out).n_clusters == 16   # singletons at high preference
@@ -225,7 +224,7 @@ def test_cluster_ap_numeric_preference(workdir, tmp_path):
 def test_cluster_ap_rejects_a_non_finite_preference(workdir, tmp_path, preference):
     # it ran to max_iter and wrote "preference": NaN, which is not JSON
     out = tmp_path / "ap.csv"
-    code, _, err = run_cli(["cluster", "ap", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+    code, _, err = run_cli(["cluster", "ap", str(workdir / "mat" / "np_vpc.mtx"),
                             "-o", str(out), f"--preference={preference}"])
     assert code == 1
     assert "error:" in err and "preference" in err
@@ -234,7 +233,7 @@ def test_cluster_ap_rejects_a_non_finite_preference(workdir, tmp_path, preferenc
 
 def test_evaluate_row(workdir, mini_gold_path):
     code, out, _ = run_cli(["evaluate", str(workdir / "km.csv"),
-                            str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+                            str(workdir / "mat" / "np_vpc.mtx"),
                             str(mini_gold_path), "--representation", NP_VPC])
     assert code == 0
     lines = out.splitlines()
@@ -261,7 +260,7 @@ def test_evaluate_names_a_clustering_in_another_row_order(workdir, mini_gold_pat
     reordered = tmp_path / "km.csv"
     reordered.write_text("\n".join([header, *rows[::-1]]) + "\n")
     code, _, err = run_cli(["evaluate", str(reordered),
-                            str(workdir / "mat" / f"rep_{NP_VPC}.txt"), str(mini_gold_path)])
+                            str(workdir / "mat" / "np_vpc.mtx"), str(mini_gold_path)])
     assert code == 1
     assert ("error: clustering and representation hold the same NP keys in another "
             "order: they first differ at position 0;") in err, err
@@ -270,7 +269,7 @@ def test_evaluate_names_a_clustering_in_another_row_order(workdir, mini_gold_pat
 def test_sweep_command(workdir, mini_gold_path, tmp_path):
     curves = tmp_path / "curves.csv"
     raw = tmp_path / "raw.csv"
-    code, _, err = run_cli(["sweep", str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+    code, _, err = run_cli(["sweep", str(workdir / "mat" / "np_vpc.mtx"),
                             "-o", str(curves), "--gold", str(mini_gold_path),
                             "--representation", NP_VPC,
                             "--k-min", "2", "--k-max", "4", "--reps", "2",
@@ -283,7 +282,7 @@ def test_sweep_command(workdir, mini_gold_path, tmp_path):
 
 
 def test_sweep_clip_warning_on_stderr(workdir, tmp_path):
-    done = run_cli_process(["sweep", workdir / "mat" / f"rep_{NP_VPC}.txt",
+    done = run_cli_process(["sweep", workdir / "mat" / "np_vpc.mtx",
                             "-o", tmp_path / "c.csv", "--representation", NP_VPC,
                             "--k-min", "2", "--k-max", "99", "--reps", "1"])
     assert done.returncode == 0, done.stderr
@@ -438,12 +437,41 @@ def test_pipeline_representation_subset(tmp_path, mini_corpus_path, mini_gold_pa
     assert len(lines) == 5   # KM and AP rows for two representations
 
 
+def test_doubled_corpus_gives_the_count_representations_the_same_results(
+        tmp_path, mini_corpus_path, mini_gold_path):
+    # every count doubles and every direction stays, so the count path,
+    # which reads only the cosine geometry, writes the same clusterings
+    text = mini_corpus_path.read_text()
+    copy = "".join(line.replace(" = ", " = copy-", 1)
+                   if line.startswith(("# newdoc id = ", "# sent_id = ")) else line
+                   for line in text.splitlines(keepends=True))
+    doubled = tmp_path / "doubled.conllu"
+    doubled.write_text(text + copy)
+    runs = {}
+    for corpus in (mini_corpus_path, doubled):
+        runs[corpus] = out = tmp_path / corpus.stem
+        code, _, err = run_cli(["pipeline", "--corpus", str(corpus), "--gold",
+                                str(mini_gold_path), "--out", str(out),
+                                "--representations", NP_VPC, NP_VPC_TFIDF,
+                                "--sigma1", "0", "--sigma2", "0", "--k-min", "2",
+                                "--k-max", "10", "--reps", "3", "--seed", "7"])
+        assert code == 0, err
+    counts = [load_matrix(runs[corpus] / "np_vpc.mtx") for corpus in (mini_corpus_path, doubled)]
+    assert counts[1].row_labels == counts[0].row_labels
+    assert np.array_equal(counts[1].toarray(), 2 * counts[0].toarray())
+    names = ["report.csv", f"repetitions_{NP_VPC}.csv"] + [
+        f"{kind}_{name}.csv" for kind in ("ap", "curves") for name in (NP_VPC, NP_VPC_TFIDF)]
+    for name in names:
+        assert ((runs[doubled] / name).read_bytes()
+                == (runs[mini_corpus_path] / name).read_bytes()), name
+
+
 def test_errors_exit_one_with_message(tmp_path, workdir):
     code, _, err = run_cli(["stats", str(tmp_path / "missing.conllu")])
     assert code == 1 and err.startswith("error:")
 
     code, _, err = run_cli(["cluster", "kmeans",
-                            str(workdir / "mat" / f"rep_{NP_VPC}.txt"),
+                            str(workdir / "mat" / "np_vpc.mtx"),
                             "-o", str(tmp_path / "x.csv"), "-k", "99"])
     assert code == 1 and "exceeds the 16 distinct rows" in err
 
@@ -474,6 +502,38 @@ def test_stages_reject_a_repeated_representation_key(tmp_path, workdir, mini_gol
     assert code == 1 and stdout == "", err
     assert err == f"error: {rep}: row 2 repeats the key 'a' of row 0\n"
     assert not out.exists()
+
+
+def write_counts_mtx(directory: Path, value: str) -> Path:
+    """A 3x2 count .mtx with sidecars whose entry (3, 1) is ``value``."""
+    mtx = directory / "counts.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n%\n3 2 4\n"
+                   f"1 1 1\n2 2 2\n3 1 {value}\n3 2 1\n")
+    (directory / "counts.mtx.rows").write_text("jazz band\nlab\nwide net\n")
+    (directory / "counts.mtx.cols").write_text("play\nrun\n")
+    return mtx
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cluster_names_the_mtx_file_and_key_of_a_non_finite_entry(tmp_path, value):
+    mtx = write_counts_mtx(tmp_path, value)
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(["cluster", "kmeans", str(mtx),
+                                 "-o", str(tmp_path / "km.csv"), "-k", "2"])
+    assert code == 1 and stdout == ""
+    assert err == f"error: {mtx}: row 2 (wide net) has non-finite values\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cluster_names_a_missing_mtx_sidecar(tmp_path):
+    mtx = write_counts_mtx(tmp_path, "3")
+    (tmp_path / "counts.mtx.rows").unlink()
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(["cluster", "kmeans", str(mtx),
+                                 "-o", str(tmp_path / "km.csv"), "-k", "2"])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and f"{mtx}.rows" in err, err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command, flags, message", [

@@ -416,12 +416,22 @@ def test_load_corpus_directory_sorted(tmp_path, mini_corpus_path):
     assert [d for d, _ in merged.documents] == ["mini-a", "mini-b"]
 
 
-def test_load_corpus_directory_duplicate_doc(tmp_path):
-    doc = "# newdoc id = same\n" + conllu_token(*NOUN_ROW) + "\n"
-    (tmp_path / "a.conllu").write_text(doc)
-    (tmp_path / "b.conllu").write_text(doc)
-    with pytest.raises(ConlluParseError, match="duplicate document id 'same'"):
+@pytest.mark.parametrize("second, line, doc_id", [
+    ("# newdoc id = same\n" + conllu_token(*NOUN_ROW) + "\n", 1, "same"),
+    ("# newdoc id = fresh\n" + conllu_token(*DOG_ROW) + "\n\n"
+     "# newdoc id = same\n" + conllu_token(*NOUN_ROW) + "\n", 4, "same"),
+    # the default document "b" opens where its first sentence ends
+    (conllu_token(*NOUN_ROW) + "\n\n", 2, "b"),
+])
+def test_load_corpus_directory_duplicate_doc(tmp_path, second, line, doc_id):
+    # a document id repeated in a later file is reported at its newdoc line
+    (tmp_path / "a.conllu").write_text("# newdoc id = same\n" + conllu_token(*NOUN_ROW)
+                                       + "\n\n# newdoc id = b\n" + conllu_token(*DOG_ROW)
+                                       + "\n")
+    (tmp_path / "b.conllu").write_text(second)
+    with pytest.raises(ConlluParseError) as exc:
         load_corpus(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'b.conllu'}:{line}: duplicate document id {doc_id!r}"
 
 
 def test_load_corpus_directory_duplicate_sentence_id(tmp_path):
@@ -434,7 +444,8 @@ def test_load_corpus_directory_duplicate_sentence_id(tmp_path):
         (tmp_path / f"{name}.conllu").write_text(doc)
     with pytest.raises(ConlluParseError) as exc:
         load_corpus(tmp_path)
-    assert str(exc.value) == f"{tmp_path / 'b.conllu'}:1: duplicate sentence id 's1'"
+    # line 4 of b.conllu closes the sentence, as parse_conllu reports a repeat
+    assert str(exc.value) == f"{tmp_path / 'b.conllu'}:4: duplicate sentence id 's1'"
 
 
 def test_load_corpus_directory_without_files(tmp_path):

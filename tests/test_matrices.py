@@ -325,8 +325,8 @@ def test_representation_save_load_round_trip(tmp_path):
 
 @pytest.mark.parametrize("density", [0.1, 0.9])
 def test_representation_values_are_spelled_by_repr(tmp_path, density):
-    # mostly-zero matrices take another path than dense ones; both must
-    # spell every value, -0.0 and subnormals included, as repr does
+    # every value, -0.0 and subnormals included, is spelled as repr spells
+    # it, in mostly-zero and dense matrices alike
     rng = np.random.default_rng(4)
     m = rng.random((6, 7)) / 3 * (rng.random((6, 7)) < density)
     m[0, :3] = [-0.0, 5e-324, 3.0]

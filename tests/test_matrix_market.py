@@ -108,3 +108,20 @@ def test_load_matrix_rejects_malformed_files(tmp_path, text, message):
     with pytest.raises(ValueError, match=message) as info:
         load_matrix(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("entries, row_keys, message", [
+    ("1 1 1\n2 2 nan\n", "a\nb\n", "row 1 (b) has non-finite values"),
+    ("1 1 -inf\n2 2 1\n", "a\nb\n", "row 0 (a) has non-finite values"),
+    ("1 1 1\n2 2 1\n", "a\na\n", "row 1 repeats the key 'a' of row 0"),
+])
+def test_load_matrix_names_the_row_of_a_bad_entry_or_key(tmp_path, entries, row_keys,
+                                                        message):
+    path = tmp_path / "bad.mtx"
+    n = entries.count("\n")
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 {n}\n{entries}")
+    (tmp_path / "bad.mtx.rows").write_text(row_keys)
+    (tmp_path / "bad.mtx.cols").write_text("x\ny\n")
+    with pytest.raises(ValueError) as info:
+        load_matrix(path)
+    assert str(info.value) == f"{path}: {message}"

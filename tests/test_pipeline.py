@@ -23,6 +23,7 @@ from termforge.matrices import (
     NP_VPC_TFIDF,
     NP_W2V,
     REPRESENTATIONS,
+    load_representation,
 )
 from util import conllu_sentence
 
@@ -87,12 +88,12 @@ def test_all_artifacts_written(pipeline_out):
     names = {p.name for p in out.iterdir()}
     expected = {"couples.tsv", "np_vpc.mtx", "np_vpc.mtx.rows", "np_vpc.mtx.cols",
                 "np_vpc_tfidf.mtx", "np_vpc_tfidf.mtx.rows", "np_vpc_tfidf.mtx.cols",
-                "embeddings.txt", "report.csv", "manifest.json"}
+                "embeddings.txt", "report.csv", "manifest.json",
+                f"rep_{NP_VPC_NMF}.txt", f"rep_{NP_W2V}.txt"}
     for rep in REPRESENTATIONS:
-        expected |= {f"rep_{rep}.txt", f"curves_{rep}.csv",
-                     f"repetitions_{rep}.csv", f"ap_{rep}.csv",
-                     f"ap_{rep}.csv.meta.json"}
-    assert expected <= names
+        expected |= {f"curves_{rep}.csv", f"repetitions_{rep}.csv",
+                     f"ap_{rep}.csv", f"ap_{rep}.csv.meta.json"}
+    assert names == expected
 
 
 def test_manifest_shape(pipeline_out, mini_corpus, tmp_path):
@@ -205,8 +206,12 @@ def test_build_representations_subset(mini_corpus, tmp_path):
                                            representations=(NP_VPC, NP_VPC_TFIDF)))
     reps = build_representations(mini_corpus, config, tmp_path)
     assert set(reps) == {NP_VPC, NP_VPC_TFIDF}
-    assert not (tmp_path / "embeddings.txt").exists()
-    assert (tmp_path / f"rep_{NP_VPC}.txt").exists()
+    # the count representations are stored as their .mtx files only
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "couples.tsv", "np_vpc.mtx", "np_vpc.mtx.rows", "np_vpc.mtx.cols",
+        "np_vpc_tfidf.mtx", "np_vpc_tfidf.mtx.rows", "np_vpc_tfidf.mtx.cols"}
+    assert np.array_equal(load_representation(tmp_path / "np_vpc.mtx").matrix,
+                          reps[NP_VPC].matrix)
 
 
 def test_representation_shapes_consistent(mini_corpus, tmp_path):

@@ -69,11 +69,12 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
     names = {p.name for p in out.iterdir()}
     expected = {"couples.tsv", "np_vpc.mtx", "np_vpc.mtx.rows", "np_vpc.mtx.cols",
                 "np_vpc_tfidf.mtx", "np_vpc_tfidf.mtx.rows", "np_vpc_tfidf.mtx.cols",
-                "embeddings.txt", "report.csv", "manifest.json"}
+                "embeddings.txt", "report.csv", "manifest.json",
+                "rep_NP_VPC_NMF.txt", "rep_NP_w2v.txt"}
     for rep in REPRESENTATIONS:
-        expected |= {f"rep_{rep}.txt", f"curves_{rep}.csv", f"repetitions_{rep}.csv",
+        expected |= {f"curves_{rep}.csv", f"repetitions_{rep}.csv",
                      f"ap_{rep}.csv", f"ap_{rep}.csv.meta.json"}
-    assert expected <= names
+    assert names == expected
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["artifacts"]) | {"manifest.json"} == names
     assert all((out / name).stat().st_size > 0 for name in names)
