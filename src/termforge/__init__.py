@@ -18,9 +18,8 @@ from .embeddings import (EmbeddingTable, SkipgramConfig, np_vectors,
                          train_skipgram)
 from .evaluation import (GoldStandard, IndexReport, dunn2, evaluate_clustering,
                          load_gold_standard, purity, silhouette_width)
-from .experiment import (PipelineConfig, ReportRow, Selection, SweepConfig,
-                         SweepResult, derive_seed, run_pipeline, run_sweep,
-                         select_k)
+from .experiment import (PipelineConfig, ReportRow, SweepConfig, SweepResult,
+                         derive_seed, run_pipeline, run_sweep, select_k)
 from .extraction import (Couple, ExtractionConfig, Role, extract_corpus,
                          extract_couples)
 from .matrices import (CooccurrenceMatrix, Representation, Thresholds,
@@ -37,7 +36,7 @@ __all__ = [
     "EmbeddingTable", "SkipgramConfig", "np_vectors", "train_skipgram",
     "GoldStandard", "IndexReport", "dunn2",
     "evaluate_clustering", "load_gold_standard", "purity", "silhouette_width",
-    "PipelineConfig", "ReportRow", "Selection", "SweepConfig",
+    "PipelineConfig", "ReportRow", "SweepConfig",
     "SweepResult", "derive_seed", "run_pipeline", "run_sweep", "select_k",
     "Couple", "ExtractionConfig", "Role",
     "extract_corpus", "extract_couples",

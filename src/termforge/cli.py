@@ -27,9 +27,9 @@ from .corpus import corpus_stats, load_corpus
 from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
                          train_skipgram)
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
-from .experiment import (PipelineConfig, Selection, SweepConfig, build_matrices,
-                         config_from_dict, run_pipeline, run_sweep,
-                         write_curves_csv, write_repetitions_csv)
+from .experiment import (PipelineConfig, SweepConfig, build_matrices, config_from_dict,
+                         run_pipeline, run_sweep, write_curves_csv,
+                         write_repetitions_csv)
 from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
 from .matrices import (Representation, Thresholds, NP_VPC_NMF, REPRESENTATIONS,
                        load_matrix, load_representation, make_representation,
@@ -39,7 +39,6 @@ from .nmf import nmf
 log = logging.getLogger(__name__)
 
 REP_HELP = "a representation file, or a count .mtx with its sidecars"
-SELECT_NAMES = {"first-peak": Selection.FIRST_PEAK, "global": Selection.GLOBAL}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,7 +156,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    geometry = Geometry(load_representation(args.rep, provenance=args.representation))
+    geometry = Geometry(load_representation(args.rep))
     gold = load_gold_standard(args.gold) if args.gold else None
     result = run_sweep(geometry, gold, _config(SweepConfig, args))
     write_curves_csv(result, Path(args.out))
@@ -169,8 +168,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if "selection" in args:
-        args.selection = SELECT_NAMES[args.selection]
     base = PipelineConfig()
     if "config" in args:
         try:
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep", help=REP_HELP)
     p.add_argument("-o", "--out", required=True, help="curves CSV output")
     p.add_argument("--gold", default=None)
-    p.add_argument("--representation", default=None, help="representation name for seeds")
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
     p.add_argument("--reps", dest="repetitions", type=int, metavar="REPS")
@@ -303,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int)
     p.add_argument("--reps", dest="repetitions", type=int, metavar="REPS")
     p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
-    p.add_argument("--select", dest="selection", choices=sorted(SELECT_NAMES))
-    p.add_argument("--peak-floor", type=float)
     p.add_argument("--root-only", action="store_true")
     p.add_argument("--scheme", choices=sorted(SCHEMES))
     p.add_argument("--representations", nargs="+", choices=REPRESENTATIONS)

@@ -1,15 +1,17 @@
 """End-to-end experiment driver: representations, k sweep, AP, reports.
 
 The full run builds the four NP representations (raw counts, Tf-Idf, NMF
-features, composed word vectors), sweeps K-Means over k with repeated seeds,
-runs Affinity Propagation once per representation, and writes a report table
-plus per-k curve data and raw per-repetition logs.
+features, composed word vectors), sweeps K-Means over k with repeated seeds
+and keeps the k of the largest mean silhouette, runs Affinity Propagation
+once per representation, and writes a report table plus per-k curve data and
+raw per-repetition logs.
 
 Determinism contract: every K-Means cell draws its seed from
-``derive_seed(master_seed, representation, k, repetition)``, so no result
-depends on which cells ran before it; cells run and are aggregated in grid
-order, and every float is serialized with ``repr``.  Identical inputs and
-master seed therefore produce byte-identical output files.
+``derive_seed(master_seed, k, repetition)``, so no result depends on which
+cells ran before it, and two representations with one geometry get the same
+cells (common random numbers); cells run and are aggregated in grid order,
+and every float is serialized with ``repr``.  Identical inputs and master
+seed therefore produce byte-identical output files.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -47,19 +48,12 @@ from .nmf import nmf
 log = logging.getLogger(__name__)
 
 
-class Selection(str, Enum):
-    FIRST_PEAK = "FirstPeak"
-    GLOBAL = "Global"
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     k_min: int = 2
     k_max: int = 50
     repetitions: int = 10
     master_seed: int = 0
-    selection: Selection = Selection.FIRST_PEAK
-    peak_floor: float = 0.9
     sigma1: float = 0.0
     sigma2: float = 0.0
     representations: tuple[str, ...] = REPRESENTATIONS
@@ -69,8 +63,6 @@ class SweepConfig:
             raise ValueError(f"need 2 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not 0.0 < self.peak_floor <= 1.0:
-            raise ValueError("peak_floor must be in (0, 1]")
         if not self.representations:
             raise ValueError("representations must name at least one representation")
         unknown = set(self.representations) - set(REPRESENTATIONS)
@@ -161,7 +153,7 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
         batch: list[RepetitionRecord] = []
         unconverged = 0
         for r in range(config.repetitions):
-            seed = derive_seed(config.master_seed, geometry.provenance, k, r)
+            seed = derive_seed(config.master_seed, k, r)
             clustering = kmeans(geometry, KmeansConfig(k=k, seed=seed))
             unconverged += not clustering.converged
             report = evaluate_clustering(geometry, clustering, gold)
@@ -188,67 +180,14 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
                        cells=tuple(records), warnings=tuple(warnings))
 
 
-def _normalize_curve(values: list[float | None]) -> list[float] | None:
-    """Min-max to [0,1]; constant curves map to all-0.5; missing values are
-    imputed at 0.5; a curve with no defined value at all is unusable."""
-    defined = [v for v in values if v is not None]
+def select_k(result: SweepResult) -> int:
+    """The k with the largest mean silhouette (Rousseeuw 1987); the gold
+    standard takes no part.  Ties go to the smallest k, and rows whose
+    silhouette is undefined are skipped."""
+    defined = [row for row in result.rows if row.silhouette is not None]
     if not defined:
-        return None
-    lo, hi = min(defined), max(defined)
-    if hi == lo:
-        return [0.5] * len(values)
-    return [0.5 if v is None else (v - lo) / (hi - lo) for v in values]
-
-
-def combined_curve(result: SweepResult) -> list[float]:
-    """Equal-weight sum of the min-max-normalized index curves."""
-    curves = [
-        _normalize_curve([row.purity for row in result.rows]),
-        _normalize_curve([row.ari for row in result.rows]),
-        _normalize_curve([row.dunn2 for row in result.rows]),
-        _normalize_curve([row.silhouette for row in result.rows]),
-    ]
-    usable = [c for c in curves if c is not None]
-    if not usable:
-        raise ValueError(f"{result.representation}: every index value is undefined")
-    return [sum(curve[t] for curve in usable) for t in range(len(result.rows))]
-
-
-def _plateau_runs(values: list[float]) -> list[tuple[float, int, int]]:
-    runs: list[tuple[float, int, int]] = []
-    start = 0
-    for t in range(1, len(values) + 1):
-        if t == len(values) or values[t] != values[start]:
-            runs.append((values[start], start, t - 1))
-            start = t
-    return runs
-
-
-def select_k(result: SweepResult, strategy: Selection = Selection.FIRST_PEAK,
-             peak_floor: float = 0.9) -> int:
-    """Pick k from the combined curve.  Global: argmax (smallest k on ties).
-    FirstPeak: the smallest strict local maximum (a plateau counts through
-    its first k; endpoints never qualify) whose value reaches
-    peak_floor x global maximum, with Global as fallback.  A one-row sweep
-    selects its only k."""
-    if not result.rows:
-        raise ValueError("select_k needs at least 1 sweep row")
-    if len(result.rows) == 1:
-        return result.rows[0].k
-    combined = combined_curve(result)
-    ks = [row.k for row in result.rows]
-    global_max = max(combined)
-    global_k = ks[combined.index(global_max)]
-    if strategy is Selection.GLOBAL:
-        return global_k
-
-    runs = _plateau_runs(combined)
-    for idx in range(1, len(runs) - 1):
-        value, start, _ = runs[idx]
-        if value > runs[idx - 1][0] and value > runs[idx + 1][0] \
-                and value >= peak_floor * global_max:
-            return ks[start]
-    return global_k
+        raise ValueError(f"{result.representation}: no k has a defined silhouette")
+    return max(defined, key=lambda row: row.silhouette).k
 
 
 class PipelineError(RuntimeError):
@@ -397,8 +336,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     takes its dataclass default."""
     try:
         sweep = dict(raw.get("sweep", {}))
-        if "selection" in sweep:
-            sweep["selection"] = Selection(sweep["selection"])
         if "representations" in sweep:
             names = sweep["representations"]
             if not isinstance(names, (list, tuple)):
@@ -446,7 +383,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             warnings.extend(result.warnings)
             write_curves_csv(result, out / f"curves_{name}.csv")
             write_repetitions_csv(result, out / f"repetitions_{name}.csv")
-            k_sel = select_k(result, config.sweep.selection, config.sweep.peak_floor)
+            k_sel = select_k(result)
             selected[name] = k_sel
             row = next(row for row in result.rows if row.k == k_sel)
             # a k whose every repetition was +inf reports dunn2 as inf

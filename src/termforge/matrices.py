@@ -283,9 +283,13 @@ def load_matrix(path: str | Path) -> CooccurrenceMatrix:
         raise ValueError(f"{path}: the size line declares {nnz} entries, but "
                          f"{len(fields)} fields follow it, not {3 * nnz}")
     try:
-        values = Csr.from_triplets(np.array(fields[0::3], dtype=np.intp) - 1,
-                                   np.array(fields[1::3], dtype=np.intp) - 1,
-                                   np.array(fields[2::3], dtype=float), (n_rows, n_cols))
+        ids = np.array(fields[0::3], dtype=np.intp) - 1
+        data = np.array(fields[2::3], dtype=float)
+        # checked before duplicates are summed: inf + -inf would warn as NaN
+        finite = np.isfinite(data)
+        data[~finite] = 0.0
+        values = Csr.from_triplets(ids, np.array(fields[1::3], dtype=np.intp) - 1,
+                                   data, (n_rows, n_cols))
     except ValueError as exc:   # malformed numbers, or a zero or too large index
         raise ValueError(f"{path}: {exc}") from None
     rows = tuple(path.with_suffix(path.suffix + ".rows").read_text(encoding="utf-8").splitlines())
@@ -297,9 +301,8 @@ def load_matrix(path: str | Path) -> CooccurrenceMatrix:
     for i, key in enumerate(rows):
         if first.setdefault(key, i) != i:
             raise ValueError(f"{path}: row {i} repeats the key {key!r} of row {first[key]}")
-    finite = np.isfinite(values.data)
     if not finite.all():
-        i = values.row_ids()[np.argmin(finite)]
+        i = ids[~finite].min()
         raise ValueError(f"{path}: row {i} ({rows[i]}) has non-finite values")
     return CooccurrenceMatrix(rows, cols, values)
 
@@ -316,13 +319,13 @@ def save_representation(rep: Representation, path: str | Path) -> None:
             fh.write(key + "\t" + " ".join(map(repr, row.tolist())) + "\n")
 
 
-def load_representation(path: str | Path, provenance: str | None = None) -> Representation:
+def load_representation(path: str | Path) -> Representation:
     """Read ``save_representation`` output, or a count ``.mtx`` with its
     sidecars.  A space in place of the tab after the key is read too, so
     word2vec-style text tables load (their keys cannot contain spaces)."""
     path = Path(path)
     if path.suffix == ".mtx":
-        return representation_from_matrix(load_matrix(path), provenance or path.stem)
+        return representation_from_matrix(load_matrix(path), path.stem)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(h.isdecimal() for h in header):
@@ -350,4 +353,4 @@ def load_representation(path: str | Path, provenance: str | None = None) -> Repr
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: non-blank lines after the {n_rows} rows "
                              "the header declares")
-    return Representation(tuple(labels), rows, provenance or path.stem)
+    return Representation(tuple(labels), rows, path.stem)

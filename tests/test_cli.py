@@ -16,7 +16,7 @@ from termforge.cli import main
 from termforge.clustering import AP_NOT_CONVERGED, ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
 from termforge.embeddings import SkipgramConfig, load_embeddings
-from termforge.experiment import PipelineConfig, Selection, SweepConfig
+from termforge.experiment import PipelineConfig, SweepConfig
 from termforge.extraction import ExtractionConfig, extract_corpus, read_couples_tsv
 from termforge.matrices import (
     NP_VPC,
@@ -95,7 +95,8 @@ def test_extract_matches_library(workdir, mini_corpus_path):
 def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
                                         mini_gold_path):
     # README's stages with the quick-start settings: workdir ran extract,
-    # featurize and cluster ap; the sweep is the pipeline's NP_VPC sweep
+    # featurize and cluster ap; the sweep is the pipeline's NP_VPC sweep,
+    # though its provenance is the file stem: a cell's seed holds no name
     run, stages = tmp_path / "mini_run", tmp_path / "stages"
     stages.mkdir()
     for argv in (
@@ -106,7 +107,6 @@ def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
             ["sweep", str(workdir / "mat" / "np_vpc.mtx"),
              "-o", str(stages / "curves.csv"), "--gold", str(mini_gold_path),
              "--k-min", "2", "--k-max", "10", "--reps", "3", "--seed", "7",
-             "--representation", NP_VPC,
              "--repetitions-out", str(stages / "repetitions.csv")]):
         code, _, err = run_cli(argv)
         assert code == 0, err
@@ -152,8 +152,8 @@ def test_featurize_outputs(workdir):
     assert counts.shape == (16, 14)
     # thresholded count sums all clear the sigma1=2 cutoff
     assert counts.row_sums().min() > 2.0
-    rep = load_representation(mat / "np_vpc.mtx", NP_VPC)
-    assert rep.row_labels == counts.row_labels and rep.provenance == NP_VPC
+    rep = load_representation(mat / "np_vpc.mtx")
+    assert rep.row_labels == counts.row_labels and rep.provenance == "np_vpc"
     assert np.array_equal(rep.matrix, counts.toarray())
     assert load_representation(mat / "np_vpc_tfidf.mtx").provenance == "np_vpc_tfidf"
 
@@ -271,7 +271,6 @@ def test_sweep_command(workdir, mini_gold_path, tmp_path):
     raw = tmp_path / "raw.csv"
     code, _, err = run_cli(["sweep", str(workdir / "mat" / "np_vpc.mtx"),
                             "-o", str(curves), "--gold", str(mini_gold_path),
-                            "--representation", NP_VPC,
                             "--k-min", "2", "--k-max", "4", "--reps", "2",
                             "--repetitions-out", str(raw)])
     assert code == 0
@@ -283,10 +282,10 @@ def test_sweep_command(workdir, mini_gold_path, tmp_path):
 
 def test_sweep_clip_warning_on_stderr(workdir, tmp_path):
     done = run_cli_process(["sweep", workdir / "mat" / "np_vpc.mtx",
-                            "-o", tmp_path / "c.csv", "--representation", NP_VPC,
+                            "-o", tmp_path / "c.csv",
                             "--k-min", "2", "--k-max", "99", "--reps", "1"])
     assert done.returncode == 0, done.stderr
-    assert "warning: NP_VPC: k_max 99 clipped to 16" in done.stderr
+    assert "warning: np_vpc: k_max 99 clipped to 16" in done.stderr
     assert done.stderr.count("clipped") == 1, done.stderr
 
 
@@ -367,7 +366,7 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
         monkeypatch, tmp_path):
     config = PipelineConfig(
         sweep=SweepConfig(k_min=3, k_max=9, master_seed=4, sigma2=0.5,
-                          selection=Selection.GLOBAL, representations=(NP_VPC,)),
+                          representations=(NP_VPC,)),
         nmf_max_iter=50, nmf_tol=1e-3, w2v_negatives=3,
         ap=ApConfig(preference=-0.5, damping=0.7, max_iter=300, convergence_window=20))
     manifest = tmp_path / "manifest.json"
@@ -388,7 +387,9 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
 
 @pytest.mark.parametrize("text,fragment", [
     ('{"config": {"nmf_ranks": 5}}', "unexpected keyword argument 'nmf_ranks'"),
-    ('{"sweep": {"selection": "best"}}', "'best' is not a valid Selection"),
+    # a manifest written while k had a selection rule to name
+    ('{"config": {"sweep": {"selection": "FirstPeak", "peak_floor": 0.9}}}',
+     "unexpected keyword argument 'selection'"),
     ('[1, 2]', "bad pipeline config"),
     ('{"config": ', "Expecting value"),
     ('{"nmf_max_iter": 0}', "nmf_max_iter must be >= 1, got 0"),
@@ -653,10 +654,9 @@ def test_readme_quick_start_flags_match_the_library_example(monkeypatch):
 def test_cli_flags_convert_to_config_types(monkeypatch):
     capture(monkeypatch, "run_pipeline", "load_corpus")
     (_, _, config, _), _ = config_passed([
-        "pipeline", "--corpus", "c", "--out", "o", "--select", "global",
+        "pipeline", "--corpus", "c", "--out", "o",
         "--representations", NP_VPC_TFIDF, NP_VPC, "--seed", "11",
         "--scheme", "ud", "--root-only"])
-    assert config.sweep.selection is Selection.GLOBAL
     assert config.sweep.representations == (NP_VPC_TFIDF, NP_VPC)
     assert config.sweep.master_seed == 11
     assert (config.scheme, config.root_only) == ("ud", True)
@@ -678,7 +678,7 @@ def test_cli_flags_convert_to_config_types(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pipeline", "--corpus", "c", "--out", "o", "--select", "best"],
+    ["pipeline", "--corpus", "c", "--out", "o", "--scheme", "best"],
     ["cluster", "ap", "r", "-o", "x", "--preference", "high"],
 ])
 def test_cli_rejects_bad_flag_values(argv, capsys):
@@ -686,3 +686,17 @@ def test_cli_rejects_bad_flag_values(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--corpus", "c", "--out", "o", "--select", "global"],
+    ["pipeline", "--corpus", "c", "--out", "o", "--peak-floor", "0.9"],
+    ["sweep", "m.mtx", "-o", "c.csv", "--representation", NP_VPC],
+])
+def test_cli_rejects_the_selection_flags_k_no_longer_reads(argv, capsys):
+    # k is the silhouette maximum and a cell's seed holds no name, so an
+    # old script's flag fails loudly instead of being ignored
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

@@ -7,11 +7,9 @@ from termforge.clustering import Geometry, KmeansConfig, affinity_propagation, k
 from termforge.evaluation import GoldStandard
 from termforge.experiment import (
     PipelineConfig,
-    Selection,
     SweepConfig,
     SweepResult,
     SweepRow,
-    combined_curve,
     derive_seed,
     run_sweep,
     select_k,
@@ -45,8 +43,6 @@ def test_sweep_config_validation():
         SweepConfig(k_min=5, k_max=4)
     with pytest.raises(ValueError, match="repetitions"):
         SweepConfig(repetitions=0)
-    with pytest.raises(ValueError, match="peak_floor"):
-        SweepConfig(peak_floor=0.0)
     with pytest.raises(ValueError, match="unknown representations"):
         SweepConfig(representations=("NP_VPC", "bogus"))
     for sigmas in ({"sigma1": -1.0}, {"sigma1": math.nan}, {"sigma2": math.nan}):
@@ -100,7 +96,7 @@ def test_run_sweep_shape_and_grid():
         (k, r) for k in (2, 3, 4) for r in range(3)]
     assert result.warnings == ()
     for cell in result.cells:
-        assert cell.seed == derive_seed(0, NP_VPC, cell.k, cell.repetition)
+        assert cell.seed == derive_seed(0, cell.k, cell.repetition)
 
 
 def test_run_sweep_deterministic():
@@ -163,88 +159,48 @@ def test_run_sweep_disjoint_gold_fails_early():
 # ---------------------------------------------------------------- select_k
 
 
-def curve_result(purities, k_min=2):
-    """SweepResult whose combined curve is the min-max image of `purities`
-    (all other index columns undefined)."""
+def curve_result(silhouettes, k_min=2):
+    """SweepResult whose silhouette curve is `silhouettes`; purity and ARI
+    run the other way, so a rule that read them would pick another k."""
+    n = len(silhouettes)
     rows = tuple(
-        SweepRow(k=k_min + t, purity=p, ari=None, dunn2=None, silhouette=None)
-        for t, p in enumerate(purities))
+        SweepRow(k=k_min + t, purity=(n - t) / n, ari=(n - t) / n, dunn2=None,
+                 silhouette=s)
+        for t, s in enumerate(silhouettes))
     return SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
 
 
-def test_select_k_first_peak_interior_maximum():
-    result = curve_result([0.2, 0.9, 0.5, 0.8])
-    assert select_k(result, Selection.FIRST_PEAK) == 3
-    assert select_k(result, Selection.GLOBAL) == 3
+def test_select_k_interior_maximum():
+    assert select_k(curve_result([0.2, 0.9, 0.5, 0.8])) == 3
 
 
-def test_select_k_monotone_curve_falls_back_to_global():
-    result = curve_result([0.1, 0.2, 0.3, 0.4])
-    assert select_k(result, Selection.FIRST_PEAK) == 5   # k_max
-    assert select_k(result, Selection.GLOBAL) == 5
-
-
-def test_select_k_first_peak_respects_the_floor():
-    # the early bump at k=3 sits below 0.9 x global max, so it is skipped
-    result = curve_result([0.2, 0.5, 0.3, 1.0, 0.9])
-    assert select_k(result, Selection.FIRST_PEAK, peak_floor=0.9) == 5
-    # a permissive floor accepts the early bump
-    assert select_k(result, Selection.FIRST_PEAK, peak_floor=0.3) == 3
-
-
-def test_select_k_plateau_counts_at_its_first_k():
-    result = curve_result([0.1, 0.8, 0.8, 0.1])
-    assert select_k(result, Selection.FIRST_PEAK) == 3
-
-
-def test_select_k_leading_plateau_is_not_a_peak():
-    result = curve_result([0.8, 0.8, 0.1])
-    assert select_k(result, Selection.FIRST_PEAK) == 2   # global fallback
+def test_select_k_rising_curve_takes_k_max():
+    assert select_k(curve_result([0.1, 0.2, 0.3, 0.4])) == 5
 
 
 def test_select_k_global_tie_takes_smallest_k():
-    result = curve_result([0.3, 0.9, 0.1, 0.9])
-    assert select_k(result, Selection.GLOBAL) == 3
+    assert select_k(curve_result([0.3, 0.9, 0.1, 0.9])) == 3
+    assert select_k(curve_result([0.4, 0.4, 0.4])) == 2
 
 
-def test_select_k_constant_curve_is_flat_half():
-    result = curve_result([0.4, 0.4, 0.4])
-    assert combined_curve(result) == [0.5, 0.5, 0.5]
-    assert select_k(result, Selection.FIRST_PEAK) == 2
+def test_select_k_plateau_counts_at_its_first_k():
+    assert select_k(curve_result([0.1, 0.8, 0.8, 0.1])) == 3
+    # a plateau at k_min is selected too: no rule asks for a rise before it
+    assert select_k(curve_result([0.8, 0.8, 0.1])) == 2
+
+
+def test_select_k_skips_undefined_silhouettes():
+    assert select_k(curve_result([None, 0.2, None, 0.6, 0.5])) == 5
+    assert select_k(curve_result([-0.3, None, -0.1])) == 4
+
+
+def test_select_k_with_no_defined_silhouette_names_the_representation():
+    with pytest.raises(ValueError, match=r"^NP_VPC: no k has a defined silhouette$"):
+        select_k(curve_result([None, None]))
 
 
 def test_select_k_one_row_and_empty():
-    assert select_k(curve_result([0.5]), Selection.FIRST_PEAK) == 2
-    assert select_k(curve_result([0.5]), Selection.GLOBAL) == 2
-    with pytest.raises(ValueError, match="at least 1 sweep row"):
+    assert select_k(curve_result([0.5], k_min=7)) == 7
+    assert select_k(curve_result([-0.5])) == 2
+    with pytest.raises(ValueError, match="no k has a defined silhouette"):
         select_k(curve_result([]))
-
-
-def test_combined_curve_sums_normalized_indices():
-    rows = (
-        SweepRow(k=2, purity=0.0, ari=None, dunn2=None, silhouette=1.0),
-        SweepRow(k=3, purity=1.0, ari=None, dunn2=None, silhouette=3.0),
-        SweepRow(k=4, purity=0.5, ari=None, dunn2=None, silhouette=2.0),
-    )
-    result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
-    assert combined_curve(result) == [0.0 + 0.0, 1.0 + 1.0, 0.5 + 0.5]
-
-
-def test_combined_curve_imputes_missing_points_at_half():
-    rows = (
-        SweepRow(k=2, purity=0.0, ari=None, dunn2=None, silhouette=None),
-        SweepRow(k=3, purity=1.0, ari=None, dunn2=None, silhouette=None),
-        SweepRow(k=4, purity=None, ari=None, dunn2=None, silhouette=None),
-    )
-    result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
-    assert combined_curve(result) == [0.0, 1.0, 0.5]
-
-
-def test_combined_curve_with_nothing_defined():
-    rows = (
-        SweepRow(k=2, purity=None, ari=None, dunn2=None, silhouette=None),
-        SweepRow(k=3, purity=None, ari=None, dunn2=None, silhouette=None),
-    )
-    result = SweepResult(representation=NP_VPC, rows=rows, cells=(), warnings=())
-    with pytest.raises(ValueError, match="every index value is undefined"):
-        combined_curve(result)

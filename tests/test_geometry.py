@@ -37,7 +37,7 @@ def reference_cells(rep, gold, config):
     cells = []
     for k in range(config.k_min, k_hi + 1):
         for r in range(config.repetitions):
-            seed = derive_seed(config.master_seed, rep.provenance, k, r)
+            seed = derive_seed(config.master_seed, k, r)
             clustering = kmeans(Geometry(rep), KmeansConfig(k=k, seed=seed))
             report = evaluate_clustering(pairwise_cosine_dissimilarity(Geometry(rep)),
                                          clustering, gold)

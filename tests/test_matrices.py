@@ -316,11 +316,11 @@ def test_representation_save_load_round_trip(tmp_path):
                               NP_VPC)
     path = tmp_path / "rep.txt"
     save_representation(rep, path)
-    loaded = load_representation(path, NP_VPC)
+    loaded = load_representation(path)
     assert loaded.row_labels == rep.row_labels
     # repr() serialization must round-trip float64 exactly
     assert np.array_equal(loaded.matrix, rep.matrix)
-    assert loaded.provenance == NP_VPC
+    assert loaded.provenance == "rep"   # the file stem
 
 
 @pytest.mark.parametrize("density", [0.1, 0.9])

@@ -113,6 +113,8 @@ def test_load_matrix_rejects_malformed_files(tmp_path, text, message):
 @pytest.mark.parametrize("entries, row_keys, message", [
     ("1 1 1\n2 2 nan\n", "a\nb\n", "row 1 (b) has non-finite values"),
     ("1 1 -inf\n2 2 1\n", "a\nb\n", "row 0 (a) has non-finite values"),
+    # summing the repeated entry would make NaN, and numpy warn, first
+    ("1 1 1\n2 2 inf\n2 2 -inf\n", "a\nb\n", "row 1 (b) has non-finite values"),
     ("1 1 1\n2 2 1\n", "a\na\n", "row 1 repeats the key 'a' of row 0"),
 ])
 def test_load_matrix_names_the_row_of_a_bad_entry_or_key(tmp_path, entries, row_keys,

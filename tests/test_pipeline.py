@@ -8,7 +8,7 @@ import pytest
 from termforge import experiment
 from termforge.clustering import Geometry, affinity_propagation
 from termforge.corpus import load_corpus, parse_conllu
-from termforge.evaluation import evaluate_clustering
+from termforge.evaluation import evaluate_clustering, format_value
 from termforge.experiment import (
     REPORT_HEADER,
     PipelineConfig,
@@ -106,7 +106,6 @@ def test_manifest_shape(pipeline_out, mini_corpus, tmp_path):
     assert manifest["gold"] == {"n_terms": 12, "n_labels": 3}
     assert set(manifest["selected_k"]) == set(REPRESENTATIONS)
     assert manifest["config"]["sweep"]["master_seed"] == 7
-    assert manifest["config"]["sweep"]["selection"] == "FirstPeak"
     assert "manifest.json" not in manifest["artifacts"]
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
     assert set(manifest["versions"]) == {"termforge", "numpy"}
@@ -130,6 +129,11 @@ def test_selected_k_rows_match_curves(pipeline_out):
         by_k = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
         cells = by_k[k_sel]
         assert parse_cell(cells[1]) == pytest.approx(row.purity)
+        # k is the first k of the largest mean silhouette
+        silhouettes = [parse_cell(cells[4]) for cells in by_k.values()]
+        assert cells[4] == format_value(max(silhouettes))
+        assert k_sel == min(k for k, cells in by_k.items()
+                            if parse_cell(cells[4]) == max(silhouettes))
 
 
 def test_repetition_files_recompute_curve_means(pipeline_out):
@@ -239,6 +243,42 @@ def test_tfidf_is_the_count_geometry_when_sigma2_cuts_nothing(mini_corpus, mini_
         ap_rows.append((clustering.assignment, clustering.exemplars,
                         evaluate_clustering(geometry, clustering, mini_gold)))
     assert ap_rows[0] == ap_rows[1]
+
+
+def quick_start_config():
+    """README's quick-start flags as a config."""
+    return PipelineConfig(
+        sweep=SweepConfig(k_min=2, k_max=10, repetitions=3, master_seed=7,
+                          sigma1=2.0, sigma2=0.5),
+        nmf_rank=10, w2v_dim=32, w2v_epochs=3)
+
+
+@pytest.fixture(scope="module")
+def quick_start_runs(tmp_path_factory, mini_corpus, mini_gold):
+    """The quick start's report rows and manifest, with and without the gold."""
+    runs = {}
+    for name, gold in (("gold", mini_gold), ("no_gold", None)):
+        out = tmp_path_factory.mktemp(name)
+        rows = run_pipeline(mini_corpus, gold, quick_start_config(), out)
+        runs[name] = rows, json.loads((out / "manifest.json").read_text())
+    return runs
+
+
+def test_selected_k_does_not_depend_on_the_gold(quick_start_runs):
+    with_gold, without_gold = (quick_start_runs[name][1]["selected_k"]
+                               for name in ("gold", "no_gold"))
+    assert with_gold == without_gold
+
+
+def test_count_and_tfidf_km_rows_agree_when_their_geometry_does(quick_start_runs):
+    # the sigma2 = 0.5 cut removes no NP row on the mini corpus, so the two
+    # are one cosine geometry, and a cell's seed holds no representation name
+    rows, manifest = quick_start_runs["gold"]
+    assert manifest["representations"][NP_VPC] == manifest["representations"][NP_VPC_TFIDF]
+    km = {row.representation: row for row in rows if row.clusterer == "KM"}
+    assert ((km[NP_VPC].n_clusters, km[NP_VPC].purity, km[NP_VPC].ari)
+            == (km[NP_VPC_TFIDF].n_clusters, km[NP_VPC_TFIDF].purity,
+                km[NP_VPC_TFIDF].ari))
 
 
 class _Couples(list):
