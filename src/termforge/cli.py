@@ -10,6 +10,10 @@
     termforge pipeline  --corpus <path> --gold <tsv> --out <dir> ...
 
 A <rep> is a representation file or a count .mtx such as mats/np_vpc.mtx.
+Each stage command runs the pipeline's own stage, and ``--seed`` always
+names the master seed: NMF draws from derive_seed(seed, "nmf"), skip-gram
+from derive_seed(seed, "w2v"), and ``cluster kmeans -k K`` is the sweep's
+cell (K, 0), derive_seed(seed, K, 0); so they write the pipeline's bytes.
 """
 from __future__ import annotations
 
@@ -20,21 +24,15 @@ import logging
 import sys
 from pathlib import Path
 
-from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
-                         MEDIAN_PREFERENCE, affinity_propagation, kmeans,
-                         load_clustering, save_clustering)
+from .clustering import AP_NOT_CONVERGED, MEDIAN_PREFERENCE, Geometry, load_clustering
 from .corpus import corpus_stats, load_corpus
-from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
-                         train_skipgram)
 from .evaluation import evaluate_clustering, format_value, load_gold_standard
-from .experiment import (PipelineConfig, SweepConfig, build_matrices, config_from_dict,
-                         run_pipeline, run_sweep, write_curves_csv,
-                         write_repetitions_csv)
-from .extraction import SCHEMES, read_couples_tsv, write_couples_tsv, extract_corpus
-from .matrices import (Representation, Thresholds, NP_VPC_NMF, REPRESENTATIONS,
-                       load_matrix, load_representation, make_representation,
-                       save_matrix, save_representation)
-from .nmf import nmf
+from .experiment import (PipelineConfig, build_matrices, cluster, config_from_dict,
+                         encode_nmf, encode_w2v, extract, kmeans_cell, run_pipeline,
+                         sweep)
+from .extraction import SCHEMES, read_couples_tsv
+from .matrices import (REPRESENTATIONS, Thresholds, load_matrix, load_representation,
+                       save_matrix)
 
 log = logging.getLogger(__name__)
 
@@ -43,25 +41,22 @@ REP_HELP = "a representation file, or a count .mtx with its sidecars"
 
 class _Parser(argparse.ArgumentParser):
     """An omitted flag stays out of the namespace, so the config dataclass
-    (or ``nmf()``) it feeds supplies the default; subparsers inherit this."""
+    it feeds supplies the default; subparsers inherit this."""
 
     def __init__(self, **kwargs):
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
 
-def _given(args, names) -> dict:
-    """The flags among ``names`` that were given; lists become tuples."""
-    return {name: tuple(value) if isinstance(value, list) else value
-            for name, value in vars(args).items() if name in names}
+def _config(args, base: PipelineConfig = PipelineConfig()) -> PipelineConfig:
+    """``base`` with the given flags, each named like a field of
+    ``PipelineConfig``, of its ``sweep`` or of its ``ap``; lists become tuples."""
+    def replace(obj, **fixed):
+        names = {f.name for f in dataclasses.fields(obj)}
+        given = {name: tuple(value) if isinstance(value, list) else value
+                 for name, value in vars(args).items() if name in names}
+        return dataclasses.replace(obj, **given, **fixed)
 
-
-def _config(cls, args, base=None, **fixed):
-    """``cls`` built from the given flags named like its fields; fields
-    without a flag come from ``base`` when one is given."""
-    given = _given(args, {f.name for f in dataclasses.fields(cls)})
-    if base is None:
-        return cls(**given, **fixed)
-    return dataclasses.replace(base, **given, **fixed)
+    return replace(base, sweep=replace(base.sweep), ap=replace(base.ap))
 
 
 def real_or_median(text: str) -> float | str:
@@ -69,105 +64,74 @@ def real_or_median(text: str) -> float | str:
     return text if text == MEDIAN_PREFERENCE else float(text)
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     print("corpus,n_documents,n_sentences,n_words,words_per_document")
     for path in args.corpus:
         stats = corpus_stats(load_corpus(path))
         print(",".join([str(path), str(stats.n_documents), str(stats.n_sentences),
                         str(stats.n_words), format_value(stats.words_per_document)]))
-    return 0
 
 
-def _cmd_extract(args) -> int:
-    corpus = load_corpus(args.corpus)
-    config = _config(PipelineConfig, args)
-    couples = extract_corpus(corpus, SCHEMES[config.scheme](root_only=config.root_only))
-    write_couples_tsv(couples, args.out)
+def _cmd_extract(args) -> None:
+    couples = extract(load_corpus(args.corpus), _config(args), args.out)
     log.info("wrote %d couples to %s", len(couples), args.out)
-    return 0
 
 
-def _cmd_featurize(args) -> int:
-    thresholds = _config(Thresholds, args)
-    matrices = build_matrices(read_couples_tsv(args.couples), thresholds)
+def _cmd_featurize(args) -> None:
+    config = _config(args).sweep
+    matrices = build_matrices(read_couples_tsv(args.couples),
+                              Thresholds(config.sigma1, config.sigma2))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = ("subject", "object", "merged", "np_vpc", "np_vpc_tfidf")
-    for name, matrix in zip(names, matrices):
+    for name, matrix in zip(("subject", "object", "merged", "np_vpc", "np_vpc_tfidf"), matrices):
         save_matrix(matrix, out / f"{name}.mtx")
     log.info("matrices under %s: np_vpc %s, tfidf %s", out,
              matrices.counts.shape, matrices.tfidf.shape)
-    return 0
 
 
-def _cmd_encode_nmf(args) -> int:
-    counts = load_matrix(args.matrix)
-    pair = nmf(counts, **_given(args, ("rank", "max_iter", "tol", "seed")))
-    rep = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
-    save_representation(rep, args.out)
-    if args.h_out:
-        save_representation(Representation(
-            tuple(str(i) for i in range(pair.H.shape[0])), pair.H, "H"), args.h_out)
-    return 0
+def _cmd_encode_nmf(args) -> None:
+    encode_nmf(load_matrix(args.matrix), _config(args), args.out, args.h_out)
 
 
-def _cmd_encode_w2v(args) -> int:
-    corpus = load_corpus(args.corpus)
-    table = train_skipgram(corpus, _config(SkipgramConfig, args))
-    save_embeddings(table, args.out)
-    if args.compose:
-        keys = [line for line in Path(args.compose).read_text(encoding="utf-8").splitlines()
-                if line.strip()]
-        save_representation(require_composed(np_vectors(table, keys)), args.rep_out)
-    log.info("trained %d vectors of dim %d", len(table.words), table.dim)
-    return 0
+def _cmd_encode_w2v(args) -> None:
+    keys = ([line for line in Path(args.compose).read_text(encoding="utf-8").splitlines()
+             if line.strip()] if args.compose else None)
+    encode_w2v(load_corpus(args.corpus), _config(args), args.out, keys, args.rep_out)
 
 
-def _cmd_cluster(args) -> int:
-    geometry = Geometry(load_representation(args.rep))
-    if args.algorithm == "kmeans":
-        config = _config(KmeansConfig, args)
-        clustering = kmeans(geometry, config)
-    else:
-        config = _config(ApConfig, args)
-        clustering = affinity_propagation(geometry, config)
-        if not clustering.converged:
-            print(f"warning: {AP_NOT_CONVERGED}", file=sys.stderr)
-    save_clustering(clustering, args.out, config=dataclasses.asdict(config))
+def _cmd_cluster(args) -> None:
+    config = _config(args)
+    settings = (kmeans_cell(config.sweep.master_seed, args.k, 0)   # the sweep's cell (k, 0)
+                if args.algorithm == "kmeans" else config.ap)
+    clustering = cluster(Geometry(load_representation(args.rep)), settings, args.out)
+    if args.algorithm == "ap" and not clustering.converged:
+        print(f"warning: {AP_NOT_CONVERGED}", file=sys.stderr)
     log.info("%s: %d clusters over %d NPs", clustering.algorithm,
              clustering.n_clusters, len(clustering.labels))
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     clustering = load_clustering(args.clustering)
     rep = load_representation(args.rep)
     gold = load_gold_standard(args.gold)
     report = evaluate_clustering(Geometry(rep), clustering, gold)
     name = args.representation or rep.provenance
     print("representation,algorithm,n_clusters,ratio,purity,ari,dunn2,silhouette,coverage")
-    print(",".join([
-        name, clustering.algorithm, str(clustering.n_clusters),
-        format_value(clustering.n_clusters / gold.n_labels),
-        format_value(report.purity), format_value(report.adjusted_rand),
-        format_value(report.dunn2), format_value(report.silhouette),
-        format_value(report.coverage)]))
-    return 0
+    values = (clustering.n_clusters / gold.n_labels, report.purity, report.adjusted_rand,
+              report.dunn2, report.silhouette, report.coverage)
+    print(",".join([name, clustering.algorithm, str(clustering.n_clusters),
+                    *map(format_value, values)]))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     geometry = Geometry(load_representation(args.rep))
     gold = load_gold_standard(args.gold) if args.gold else None
-    result = run_sweep(geometry, gold, _config(SweepConfig, args))
-    write_curves_csv(result, Path(args.out))
-    if args.repetitions_out:
-        write_repetitions_csv(result, Path(args.repetitions_out))
+    result = sweep(geometry, gold, _config(args).sweep, args.out, args.repetitions_out)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> None:
     base = PipelineConfig()
     if "config" in args:
         try:
@@ -176,20 +140,17 @@ def _cmd_pipeline(args) -> int:
             base = config_from_dict(raw["config"] if manifest else raw)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    config = _config(PipelineConfig, args, base,
-                     sweep=_config(SweepConfig, args, base.sweep))
+    config = _config(args, base)
     corpus = load_corpus(args.corpus)
     gold = None
     if args.gold:
         try:
             gold = load_gold_standard(args.gold)
         except FileNotFoundError:
-            print(f"error: [evaluation] gold standard not found: {args.gold}; "
+            print(f"warning: [evaluation] gold standard not found: {args.gold}; "
                   "external indices will be NA", file=sys.stderr)
     rows = run_pipeline(corpus, gold, config, args.out)
-    log.info("report with %d rows written to %s", len(rows),
-             Path(args.out) / "report.csv")
-    return 0
+    log.info("report with %d rows written to %s", len(rows), Path(args.out) / "report.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,22 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="MatrixMarket file with .rows/.cols sidecars")
     p.add_argument("-o", "--out", required=True, help="labeled W output")
     p.add_argument("--h-out", default=None, help="optional H output")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--rank", dest="nmf_rank", type=int)
+    p.add_argument("--max-iter", dest="nmf_max_iter", type=int)
+    p.add_argument("--tol", dest="nmf_tol", type=float)
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.set_defaults(func=_cmd_encode_nmf)
 
     p = enc_sub.add_parser("w2v", help="train skip-gram vectors")
     p.add_argument("corpus")
     p.add_argument("-o", "--out", required=True, help="embedding table output")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--seed", type=int)
+    for flag in ("dim", "window", "negatives", "epochs", "min-count"):
+        p.add_argument(f"--{flag}", dest="w2v_" + flag.replace("-", "_"), type=int)
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.add_argument("--compose", default=None, help="file of NP keys to compose vectors for")
     p.add_argument("--rep-out", default="rep_NP_w2v.txt",
                    help="composed representation output path")
@@ -254,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep", help=REP_HELP)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--rel-tol", type=float)
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.set_defaults(func=_cmd_cluster)
 
     p = clu_sub.add_parser("ap", help="affinity propagation")
@@ -303,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(SCHEMES))
     p.add_argument("--representations", nargs="+", choices=REPRESENTATIONS)
     p.add_argument("--nmf-rank", type=int)
-    p.add_argument("--w2v-dim", type=int)
-    p.add_argument("--w2v-window", type=int)
-    p.add_argument("--w2v-epochs", type=int)
-    p.add_argument("--w2v-min-count", type=int)
+    for flag in ("dim", "window", "epochs", "min-count"):
+        p.add_argument(f"--w2v-{flag}", type=int)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -317,10 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

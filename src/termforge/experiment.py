@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
-                         affinity_propagation, distinct_row_count, kmeans,
-                         pairwise_cosine_dissimilarity, save_clustering)
+from .clustering import (AP_NOT_CONVERGED, ApConfig, Clustering, Geometry,
+                         KmeansConfig, affinity_propagation, distinct_row_count,
+                         kmeans, pairwise_cosine_dissimilarity, save_clustering)
 from .corpus import Corpus
 from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
                          train_skipgram)
@@ -120,6 +120,11 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
+def kmeans_cell(master_seed: int, k: int, repetition: int) -> KmeansConfig:
+    """The sweep's K-Means cell (k, repetition); a seed holds no name."""
+    return KmeansConfig(k=k, seed=derive_seed(master_seed, k, repetition))
+
+
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
@@ -153,12 +158,12 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
         batch: list[RepetitionRecord] = []
         unconverged = 0
         for r in range(config.repetitions):
-            seed = derive_seed(config.master_seed, k, r)
-            clustering = kmeans(geometry, KmeansConfig(k=k, seed=seed))
+            cell = kmeans_cell(config.master_seed, k, r)
+            clustering = kmeans(geometry, cell)
             unconverged += not clustering.converged
             report = evaluate_clustering(geometry, clustering, gold)
             batch.append(RepetitionRecord(
-                k=k, repetition=r, seed=seed,
+                k=k, repetition=r, seed=cell.seed,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
         if unconverged == len(batch):
@@ -262,17 +267,49 @@ def build_matrices(couples: Sequence[Couple], thresholds: Thresholds) -> Matrice
                     apply_value_threshold(tfidf_weight(counts), thresholds))
 
 
+def extract(corpus: Corpus, config: PipelineConfig, path: str | Path) -> tuple[Couple, ...]:
+    """The extraction stage; the couples are written to ``path``."""
+    couples = extract_corpus(corpus, SCHEMES[config.scheme](root_only=config.root_only))
+    write_couples_tsv(couples, path)
+    return couples
+
+
+def encode_nmf(counts: CooccurrenceMatrix, config: PipelineConfig, path: str | Path,
+               h_path: str | Path | None = None) -> Representation:
+    """The NMF stage, seeded with ``derive_seed(master_seed, "nmf")``: W, as
+    ``NP_VPC_NMF``, goes to ``path`` and H (rows 0..rank-1) to ``h_path``."""
+    pair = nmf(counts, rank=config.nmf_rank, max_iter=config.nmf_max_iter,
+               tol=config.nmf_tol, seed=derive_seed(config.sweep.master_seed, "nmf"))
+    rep = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
+    save_representation(rep, path)
+    if h_path is not None:
+        save_representation(Representation(tuple(map(str, range(len(pair.H)))), pair.H, "H"),
+                            h_path)
+    return rep
+
+
+def encode_w2v(corpus: Corpus, config: PipelineConfig, path: str | Path,
+               keys: Sequence[str] | None = None,
+               rep_path: str | Path | None = None) -> Representation | None:
+    """The skip-gram stage (``config.skipgram_config()``): the table goes to
+    ``path`` and the NP ``keys``' vectors, as ``NP_w2v``, to ``rep_path``."""
+    table = train_skipgram(corpus, config.skipgram_config())
+    save_embeddings(table, path)
+    if keys is None:
+        return None
+    rep = require_composed(np_vectors(table, list(keys)))
+    save_representation(rep, rep_path)
+    return rep
+
+
 def build_representations(corpus: Corpus, config: PipelineConfig,
                           out_dir: Path) -> dict[str, Representation]:
-    """Extraction, matrices and all requested encodings in one pass, each
-    artifact written under ``out_dir`` (the count representations as their
-    ``.mtx``).  The couples and the role matrices are freed once the matrix
-    stage has produced the counts and tf-idf matrices, so NMF, skip-gram
-    and the dense encodings run without them."""
-    extraction_config = SCHEMES[config.scheme](root_only=config.root_only)
+    """Extraction, matrices and the requested encodings, each artifact
+    written under ``out_dir`` (the count representations as their ``.mtx``).
+    NMF, skip-gram and the dense encodings run without the couples and the
+    role matrices, which are freed once the counts and tf-idf matrices exist."""
     with _stage("extraction"):
-        couples = extract_corpus(corpus, extraction_config)
-        write_couples_tsv(couples, out_dir / "couples.tsv")
+        couples = extract(corpus, config, out_dir / "couples.tsv")
 
     with _stage("matrices"):
         matrices = build_matrices(
@@ -290,17 +327,19 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
         if NP_VPC_TFIDF in wanted:
             reps[NP_VPC_TFIDF] = representation_from_matrix(weighted, NP_VPC_TFIDF)
         if NP_VPC_NMF in wanted:
-            pair = nmf(counts, rank=config.nmf_rank, max_iter=config.nmf_max_iter,
-                       tol=config.nmf_tol,
-                       seed=derive_seed(config.sweep.master_seed, "nmf"))
-            reps[NP_VPC_NMF] = make_representation(counts.row_labels, pair.W, NP_VPC_NMF)
-            save_representation(reps[NP_VPC_NMF], out_dir / f"rep_{NP_VPC_NMF}.txt")
+            reps[NP_VPC_NMF] = encode_nmf(counts, config, out_dir / f"rep_{NP_VPC_NMF}.txt")
         if NP_W2V in wanted:
-            table = train_skipgram(corpus, config.skipgram_config())
-            save_embeddings(table, out_dir / "embeddings.txt")
-            reps[NP_W2V] = require_composed(np_vectors(table, list(counts.row_labels)))
-            save_representation(reps[NP_W2V], out_dir / f"rep_{NP_W2V}.txt")
+            reps[NP_W2V] = encode_w2v(corpus, config, out_dir / "embeddings.txt",
+                                      counts.row_labels, out_dir / f"rep_{NP_W2V}.txt")
     return reps
+
+
+def cluster(geometry: Geometry, config: KmeansConfig | ApConfig, path: str | Path) -> Clustering:
+    """K-Means or AP, by the config's type; the caller reports non-convergence."""
+    run = kmeans if isinstance(config, KmeansConfig) else affinity_propagation
+    clustering = run(geometry, config)
+    save_clustering(clustering, path, config=dataclasses.asdict(config))
+    return clustering
 
 
 REPORT_HEADER = ("clusterer", "representation", "n_clusters", "ratio",
@@ -331,18 +370,28 @@ def write_repetitions_csv(result: SweepResult, path: Path) -> None:
     _write_table(path, REPETITIONS_HEADER, result.cells)
 
 
+def sweep(geometry: Geometry, gold: GoldStandard | None, config: SweepConfig,
+          curves_path: str | Path, repetitions_path: str | Path | None = None) -> SweepResult:
+    """The sweep stage and its CSVs; the caller reports the result's warnings."""
+    result = run_sweep(geometry, gold, config)
+    write_curves_csv(result, curves_path)
+    if repetitions_path is not None:
+        write_repetitions_csv(result, repetitions_path)
+    return result
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     """The config a manifest's ``config`` object describes; a key left out
     takes its dataclass default."""
     try:
-        sweep = dict(raw.get("sweep", {}))
-        if "representations" in sweep:
-            names = sweep["representations"]
+        fields = dict(raw.get("sweep", {}))
+        if "representations" in fields:
+            names = fields["representations"]
             if not isinstance(names, (list, tuple)):
                 raise ValueError(f"sweep.representations must be a list of names, "
                                  f"got {names!r}")
-            sweep["representations"] = tuple(names)
-        return PipelineConfig(**{**raw, "sweep": SweepConfig(**sweep),
+            fields["representations"] = tuple(names)
+        return PipelineConfig(**{**raw, "sweep": SweepConfig(**fields),
                                  "ap": ApConfig(**raw.get("ap", {}))})
     except (AttributeError, TypeError) as exc:  # not an object, or an unknown key
         raise ValueError(f"bad pipeline config: {exc}") from None
@@ -377,12 +426,11 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     for name in ordered:
         with _stage(f"sweep:{name}"):
             geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
-            result = run_sweep(geometry, gold, config.sweep)
+            result = sweep(geometry, gold, config.sweep, out / f"curves_{name}.csv",
+                           out / f"repetitions_{name}.csv")
             for warning in result.warnings:
                 log.warning(warning)
             warnings.extend(result.warnings)
-            write_curves_csv(result, out / f"curves_{name}.csv")
-            write_repetitions_csv(result, out / f"repetitions_{name}.csv")
             k_sel = select_k(result)
             selected[name] = k_sel
             row = next(row for row in result.rows if row.k == k_sel)
@@ -393,12 +441,10 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                 ratio=(k_sel / n_gold_labels if n_gold_labels else None),
                 purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=row.silhouette))
         with _stage(f"ap:{name}"):
-            clustering = affinity_propagation(geometry, config.ap)
+            clustering = cluster(geometry, config.ap, out / f"ap_{name}.csv")
             if not clustering.converged:
                 warnings.append(f"{name}: {AP_NOT_CONVERGED}")
                 log.warning(warnings[-1])
-            save_clustering(clustering, out / f"ap_{name}.csv",
-                            config=dataclasses.asdict(config.ap))
             # AP freed D; it is formed again from the normalized rows
             index_report = evaluate_clustering(geometry, clustering, gold)
             ap_rows.append(ReportRow(

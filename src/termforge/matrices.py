@@ -321,8 +321,8 @@ def save_representation(rep: Representation, path: str | Path) -> None:
 
 def load_representation(path: str | Path) -> Representation:
     """Read ``save_representation`` output, or a count ``.mtx`` with its
-    sidecars.  A space in place of the tab after the key is read too, so
-    word2vec-style text tables load (their keys cannot contain spaces)."""
+    sidecars, through ``make_representation``.  A space in place of the tab
+    after the key is read too (word2vec-style tables; keys without spaces)."""
     path = Path(path)
     if path.suffix == ".mtx":
         return representation_from_matrix(load_matrix(path), path.stem)
@@ -353,4 +353,4 @@ def load_representation(path: str | Path) -> Representation:
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: non-blank lines after the {n_rows} rows "
                              "the header declares")
-    return Representation(tuple(labels), rows, path.stem)
+    return make_representation(tuple(labels), rows, path.stem)

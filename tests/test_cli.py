@@ -16,7 +16,7 @@ from termforge.cli import main
 from termforge.clustering import AP_NOT_CONVERGED, ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
 from termforge.embeddings import SkipgramConfig, load_embeddings
-from termforge.experiment import PipelineConfig, SweepConfig
+from termforge.experiment import PipelineConfig, SweepConfig, derive_seed
 from termforge.extraction import ExtractionConfig, extract_corpus, read_couples_tsv
 from termforge.matrices import (
     NP_VPC,
@@ -95,22 +95,35 @@ def test_extract_matches_library(workdir, mini_corpus_path):
 def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
                                         mini_gold_path):
     # README's stages with the quick-start settings: workdir ran extract,
-    # featurize and cluster ap; the sweep is the pipeline's NP_VPC sweep,
-    # though its provenance is the file stem: a cell's seed holds no name
+    # featurize and cluster ap; every --seed is the master seed, so each
+    # stage draws the pipeline's stream.  The sweep is the pipeline's NP_VPC
+    # sweep, though its provenance is the file stem: a cell's seed holds no name
     run, stages = tmp_path / "mini_run", tmp_path / "stages"
     stages.mkdir()
+    counts = workdir / "mat" / "np_vpc.mtx"
     for argv in (
             ["pipeline", "--corpus", str(mini_corpus_path), "--gold", str(mini_gold_path),
              "--out", str(run), "--sigma1", "2", "--sigma2", "0.5", "--k-min", "2",
              "--k-max", "10", "--reps", "3", "--seed", "7",
              "--nmf-rank", "10", "--w2v-dim", "32", "--w2v-epochs", "3"],
-            ["sweep", str(workdir / "mat" / "np_vpc.mtx"),
+            ["encode", "nmf", str(counts), "-o", str(stages / "w.txt"),
+             "--rank", "10", "--seed", "7"],
+            ["encode", "w2v", str(mini_corpus_path), "-o", str(stages / "vecs.txt"),
+             "--dim", "32", "--epochs", "3", "--seed", "7",
+             "--compose", str(workdir / "mat" / "np_vpc.mtx.rows"),
+             "--rep-out", str(stages / "rep_NP_w2v.txt")],
+            ["cluster", "kmeans", str(counts), "-o", str(stages / "km.csv"),
+             "-k", "4", "--seed", "7"],
+            ["sweep", str(counts),
              "-o", str(stages / "curves.csv"), "--gold", str(mini_gold_path),
              "--k-min", "2", "--k-max", "10", "--reps", "3", "--seed", "7",
              "--repetitions-out", str(stages / "repetitions.csv")]):
         code, _, err = run_cli(argv)
         assert code == 0, err
     same = {"couples.tsv": workdir / "couples.tsv",
+            "rep_NP_VPC_NMF.txt": stages / "w.txt",
+            "embeddings.txt": stages / "vecs.txt",
+            "rep_NP_w2v.txt": stages / "rep_NP_w2v.txt",
             f"ap_{NP_VPC}.csv": workdir / "ap.csv",
             f"ap_{NP_VPC}.csv.meta.json": workdir / "ap.csv.meta.json",
             f"curves_{NP_VPC}.csv": stages / "curves.csv",
@@ -120,6 +133,16 @@ def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
             same[name + suffix] = workdir / "mat" / (name + suffix)
     for name, stage_output in same.items():
         assert stage_output.read_bytes() == (run / name).read_bytes(), name
+
+    # cluster kmeans -k 4 is the sweep's cell (4, 0): its seed and indices
+    code, out, err = run_cli(["evaluate", str(stages / "km.csv"), str(counts),
+                              str(mini_gold_path)])
+    assert code == 0, err
+    cell = next(line.split(",") for line in (run / f"repetitions_{NP_VPC}.csv")
+                .read_text().splitlines() if line.startswith("4,0,"))
+    assert out.splitlines()[1].split(",")[4:8] == cell[3:7]
+    meta = json.loads((stages / "km.csv.meta.json").read_text())
+    assert meta["config"]["seed"] == int(cell[2])
 
 
 def test_extract_without_couples_fails_and_writes_nothing(tmp_path):
@@ -183,7 +206,7 @@ def test_encode_nmf_without_iterations_fails_and_writes_nothing(workdir, tmp_pat
     out = tmp_path / "w.txt"
     code, _, err = run_cli(["encode", "nmf", str(workdir / "mat" / "np_vpc.mtx"),
                             "-o", str(out), "--rank", "3", "--max-iter", "0"])
-    assert code == 1 and err == "error: max_iter must be >= 1, got 0\n"
+    assert code == 1 and err == "error: nmf_max_iter must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -201,7 +224,8 @@ def test_cluster_kmeans_output(workdir):
     assert clustering.algorithm == "kmeans"
     assert clustering.n_clusters == 3
     meta = json.loads((workdir / "km.csv.meta.json").read_text())
-    assert meta["config"]["k"] == 3 and meta["config"]["seed"] == 7
+    # --seed names the master seed: the run is the sweep's cell (3, 0)
+    assert meta["config"] == dataclasses.asdict(KmeansConfig(k=3, seed=derive_seed(7, 3, 0)))
 
 
 def test_cluster_ap_output(workdir):
@@ -371,7 +395,7 @@ def test_pipeline_config_sets_fields_without_flags_and_flags_override_it(
         ap=ApConfig(preference=-0.5, damping=0.7, max_iter=300, convergence_window=20))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": dataclasses.asdict(config)}))
-    capture(monkeypatch, "run_pipeline", "load_corpus")
+    capture(monkeypatch, "cli.run_pipeline", "load_corpus")
     argv = ["pipeline", "--corpus", "c", "--out", "o", "--config", str(manifest)]
     (_, _, passed, _), _ = config_passed(argv)
     assert passed == config
@@ -421,7 +445,7 @@ def test_pipeline_missing_gold_continues_without_external_indices(
                             "--gold", str(missing), "--out", str(out)]
                            + PIPELINE_FLAGS)
     assert code == 0
-    assert (f"error: [evaluation] gold standard not found: {missing}; "
+    assert (f"warning: [evaluation] gold standard not found: {missing}; "
             "external indices will be NA") in err
     first_row = (out / "report.csv").read_text().splitlines()[1].split(",")
     assert first_row[3] == first_row[4] == first_row[5] == "NA"
@@ -537,6 +561,29 @@ def test_cluster_names_a_missing_mtx_sidecar(tmp_path):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_cluster_drops_an_all_zero_row_of_a_dense_file_as_of_an_mtx(tmp_path):
+    # the same 4x2 matrix, row b all zero, in both formats under one stem
+    rows = {"a": "1.0 0.0", "b": "0.0 0.0", "c": "0.0 2.0", "d": "1.0 1.0"}
+    (tmp_path / "rep.txt").write_text(
+        "4 2\n" + "".join(f"{key}\t{values}\n" for key, values in rows.items()))
+    (tmp_path / "rep.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                      "4 2 4\n1 1 1\n3 2 2\n4 1 1\n4 2 1\n")
+    (tmp_path / "rep.mtx.rows").write_text("a\nb\nc\nd\n")
+    (tmp_path / "rep.mtx.cols").write_text("x\ny\n")
+    runs = {}
+    for source in ("rep.txt", "rep.mtx"):
+        out = tmp_path / source.replace(".", "_")
+        out.mkdir()
+        runs[source] = out, run_cli_process(["cluster", "kmeans", tmp_path / source,
+                                             "-o", out / "km.csv", "-k", "2"])
+    (txt_out, txt), (mtx_out, mtx) = runs.values()
+    assert txt.returncode == mtx.returncode == 0, txt.stderr + mtx.stderr
+    assert txt.stderr == mtx.stderr == (
+        "WARNING termforge.matrices: rep: dropping 1 all-zero rows before clustering: b\n")
+    for name in ("km.csv", "km.csv.meta.json"):
+        assert (txt_out / name).read_bytes() == (mtx_out / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("pipeline", ["--sigma1", "-1"], "thresholds must be non-negative"),
     ("pipeline", ["--sigma1", "nan"], "thresholds must be non-negative"),
@@ -587,13 +634,14 @@ class Captured(Exception):
     """Raised by a stand-in library call, carrying its arguments."""
 
 
-def capture(monkeypatch, *names):
-    """Replace the library calls ``names`` in the cli module: the first
-    raises ``Captured`` with its arguments, the others return None."""
+def capture(monkeypatch, call, *stubs):
+    """Replace the library call ``call`` (``module.name`` within termforge)
+    by one that raises ``Captured`` with its arguments, and the names
+    ``stubs`` in the cli module by functions that return None."""
     def fake(*args, **kwargs):
         raise Captured(args, kwargs)
-    monkeypatch.setattr(cli, names[0], fake)
-    for name in names[1:]:
+    monkeypatch.setattr(f"termforge.{call}", fake)
+    for name in stubs:
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
 
 
@@ -605,40 +653,45 @@ def config_passed(argv):
 
 
 def test_cli_defaults_are_the_config_defaults(monkeypatch, tmp_path):
-    capture(monkeypatch, "extract_corpus", "load_corpus")
+    capture(monkeypatch, "experiment.extract_corpus", "load_corpus")
     (_, config), _ = config_passed(["extract", "c.conllu", "-o", "x"])
     assert config == ExtractionConfig.spacy()
 
-    capture(monkeypatch, "build_matrices", "read_couples_tsv")
+    capture(monkeypatch, "cli.build_matrices", "read_couples_tsv")
     (_, config), _ = config_passed(["featurize", "c.tsv", "-o", str(tmp_path)])
     assert config == Thresholds()
 
-    capture(monkeypatch, "nmf", "load_matrix")
-    assert config_passed(["encode", "nmf", "m.mtx", "-o", "w"]) == ((None,), {})
+    # without --seed, each stage takes its seed from the default master seed
+    default = PipelineConfig()
+    master = default.sweep.master_seed
+    capture(monkeypatch, "experiment.nmf", "load_matrix")
+    assert config_passed(["encode", "nmf", "m.mtx", "-o", "w"]) == ((None,), {
+        "rank": default.nmf_rank, "max_iter": default.nmf_max_iter,
+        "tol": default.nmf_tol, "seed": derive_seed(master, "nmf")})
 
-    capture(monkeypatch, "train_skipgram", "load_corpus")
+    capture(monkeypatch, "experiment.train_skipgram", "load_corpus")
     (_, config), _ = config_passed(["encode", "w2v", "c.conllu", "-o", "e"])
-    assert config == SkipgramConfig()
+    assert config == default.skipgram_config() == SkipgramConfig(seed=derive_seed(master, "w2v"))
 
-    capture(monkeypatch, "kmeans", "load_representation", "Geometry")
+    capture(monkeypatch, "experiment.kmeans", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "kmeans", "r", "-o", "x", "-k", "3"])
-    assert config == KmeansConfig(k=3)
+    assert config == KmeansConfig(k=3, seed=derive_seed(master, 3, 0))
 
-    capture(monkeypatch, "affinity_propagation", "load_representation", "Geometry")
+    capture(monkeypatch, "experiment.affinity_propagation", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x"])
     assert config == ApConfig()
 
-    capture(monkeypatch, "run_sweep", "load_representation", "Geometry")
+    capture(monkeypatch, "experiment.run_sweep", "load_representation", "Geometry")
     (_, _, config), _ = config_passed(["sweep", "r", "-o", "x"])
     assert config == SweepConfig()
 
-    capture(monkeypatch, "run_pipeline", "load_corpus")
+    capture(monkeypatch, "cli.run_pipeline", "load_corpus")
     (_, _, config, _), _ = config_passed(["pipeline", "--corpus", "c", "--out", "o"])
-    assert config == PipelineConfig()
+    assert config == default
 
 
 def test_readme_quick_start_flags_match_the_library_example(monkeypatch):
-    capture(monkeypatch, "run_pipeline", "load_corpus", "load_gold_standard")
+    capture(monkeypatch, "cli.run_pipeline", "load_corpus", "load_gold_standard")
     (_, _, config, _), _ = config_passed([
         "pipeline", "--corpus", "data/mini/corpus.conllu",
         "--gold", "data/mini/gold.tsv", "--out", "mini_run",
@@ -652,7 +705,7 @@ def test_readme_quick_start_flags_match_the_library_example(monkeypatch):
 
 
 def test_cli_flags_convert_to_config_types(monkeypatch):
-    capture(monkeypatch, "run_pipeline", "load_corpus")
+    capture(monkeypatch, "cli.run_pipeline", "load_corpus")
     (_, _, config, _), _ = config_passed([
         "pipeline", "--corpus", "c", "--out", "o",
         "--representations", NP_VPC_TFIDF, NP_VPC, "--seed", "11",
@@ -661,20 +714,20 @@ def test_cli_flags_convert_to_config_types(monkeypatch):
     assert config.sweep.master_seed == 11
     assert (config.scheme, config.root_only) == ("ud", True)
 
-    capture(monkeypatch, "run_sweep", "load_representation", "Geometry")
+    capture(monkeypatch, "experiment.run_sweep", "load_representation", "Geometry")
     (_, _, config), _ = config_passed(["sweep", "r", "-o", "x", "--seed", "5",
                                        "--reps", "4"])
     assert (config.master_seed, config.repetitions) == (5, 4)
 
-    capture(monkeypatch, "affinity_propagation", "load_representation", "Geometry")
+    capture(monkeypatch, "experiment.affinity_propagation", "load_representation", "Geometry")
     (_, config), _ = config_passed(["cluster", "ap", "r", "-o", "x",
                                     "--preference", "0.5"])
     assert config.preference == 0.5 and isinstance(config.preference, float)
 
-    capture(monkeypatch, "nmf", "load_matrix")
+    capture(monkeypatch, "experiment.nmf", "load_matrix")
     _, kwargs = config_passed(["encode", "nmf", "m.mtx", "-o", "w",
                                "--rank", "4", "--seed", "2"])
-    assert kwargs == {"rank": 4, "seed": 2}
+    assert (kwargs["rank"], kwargs["seed"]) == (4, derive_seed(2, "nmf"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -692,10 +745,14 @@ def test_cli_rejects_bad_flag_values(argv, capsys):
     ["pipeline", "--corpus", "c", "--out", "o", "--select", "global"],
     ["pipeline", "--corpus", "c", "--out", "o", "--peak-floor", "0.9"],
     ["sweep", "m.mtx", "-o", "c.csv", "--representation", NP_VPC],
+    ["encode", "w2v", "c.conllu", "-o", "e", "--learning-rate", "0.05"],
+    ["cluster", "kmeans", "r", "-o", "x", "-k", "3", "--max-iter", "50"],
+    ["cluster", "kmeans", "r", "-o", "x", "-k", "3", "--rel-tol", "0.1"],
 ])
 def test_cli_rejects_the_selection_flags_k_no_longer_reads(argv, capsys):
-    # k is the silhouette maximum and a cell's seed holds no name, so an
-    # old script's flag fails loudly instead of being ignored
+    # k is the silhouette maximum and a cell's seed holds no name, and each
+    # stage takes only settings the pipeline has, so an old script's flag
+    # fails loudly instead of being ignored
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
