@@ -3,15 +3,19 @@
 The full run builds the four NP representations (raw counts, Tf-Idf, NMF
 features, composed word vectors), sweeps K-Means over k with repeated seeds
 and keeps the k of the largest mean silhouette, runs Affinity Propagation
-once per representation, and writes a report table plus per-k curve data and
-raw per-repetition logs.
+once per distinct geometry, and writes a report table plus per-k curve data
+and raw per-repetition logs for every representation.
 
 Determinism contract: every K-Means cell draws its seed from
 ``derive_seed(master_seed, k, repetition)``, so no result depends on which
 cells ran before it, and two representations with one geometry get the same
 cells (common random numbers); cells run and are aggregated in grid order,
 and every float is serialized with ``repr``.  Identical inputs and master
-seed therefore produce byte-identical output files.
+seed therefore produce byte-identical output files.  When the sigma2 cut
+keeps every row and column, ``NP_VPC_tfidf`` is not swept or clustered: its
+files are ``NP_VPC``'s, computed on the count rows, and equal the stage
+commands' output on ``np_vpc.mtx``; on ``np_vpc_tfidf.mtx`` those commands
+agree with them only to rounding.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Clustering, Geometry,
 from .corpus import Corpus
 from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
                          train_skipgram)
-from .evaluation import GoldStandard, evaluate_clustering, format_value
+from .evaluation import GoldStandard, IndexReport, evaluate_clustering, format_value
 from .extraction import (Couple, Role, SCHEMES, extract_corpus,
                          write_couples_tsv)
 from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
@@ -397,13 +401,40 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ValueError(f"bad pipeline config: {exc}") from None
 
 
+def _sweep_and_ap(name: str, reps: dict[str, Representation], gold: GoldStandard | None,
+                  config: PipelineConfig) -> tuple[SweepResult, Clustering, IndexReport]:
+    """The sweep, the AP clustering and its index report on the geometry of
+    ``reps[name]``, which is popped: the dense matrix is freed once the
+    geometry holds the normalized rows."""
+    with _stage(f"sweep:{name}"):
+        geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
+        result = run_sweep(geometry, gold, config.sweep)
+    with _stage(f"ap:{name}"):
+        clustering = affinity_propagation(geometry, config.ap)
+        # AP freed D; it is formed again from the normalized rows
+        return result, clustering, evaluate_clustering(geometry, clustering, gold)
+
+
+def _renamed(result: SweepResult, name: str) -> SweepResult:
+    """``result`` as the sweep of ``name``, a representation of the same
+    geometry; ``run_sweep``'s warnings begin with the swept name."""
+    swept = result.representation
+    return dataclasses.replace(result, representation=name, warnings=tuple(
+        name + warning[len(swept):] for warning in result.warnings))
+
+
 def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                  config: PipelineConfig, out_dir: str | Path) -> tuple[ReportRow, ...]:
     """Full workflow: representations, K-Means sweep + k selection, one AP
-    run per representation, Table-style report plus curve/repetition CSVs
+    run per distinct geometry, Table-style report plus curve/repetition CSVs
     and a manifest.  Without a gold standard the external columns are NA.
     Each dense representation is freed once its geometry holds the
-    normalized rows, so one copy of it is live during its sweep and AP."""
+    normalized rows, so one copy of it is live during its sweep and AP.
+
+    When the sigma2 cut keeps every row and column of the counts, each
+    tf-idf row is its count row times ln(M / df_i) > 0, so ``NP_VPC_tfidf``
+    has ``NP_VPC``'s cosine geometry: it is not clustered again, and its
+    files and report rows are ``NP_VPC``'s under its own name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
@@ -423,11 +454,23 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     selected: dict[str, int] = {}
     ordered = [name for name in REPRESENTATIONS if name in reps]
     shapes = {name: reps[name].matrix.shape for name in ordered}
+    shares: dict[str, str] = {}   # name -> the earlier name whose geometry it has
+    # a cut keeps a subset of the rows and columns, so equal shapes mean
+    # that sigma2 kept them all (neither count matrix has an all-zero row)
+    if NP_VPC in reps and NP_VPC_TFIDF in reps and shapes[NP_VPC_TFIDF] == shapes[NP_VPC]:
+        shares[NP_VPC_TFIDF] = NP_VPC
+        del reps[NP_VPC_TFIDF]
+        log.info("%s: sigma2 cut nothing, so it has the cosine geometry of %s and "
+                 "shares its sweep and AP", NP_VPC_TFIDF, NP_VPC)
+    results: dict[str, tuple[SweepResult, Clustering, IndexReport]] = {}
     for name in ordered:
+        if name not in shares:
+            results[name] = _sweep_and_ap(name, reps, gold, config)
+        result, clustering, index_report = results[shares.get(name, name)]
+        result = _renamed(result, name)
         with _stage(f"sweep:{name}"):
-            geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
-            result = sweep(geometry, gold, config.sweep, out / f"curves_{name}.csv",
-                           out / f"repetitions_{name}.csv")
+            write_curves_csv(result, out / f"curves_{name}.csv")
+            write_repetitions_csv(result, out / f"repetitions_{name}.csv")
             for warning in result.warnings:
                 log.warning(warning)
             warnings.extend(result.warnings)
@@ -441,12 +484,11 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                 ratio=(k_sel / n_gold_labels if n_gold_labels else None),
                 purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=row.silhouette))
         with _stage(f"ap:{name}"):
-            clustering = cluster(geometry, config.ap, out / f"ap_{name}.csv")
+            save_clustering(clustering, out / f"ap_{name}.csv",
+                            config=dataclasses.asdict(config.ap))
             if not clustering.converged:
                 warnings.append(f"{name}: {AP_NOT_CONVERGED}")
                 log.warning(warnings[-1])
-            # AP freed D; it is formed again from the normalized rows
-            index_report = evaluate_clustering(geometry, clustering, gold)
             ap_rows.append(ReportRow(
                 clusterer="AP", representation=name,
                 n_clusters=clustering.n_clusters,

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 import weakref
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 from termforge import experiment
-from termforge.clustering import Geometry, affinity_propagation
+from termforge.clustering import (AP_NOT_CONVERGED, ApConfig, Geometry, KmeansConfig,
+                                  affinity_propagation)
 from termforge.corpus import load_corpus, parse_conllu
 from termforge.evaluation import evaluate_clustering, format_value
 from termforge.experiment import (
@@ -15,6 +18,7 @@ from termforge.experiment import (
     PipelineError,
     SweepConfig,
     build_representations,
+    derive_seed,
     run_pipeline,
 )
 from termforge.matrices import (
@@ -255,12 +259,13 @@ def quick_start_config():
 
 @pytest.fixture(scope="module")
 def quick_start_runs(tmp_path_factory, mini_corpus, mini_gold):
-    """The quick start's report rows and manifest, with and without the gold."""
+    """The quick start's report rows, manifest and run directory, with and
+    without the gold."""
     runs = {}
     for name, gold in (("gold", mini_gold), ("no_gold", None)):
         out = tmp_path_factory.mktemp(name)
         rows = run_pipeline(mini_corpus, gold, quick_start_config(), out)
-        runs[name] = rows, json.loads((out / "manifest.json").read_text())
+        runs[name] = rows, json.loads((out / "manifest.json").read_text()), out
     return runs
 
 
@@ -271,14 +276,110 @@ def test_selected_k_does_not_depend_on_the_gold(quick_start_runs):
 
 
 def test_count_and_tfidf_km_rows_agree_when_their_geometry_does(quick_start_runs):
-    # the sigma2 = 0.5 cut removes no NP row on the mini corpus, so the two
-    # are one cosine geometry, and a cell's seed holds no representation name
-    rows, manifest = quick_start_runs["gold"]
-    assert manifest["representations"][NP_VPC] == manifest["representations"][NP_VPC_TFIDF]
-    km = {row.representation: row for row in rows if row.clusterer == "KM"}
-    assert ((km[NP_VPC].n_clusters, km[NP_VPC].purity, km[NP_VPC].ari)
-            == (km[NP_VPC_TFIDF].n_clusters, km[NP_VPC_TFIDF].purity,
-                km[NP_VPC_TFIDF].ari))
+    # the sigma2 = 0.5 cut removes no NP row and no column on the mini
+    # corpus, so the two are one cosine geometry, clustered once
+    for rows, manifest, _ in quick_start_runs.values():
+        assert (manifest["representations"][NP_VPC]
+                == manifest["representations"][NP_VPC_TFIDF])
+        by_key = {(row.clusterer, row.representation): row for row in rows}
+        for clusterer in ("KM", "AP"):
+            assert (dataclasses.replace(by_key[clusterer, NP_VPC_TFIDF],
+                                        representation=NP_VPC)
+                    == by_key[clusterer, NP_VPC])
+
+
+def test_tfidf_twin_files_are_the_count_files(quick_start_runs):
+    *_, out = quick_start_runs["gold"]
+    for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
+                    "ap_{}.csv.meta.json"):
+        assert ((out / pattern.format(NP_VPC_TFIDF)).read_bytes()
+                == (out / pattern.format(NP_VPC)).read_bytes()), pattern
+
+
+def spy_on_clustering(monkeypatch):
+    """The provenance of each geometry ``run_pipeline`` sweeps and runs AP on."""
+    calls = {"run_sweep": [], "affinity_propagation": []}
+    for attr, seen in calls.items():
+        def spy(geometry, *args, _run=getattr(experiment, attr), _seen=seen, **kwargs):
+            _seen.append(geometry.provenance)
+            return _run(geometry, *args, **kwargs)
+        monkeypatch.setattr(experiment, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize("sigma2, clustered", [
+    # cuts nothing: NP_VPC_tfidf shares NP_VPC's geometry
+    (0.5, [NP_VPC, NP_VPC_NMF, NP_W2V]),
+    # keeps every row but cuts 2 of the 14 columns: a geometry of its own
+    (3.0, list(REPRESENTATIONS))])
+def test_each_distinct_geometry_is_swept_and_clustered_once(
+        monkeypatch, mini_corpus, mini_gold, tmp_path, sigma2, clustered):
+    calls = spy_on_clustering(monkeypatch)
+    config = tiny_config(sweep=dataclasses.replace(tiny_config().sweep, sigma2=sigma2))
+    run_pipeline(mini_corpus, mini_gold, config, tmp_path)
+    assert calls == {"run_sweep": clustered, "affinity_propagation": clustered}
+
+
+def test_tfidf_with_columns_cut_is_clustered_on_its_own_geometry(
+        mini_corpus, mini_gold, tmp_path):
+    config = tiny_config(sweep=dataclasses.replace(
+        tiny_config().sweep, sigma2=3.0, representations=(NP_VPC, NP_VPC_TFIDF)))
+    out = tmp_path / "run"
+    run_pipeline(mini_corpus, mini_gold, config, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["representations"] == {NP_VPC: {"rows": 16, "cols": 14},
+                                           NP_VPC_TFIDF: {"rows": 16, "cols": 12}}
+    # the stage functions on NP_VPC_tfidf's own representation write its files
+    own = tmp_path / "own"
+    own.mkdir()
+    geometry = Geometry(build_representations(mini_corpus, config, own)[NP_VPC_TFIDF])
+    experiment.sweep(geometry, mini_gold, config.sweep, own / "curves.csv",
+                     own / "repetitions.csv")
+    experiment.cluster(geometry, config.ap, own / "ap.csv")
+    for mine, pipeline in (("curves.csv", f"curves_{NP_VPC_TFIDF}.csv"),
+                           ("repetitions.csv", f"repetitions_{NP_VPC_TFIDF}.csv"),
+                           ("ap.csv", f"ap_{NP_VPC_TFIDF}.csv"),
+                           ("ap.csv.meta.json", f"ap_{NP_VPC_TFIDF}.csv.meta.json")):
+        assert (own / mine).read_bytes() == (out / pipeline).read_bytes(), mine
+    assert ((out / f"curves_{NP_VPC_TFIDF}.csv").read_bytes()
+            != (out / f"curves_{NP_VPC}.csv").read_bytes())
+
+
+def test_default_run_reports_the_twin_clip_warning_under_its_own_name(
+        caplog, mini_corpus, mini_gold, tmp_path):
+    with caplog.at_level(logging.INFO, logger="termforge.experiment"):
+        run_pipeline(mini_corpus, mini_gold, PipelineConfig(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    clips = [f"{name}: k_max 50 clipped to 21 (only 21 distinct rows)"
+             for name in (NP_VPC, NP_VPC_TFIDF)]
+    assert [w for w in manifest["warnings"] if "clipped to 21" in w] == clips
+    logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert [m for m in logged if "clipped to 21" in m] == clips
+    shared = [m for m in caplog.messages if "shares its sweep and AP" in m]
+    assert shared == [f"{NP_VPC_TFIDF}: sigma2 cut nothing, so it has the cosine "
+                      f"geometry of {NP_VPC} and shares its sweep and AP"]
+
+
+def test_twin_reports_its_own_convergence_warnings(monkeypatch, caplog, mini_corpus,
+                                                   mini_gold, tmp_path):
+    # one K-Means iteration and an AP window longer than its iterations:
+    # nothing converges, and each warning names its representation
+    monkeypatch.setattr(experiment, "kmeans_cell", lambda master, k, r: KmeansConfig(
+        k=k, seed=derive_seed(master, k, r), max_iter=1))
+    config = tiny_config(sweep=dataclasses.replace(
+                             tiny_config().sweep, k_max=3,
+                             representations=(NP_VPC, NP_VPC_TFIDF)),
+                         ap=ApConfig(max_iter=5, convergence_window=10))
+    with caplog.at_level(logging.WARNING, logger="termforge.experiment"):
+        run_pipeline(mini_corpus, mini_gold, config, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    expected = [warning
+                for name in (NP_VPC, NP_VPC_TFIDF)
+                for warning in (*(f"{name} k={k}: every K-Means cell (2 repetition(s)) "
+                                  "hit max_iter before converging" for k in (2, 3)),
+                                f"{name}: {AP_NOT_CONVERGED}")]
+    assert manifest["warnings"] == expected
+    assert caplog.messages == expected
 
 
 class _Couples(list):
@@ -304,8 +405,11 @@ def test_couples_are_freed_before_nmf(monkeypatch, mini_corpus, tmp_path):
     assert freed == [True]
 
 
+@pytest.mark.parametrize("sigma2, clustered", [
+    (0.5, [NP_VPC, NP_VPC_NMF, NP_W2V]),   # NP_VPC_tfidf shares NP_VPC's AP
+    (3.0, list(REPRESENTATIONS))])         # NP_VPC_tfidf has its own
 def test_dense_representation_is_freed_before_its_affinity_propagation(
-        tmp_path, monkeypatch, mini_corpus, mini_gold):
+        tmp_path, monkeypatch, mini_corpus, mini_gold, sigma2, clustered):
     build, ap = experiment.build_representations, experiment.affinity_propagation
     refs, freed = {}, {}
 
@@ -315,13 +419,18 @@ def test_dense_representation_is_freed_before_its_affinity_propagation(
         return reps
 
     def ap_checking(geometry, *args, **kwargs):
-        freed[geometry.provenance] = refs[geometry.provenance]() is None
+        freed[geometry.provenance] = {name: ref() is None for name, ref in refs.items()}
         return ap(geometry, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "build_representations", build_weakly)
     monkeypatch.setattr(experiment, "affinity_propagation", ap_checking)
-    run_pipeline(mini_corpus, mini_gold, tiny_config(), tmp_path)
-    assert freed == dict.fromkeys(REPRESENTATIONS, True)
+    config = tiny_config(sweep=dataclasses.replace(tiny_config().sweep, sigma2=sigma2))
+    run_pipeline(mini_corpus, mini_gold, config, tmp_path)
+    assert list(freed) == clustered
+    for name in clustered:
+        assert freed[name][name], name
+    # a twin's matrix is never clustered; it is freed before the first AP
+    assert freed[NP_VPC][NP_VPC_TFIDF] == (NP_VPC_TFIDF not in clustered)
 
 
 def test_pipeline_config_scheme_validation():
