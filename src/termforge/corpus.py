@@ -21,14 +21,25 @@ those same strings.  Rows recur (function words and punctuation at the
 same position with the same attachment): the benchmark's ``wide`` corpus
 has 2,985 distinct rows among 76,291 tokens and keeps about 37 bytes per
 token, against about 130 for a Token object per token.
+
+A token line is split and checked at most twice per parse.  A parsed row
+that is an earlier row's `Token` files its line's raw text in the parse's
+table of recurring lines, and a later line with exactly that text is that
+`Token` without being split or converted again.  Only the checks that
+depend on the sentence run on it, at its own line: its index against its
+position and its head against the sentence length.  The table holds only
+lines that recurred, so a corpus where no row repeats leaves it empty.
 """
 from __future__ import annotations
 
 import io
 import itertools
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
+
+log = logging.getLogger(__name__)
 
 
 class ConlluParseError(ValueError):
@@ -94,23 +105,46 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(n_docs, n_sents, n_words, per_doc)
 
 
-def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
-                     shared: dict) -> tuple[Token, ...]:
-    """Check and build one sentence's tokens from its (line number, columns)
-    rows: each row in order, then every head against the sentence length.
-    `shared` is the parse's one object per value: a row equal to an earlier
-    one is that row's Token (a Token equals and hashes as the tuple of its
-    fields), and a new Token takes its strings from the shared ones."""
+def _columns(line: str, lineno: int, source: str | None) -> list[str]:
+    """A token line's ten columns: the one place a row is split."""
+    cols = line.split("\t")
+    if len(cols) != 10:
+        raise ConlluParseError(
+            f"expected 10 tab-separated columns, got {len(cols)}", lineno, source)
+    return cols
+
+
+def _misplaced(index: int, expected: int, lineno: int, source: str | None) -> ConlluParseError:
+    return ConlluParseError(
+        f"token id {index} breaks 1..n ordering (expected {expected})", lineno, source)
+
+
+def _sentence_tokens(rows: list[tuple[int, str, list[str] | Token]], source: str | None,
+                     shared: dict, lines: dict[str, Token]) -> tuple[Token, ...]:
+    """Check and build one sentence's tokens from its (line number, raw
+    line, columns) rows: each row in order, then every head against the
+    sentence length.  `shared` is the parse's one object per value: a row
+    equal to an earlier one is that row's Token (a Token equals and hashes
+    as the tuple of its fields), and a new Token takes its strings from the
+    shared ones.  A parsed row that is an earlier row's Token files its raw
+    line in `lines`, the parse's table of recurring lines.  A row read from
+    that table holds its Token in place of its columns; the Token passed
+    every check that does not depend on the sentence, so only its index is
+    checked against its position."""
     share = shared.setdefault
     tokens: list[Token] = []
-    for expected, (lineno, cols) in enumerate(rows, start=1):
+    for expected, (lineno, line, cols) in enumerate(rows, start=1):
+        if type(cols) is Token:
+            if cols.index != expected:
+                raise _misplaced(cols.index, expected, lineno, source)
+            tokens.append(cols)
+            continue
         try:
             index = int(cols[0])
         except ValueError:
             raise ConlluParseError(f"non-integer token id {cols[0]!r}", lineno, source) from None
         if index != expected:
-            raise ConlluParseError(
-                f"token id {index} breaks 1..n ordering (expected {expected})", lineno, source)
+            raise _misplaced(index, expected, lineno, source)
         try:
             head = int(cols[6])
         except ValueError:
@@ -127,9 +161,11 @@ def _sentence_tokens(rows: list[tuple[int, list[str]]], source: str | None,
             token = Token(index, share(cols[1], cols[1]), share(lemma, lemma),
                           share(cols[3], cols[3]), head, share(cols[7], cols[7]))
             shared[token] = token
+        else:
+            lines[line] = token
         tokens.append(token)
     n = len(tokens)
-    for (lineno, _), tok in zip(rows, tokens):
+    for (lineno, _, _), tok in zip(rows, tokens):
         if tok.head > n:
             raise ConlluParseError(
                 f"head {tok.head} out of range for {n}-token sentence", lineno, source)
@@ -150,12 +186,17 @@ def parse_conllu(
     """Parse a CoNLL-U character stream into a Corpus, by the rules in the
     module docstring; multiword-range (``1-2``) and empty-node (``5.1``)
     lines are skipped."""
-    return Corpus(documents=tuple(_parse(text, default_doc_id, source, set(), set())))
+    return Corpus(documents=tuple(_parse(text, default_doc_id, source, set(), set()).documents))
+
+
+class _Parse(NamedTuple):
+    documents: list[tuple[str, tuple[Sentence, ...]]]
+    rows: int     # distinct token rows, one Token each
+    served: int   # token lines read from the table of recurring lines
 
 
 def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
-           document_ids: set[str], sentence_ids: set[str],
-           ) -> list[tuple[str, tuple[Sentence, ...]]]:
+           document_ids: set[str], sentence_ids: set[str]) -> _Parse:
     """``parse_conllu``'s documents.  ``document_ids`` and ``sentence_ids``
     hold the ids taken so far, by earlier files too: a repeat fails at the
     line that closes its sentence or opens its document."""
@@ -163,11 +204,19 @@ def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
     documents: dict[str, list[Sentence]] = {}  # by id, in input order
     doc_id, sents = default_doc_id, []  # the open document
     shared: dict = {}  # one object per field value and per token row
-    rows: list[tuple[int, list[str]]] = []  # (line number, columns) of the open sentence
+    lines: dict[str, Token] = {}  # a recurring token line's raw text and its Token
+    served = 0
+    # (line number, raw line, columns or a recurring line's Token) of the open sentence
+    rows: list[tuple[int, str, list[str] | Token]] = []
     sent_id: str | None = None
     unnamed_docs = 0
     # the blank line chained after the input closes the last sentence
     for lineno, raw in enumerate(itertools.chain(stream, [""]), start=1):
+        token = lines.get(raw)
+        if token is not None:
+            rows.append((lineno, raw, token))
+            served += 1
+            continue
         line = raw.rstrip("\n")
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -177,12 +226,9 @@ def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
             if key not in ("newdoc", "newdoc id"):
                 continue
         elif line.strip():
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise ConlluParseError(
-                    f"expected 10 tab-separated columns, got {len(cols)}", lineno, source)
+            cols = _columns(line, lineno, source)
             if "-" not in cols[0] and "." not in cols[0]:  # multiword range / empty node
-                rows.append((lineno, cols))
+                rows.append((lineno, raw, cols))
             continue
         # a blank line or a newdoc comment closes the open sentence
         if rows:
@@ -190,7 +236,7 @@ def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
                 _claim(document_ids, "document", doc_id, lineno, source)
                 documents[doc_id] = sents
             sentence = Sentence(id=sent_id or f"{doc_id}.s{len(sents) + 1}",
-                                tokens=_sentence_tokens(rows, source, shared))
+                                tokens=_sentence_tokens(rows, source, shared, lines))
             _claim(sentence_ids, "sentence", sentence.id, lineno, source)
             sents.append(sentence)
             rows = []
@@ -201,7 +247,8 @@ def _parse(text: str | TextIO, default_doc_id: str, source: str | None,
             doc_id = value.strip() if eq else f"{default_doc_id}{unnamed_docs}"
             _claim(document_ids, "document", doc_id, lineno, source)
             sents = documents[doc_id] = []
-    return [(d, tuple(s)) for d, s in documents.items()]
+    return _Parse([(d, tuple(s)) for d, s in documents.items()],
+                  sum(type(value) is Token for value in shared.values()), served)
 
 
 def to_conllu(corpus: Corpus) -> str:
@@ -236,6 +283,12 @@ def load_corpus(path: str | Path) -> Corpus:
     document_ids: set[str] = set()
     sentence_ids: set[str] = set()
     for f in files:
-        with open(f, encoding="utf-8") as stream:
-            documents += _parse(stream, f.stem, str(f), document_ids, sentence_ids)
+        # utf-8-sig: a leading byte-order mark is not part of the first line
+        with open(f, encoding="utf-8-sig") as stream:
+            parse = _parse(stream, f.stem, str(f), document_ids, sentence_ids)
+        sentences = [sent for _, sents in parse.documents for sent in sents]
+        log.info("%s: %d sentences, %d tokens, %d distinct token rows, "
+                 "%d token lines served from the table of recurring lines",
+                 f, len(sentences), sum(map(len, sentences)), parse.rows, parse.served)
+        documents += parse.documents
     return Corpus(documents=tuple(documents))

@@ -50,7 +50,7 @@ class IndexReport:
 def load_gold_standard(path: str | Path) -> GoldStandard:
     path = Path(path)
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

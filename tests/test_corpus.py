@@ -1,3 +1,4 @@
+import logging
 import random
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from termforge import corpus as corpus_module
 from termforge.corpus import (
     ConlluParseError,
     Corpus,
@@ -106,6 +108,113 @@ def test_a_token_shared_with_a_longer_sentence_is_checked_in_each():
                        match="head 3 out of range for 2-token sentence") as exc:
         parse_conllu(text)
     assert exc.value.line_number == 5
+
+
+def _count_splits(monkeypatch) -> list[str]:
+    """The lines that `corpus._columns`, the one place a row is split, splits."""
+    split = []
+    columns = corpus_module._columns
+
+    def counting(line, lineno, source):
+        split.append(line)
+        return columns(line, lineno, source)
+    monkeypatch.setattr(corpus_module, "_columns", counting)
+    return split
+
+
+def test_a_recurring_line_is_split_at_first_sight_and_first_recurrence_only(monkeypatch):
+    # the second copy finds each row's Token and files its line in the
+    # table of recurring lines; the 48 later copies are served from it
+    rows = [(1, "The", "the", "DET", 2, "det"), (2, "cat", "cat", "NOUN", 3, "nsubj"),
+            (3, "sleeps", "sleep", "VERB", 0, "root"), (4, ".", ".", "PUNCT", 3, "punct")]
+    split = _count_splits(monkeypatch)
+    corpus = parse_conllu(join_sentences([conllu_sentence(rows)] * 50))
+    assert len(split) <= 8
+    sentences = list(corpus.sentences())
+    assert len(sentences) == 50
+    assert all(a is b for sent in sentences for a, b in zip(sent.tokens, sentences[0].tokens))
+    assert sentences[0].tokens == tuple(rows)
+
+
+def test_a_recurring_line_at_another_position_breaks_the_ordering_at_its_line():
+    # the "." row recurs, so its third copy comes from the table of recurring
+    # lines; at position 2 of the third sentence (line 10) it is out of order
+    dot = conllu_token(3, ".", ".", "PUNCT", 1, "punct")
+    text = "\n".join([
+        conllu_token(1, "Go", "go", "VERB", 0, "root"),
+        conllu_token(2, "now", "now", "ADV", 1, "advmod"),
+        dot,
+        "",
+        conllu_token(1, "Run", "run", "VERB", 0, "root"),
+        conllu_token(2, "away", "away", "ADV", 1, "advmod"),
+        dot,
+        "",
+        conllu_token(1, "Stop", "stop", "VERB", 0, "root"),
+        dot,
+        "",
+    ])
+    with pytest.raises(ConlluParseError,
+                       match=r"token id 3 breaks 1..n ordering \(expected 2\)") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 10
+
+
+def test_a_recurring_line_in_a_shorter_sentence_breaks_the_head_range_at_its_line():
+    # "big" attached to 3 recurs in two three-token sentences; its copy from
+    # the table of recurring lines, in a two-token sentence, is at line 9
+    big = conllu_token(1, "big", "big", "ADJ", 3, "amod")
+    text = "\n".join([
+        big,
+        conllu_token(2, "red", "red", "ADJ", 3, "amod"),
+        conllu_token(3, "cats", "cat", "NOUN", 0, "root"),
+        "",
+        big,
+        conllu_token(2, "old", "old", "ADJ", 3, "amod"),
+        conllu_token(3, "dogs", "dog", "NOUN", 0, "root"),
+        "",
+        big,
+        conllu_token(2, "cats", "cat", "NOUN", 0, "root"),
+        "",
+    ])
+    with pytest.raises(ConlluParseError,
+                       match="head 3 out of range for 2-token sentence") as exc:
+        parse_conllu(text)
+    assert exc.value.line_number == 9
+
+
+def test_load_corpus_logs_its_counts_per_file(mini_corpus_path, monkeypatch, caplog):
+    split = _count_splits(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="termforge.corpus"):
+        corpus = load_corpus(mini_corpus_path)
+    stats = corpus_stats(corpus)
+    tokens = [tok for sent in corpus.sentences() for tok in sent.tokens]
+    # every token line not split was served from the table of recurring lines
+    served = stats.n_words - sum(line.split("\t")[0].isdigit() for line in split)
+    assert (stats.n_sentences, stats.n_words, len(set(tokens)), served) == (52, 322, 94, 181)
+    assert caplog.messages == [
+        f"{mini_corpus_path}: 52 sentences, 322 tokens, 94 distinct token rows, "
+        "181 token lines served from the table of recurring lines"]
+
+
+def test_a_corpus_without_recurring_rows_parses_in_under_430_bytes_per_token():
+    # 80,000 tokens, every form unique, so no row recurs and the table of
+    # recurring lines stays empty; one entry per line would cost about
+    # 100 bytes more per token than this bound allows
+    text = join_sentences([conllu_sentence([
+        (i, f"w{s}x{i}", "_", "NOUN", 0 if i == 1 else 1, "root" if i == 1 else "dep")
+        for i in range(1, 9)]) for s in range(10_000)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = parse_conllu(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_tokens = corpus_stats(corpus).n_words
+    assert n_tokens == 80_000
+    assert len({tok.form for sent in corpus.sentences() for tok in sent.tokens}) == n_tokens
+    assert peak / n_tokens < 430
 
 
 def _footprint_corpus():
@@ -446,6 +555,12 @@ def test_load_corpus_directory_duplicate_sentence_id(tmp_path):
         load_corpus(tmp_path)
     # line 4 of b.conllu closes the sentence, as parse_conllu reports a repeat
     assert str(exc.value) == f"{tmp_path / 'b.conllu'}:4: duplicate sentence id 's1'"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path, mini_corpus_path):
+    bom = tmp_path / "bom.conllu"
+    bom.write_bytes(b"\xef\xbb\xbf" + mini_corpus_path.read_bytes())
+    assert load_corpus(bom).documents == load_corpus(mini_corpus_path).documents
 
 
 def test_load_corpus_directory_without_files(tmp_path):

@@ -52,6 +52,12 @@ def test_load_gold_standard(tmp_path):
     assert gs.n_labels == 3
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_gold_term(tmp_path, mini_gold_path):
+    bom = tmp_path / "gold.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + mini_gold_path.read_bytes())
+    assert load_gold_standard(bom) == load_gold_standard(mini_gold_path)
+
+
 def test_gold_standard_conflicting_labels(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("guitar\tInstrument\nGuitar\tGenre\n")
