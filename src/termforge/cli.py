@@ -105,7 +105,7 @@ def _cmd_cluster(args) -> None:
                 if args.algorithm == "kmeans" else config.ap)
     clustering = cluster(Geometry(load_representation(args.rep)), settings, args.out)
     if args.algorithm == "ap" and not clustering.converged:
-        print(f"warning: {AP_NOT_CONVERGED}", file=sys.stderr)
+        print(f"warning: {Path(args.rep).stem}: {AP_NOT_CONVERGED}", file=sys.stderr)
     log.info("%s: %d clusters over %d NPs", clustering.algorithm,
              clustering.n_clusters, len(clustering.labels))
 
@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> None:
     gold = load_gold_standard(args.gold) if args.gold else None
     result = sweep(geometry, gold, _config(args).sweep, args.out, args.repetitions_out)
     for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        print(f"warning: {Path(args.rep).stem}: {warning}", file=sys.stderr)
 
 
 def _cmd_pipeline(args) -> None:

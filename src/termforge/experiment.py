@@ -11,11 +11,12 @@ Determinism contract: every K-Means cell draws its seed from
 cells ran before it, and two representations with one geometry get the same
 cells (common random numbers); cells run and are aggregated in grid order,
 and every float is serialized with ``repr``.  Identical inputs and master
-seed therefore produce byte-identical output files.  When the sigma2 cut
-keeps every row and column, ``NP_VPC_tfidf`` is not swept or clustered: its
-files are ``NP_VPC``'s, computed on the count rows, and equal the stage
-commands' output on ``np_vpc.mtx``; on ``np_vpc_tfidf.mtx`` those commands
-agree with them only to rounding.
+seed therefore produce byte-identical output files.  ``run_pipeline`` calls
+the CLI's stage functions ``sweep`` and ``cluster`` once per distinct
+geometry: when the sigma2 cut keeps every row and column, ``NP_VPC_tfidf``'s
+files are copies of ``NP_VPC``'s, which equal the stage commands' output on
+``np_vpc.mtx``.  Warnings read ``<name>: <message>``; ``run_sweep`` returns
+the messages and its caller adds the name.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import hashlib
 import json
 import logging
 import math
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +40,7 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Clustering, Geometry,
 from .corpus import Corpus
 from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
                          train_skipgram)
-from .evaluation import GoldStandard, IndexReport, evaluate_clustering, format_value
+from .evaluation import GoldStandard, evaluate_clustering, format_value
 from .extraction import (Couple, Role, SCHEMES, extract_corpus,
                          write_couples_tsv)
 from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
@@ -138,14 +140,12 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
     seeded runs per k; means per k exclude undefined values (counted).
     Every cell reuses the one geometry.  Warnings are returned in the
-    result, not logged: the caller reports each once."""
+    result, not logged and without a name: the caller reports each once."""
     warnings: list[str] = []
     distinct = distinct_row_count(geometry)
     k_hi = min(config.k_max, distinct)
     if k_hi < config.k_max:
-        warnings.append(
-            f"{geometry.provenance}: k_max {config.k_max} clipped to {k_hi} "
-            f"(only {distinct} distinct rows)")
+        warnings.append(f"k_max {config.k_max} clipped to {k_hi} (only {distinct} distinct rows)")
     if k_hi < config.k_min:
         raise ValueError(
             f"{geometry.provenance}: cannot sweep k >= {config.k_min} with only "
@@ -171,8 +171,8 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
                 purity=report.purity, ari=report.adjusted_rand,
                 dunn2=report.dunn2, silhouette=report.silhouette))
         if unconverged == len(batch):
-            warnings.append(f"{geometry.provenance} k={k}: every K-Means cell "
-                            f"({len(batch)} repetition(s)) hit max_iter before converging")
+            warnings.append(f"k={k}: every K-Means cell ({len(batch)} repetition(s)) "
+                            "hit max_iter before converging")
         records.extend(batch)
         purities = [rec.purity for rec in batch if rec.purity is not None]
         aris = [rec.ari for rec in batch if rec.ari is not None]
@@ -401,28 +401,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ValueError(f"bad pipeline config: {exc}") from None
 
 
-def _sweep_and_ap(name: str, reps: dict[str, Representation], gold: GoldStandard | None,
-                  config: PipelineConfig) -> tuple[SweepResult, Clustering, IndexReport]:
-    """The sweep, the AP clustering and its index report on the geometry of
-    ``reps[name]``, which is popped: the dense matrix is freed once the
-    geometry holds the normalized rows."""
-    with _stage(f"sweep:{name}"):
-        geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
-        result = run_sweep(geometry, gold, config.sweep)
-    with _stage(f"ap:{name}"):
-        clustering = affinity_propagation(geometry, config.ap)
-        # AP freed D; it is formed again from the normalized rows
-        return result, clustering, evaluate_clustering(geometry, clustering, gold)
-
-
-def _renamed(result: SweepResult, name: str) -> SweepResult:
-    """``result`` as the sweep of ``name``, a representation of the same
-    geometry; ``run_sweep``'s warnings begin with the swept name."""
-    swept = result.representation
-    return dataclasses.replace(result, representation=name, warnings=tuple(
-        name + warning[len(swept):] for warning in result.warnings))
-
-
 def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                  config: PipelineConfig, out_dir: str | Path) -> tuple[ReportRow, ...]:
     """Full workflow: representations, K-Means sweep + k selection, one AP
@@ -430,13 +408,18 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     and a manifest.  Without a gold standard the external columns are NA.
     Each dense representation is freed once its geometry holds the
     normalized rows, so one copy of it is live during its sweep and AP.
+    ``out_dir`` must be empty or new: the manifest lists every file in it.
 
     When the sigma2 cut keeps every row and column of the counts, each
     tf-idf row is its count row times ln(M / df_i) > 0, so ``NP_VPC_tfidf``
-    has ``NP_VPC``'s cosine geometry: it is not clustered again, and its
-    files and report rows are ``NP_VPC``'s under its own name."""
+    has ``NP_VPC``'s cosine geometry: it is not clustered again, its files
+    are copies of ``NP_VPC``'s and its report rows and warnings are
+    ``NP_VPC``'s under its own name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        # the manifest lists every file here as this run's artifact
+        raise ValueError(f"output directory {out} is not empty")
     warnings: list[str] = []
     if gold is None:
         warnings.append("no gold standard: purity/ari/ratio columns are NA")
@@ -452,45 +435,46 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     km_rows: list[ReportRow] = []
     ap_rows: list[ReportRow] = []
     selected: dict[str, int] = {}
-    ordered = [name for name in REPRESENTATIONS if name in reps]
-    shapes = {name: reps[name].matrix.shape for name in ordered}
-    shares: dict[str, str] = {}   # name -> the earlier name whose geometry it has
+    shapes = {name: reps[name].matrix.shape for name in REPRESENTATIONS if name in reps}
+    names_of = {name: [name] for name in shapes}   # geometry -> the names that have it
     # a cut keeps a subset of the rows and columns, so equal shapes mean
     # that sigma2 kept them all (neither count matrix has an all-zero row)
-    if NP_VPC in reps and NP_VPC_TFIDF in reps and shapes[NP_VPC_TFIDF] == shapes[NP_VPC]:
-        shares[NP_VPC_TFIDF] = NP_VPC
-        del reps[NP_VPC_TFIDF]
+    if NP_VPC in shapes and shapes.get(NP_VPC_TFIDF) == shapes[NP_VPC]:
+        del names_of[NP_VPC_TFIDF], reps[NP_VPC_TFIDF]
+        names_of[NP_VPC].append(NP_VPC_TFIDF)
         log.info("%s: sigma2 cut nothing, so it has the cosine geometry of %s and "
                  "shares its sweep and AP", NP_VPC_TFIDF, NP_VPC)
-    results: dict[str, tuple[SweepResult, Clustering, IndexReport]] = {}
-    for name in ordered:
-        if name not in shares:
-            results[name] = _sweep_and_ap(name, reps, gold, config)
-        result, clustering, index_report = results[shares.get(name, name)]
-        result = _renamed(result, name)
+    for name, names in names_of.items():
         with _stage(f"sweep:{name}"):
-            write_curves_csv(result, out / f"curves_{name}.csv")
-            write_repetitions_csv(result, out / f"repetitions_{name}.csv")
-            for warning in result.warnings:
-                log.warning(warning)
-            warnings.extend(result.warnings)
+            geometry = Geometry(reps.pop(name))    # shared by the sweep and AP
+            result = sweep(geometry, gold, config.sweep, out / f"curves_{name}.csv",
+                           out / f"repetitions_{name}.csv")
             k_sel = select_k(result)
-            selected[name] = k_sel
-            row = next(row for row in result.rows if row.k == k_sel)
-            # a k whose every repetition was +inf reports dunn2 as inf
-            dunn = math.inf if row.dunn2 is None else row.dunn2
-            km_rows.append(ReportRow(
-                clusterer="KM", representation=name, n_clusters=k_sel,
-                ratio=(k_sel / n_gold_labels if n_gold_labels else None),
-                purity=row.purity, ari=row.ari, dunn2=dunn, silhouette=row.silhouette))
         with _stage(f"ap:{name}"):
-            save_clustering(clustering, out / f"ap_{name}.csv",
-                            config=dataclasses.asdict(config.ap))
-            if not clustering.converged:
-                warnings.append(f"{name}: {AP_NOT_CONVERGED}")
+            clustering = cluster(geometry, config.ap, out / f"ap_{name}.csv")
+            # AP freed D; it is formed again from the normalized rows
+            index_report = evaluate_clustering(geometry, clustering, gold)
+        del geometry   # before the next geometry is built
+        for twin in names[1:]:
+            for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
+                            "ap_{}.csv.meta.json"):
+                shutil.copyfile(out / pattern.format(name), out / pattern.format(twin))
+        row = next(row for row in result.rows if row.k == k_sel)
+        messages = result.warnings + (() if clustering.converged else (AP_NOT_CONVERGED,))
+        for rep_name in names:
+            for message in messages:
+                warnings.append(f"{rep_name}: {message}")
                 log.warning(warnings[-1])
+            selected[rep_name] = k_sel
+            # a k whose every repetition was +inf reports dunn2 as inf
+            km_rows.append(ReportRow(
+                clusterer="KM", representation=rep_name, n_clusters=k_sel,
+                ratio=(k_sel / n_gold_labels if n_gold_labels else None),
+                purity=row.purity, ari=row.ari,
+                dunn2=math.inf if row.dunn2 is None else row.dunn2,
+                silhouette=row.silhouette))
             ap_rows.append(ReportRow(
-                clusterer="AP", representation=name,
+                clusterer="AP", representation=rep_name,
                 n_clusters=clustering.n_clusters,
                 ratio=(clustering.n_clusters / n_gold_labels if n_gold_labels else None),
                 purity=index_report.purity, ari=index_report.adjusted_rand,

@@ -313,6 +313,15 @@ def test_sweep_clip_warning_on_stderr(workdir, tmp_path):
     assert done.stderr.count("clipped") == 1, done.stderr
 
 
+def test_cluster_ap_warning_names_the_representation(workdir, tmp_path):
+    # a convergence window longer than the iterations: AP never settles
+    done = run_cli_process(["cluster", "ap", workdir / "mat" / "np_vpc.mtx",
+                            "-o", tmp_path / "ap.csv",
+                            "--max-iter", "2", "--convergence-window", "50"])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"warning: np_vpc: {AP_NOT_CONVERGED}\n"
+
+
 def test_pipeline_ap_warning_on_stderr_once(tmp_path, mini_corpus_path, mini_gold_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -369,6 +378,17 @@ def test_pipeline_command(tmp_path, mini_corpus_path, mini_gold_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 9
     assert (out / "manifest.json").exists()
+
+
+def test_pipeline_refuses_a_non_empty_out(tmp_path, mini_corpus_path, mini_gold_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.csv").write_text("an earlier run's report\n")
+    code, _, err = run_cli(["pipeline", "--corpus", str(mini_corpus_path), "--gold",
+                            str(mini_gold_path), "--out", str(out)] + PIPELINE_FLAGS)
+    assert code == 1 and err == f"error: output directory {out} is not empty\n", err
+    assert [p.name for p in out.iterdir()] == ["report.csv"]
+    assert (out / "report.csv").read_text() == "an earlier run's report\n"
 
 
 def test_pipeline_config_from_a_manifest_writes_the_same_artifacts(

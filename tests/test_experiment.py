@@ -122,8 +122,7 @@ def test_run_sweep_clips_k_max_with_warning():
     result = run_sweep(Geometry(sweep_rep(n=5)), sweep_gold(5),
                        small_config(k_max=50, repetitions=1))
     assert [row.k for row in result.rows] == [2, 3, 4, 5]
-    assert result.warnings == (
-        "NP_VPC: k_max 50 clipped to 5 (only 5 distinct rows)",)
+    assert result.warnings == ("k_max 50 clipped to 5 (only 5 distinct rows)",)
 
 
 def test_run_sweep_without_gold_leaves_external_columns_none():

@@ -160,8 +160,7 @@ def test_sweep_warns_when_every_cell_of_a_k_failed_to_converge(
         monkeypatch, mini_reps, mini_gold, tmp_path, mini_corpus):
     # every cell of k=3 fails, one of the two at k=4 does
     with_unconverged_kmeans(monkeypatch, lambda k, call: k == 3 or (k == 4 and call == 1))
-    expected = ("NP_VPC k=3: every K-Means cell (2 repetition(s)) hit max_iter "
-                "before converging")
+    expected = "k=3: every K-Means cell (2 repetition(s)) hit max_iter before converging"
     result = run_sweep(Geometry(mini_reps[NP_VPC]), mini_gold, SWEEP)
     assert result.warnings == (expected,)
 
@@ -169,7 +168,7 @@ def test_sweep_warns_when_every_cell_of_a_k_failed_to_converge(
         PIPELINE, sweep=dataclasses.replace(SWEEP, representations=(NP_VPC,)))
     run_pipeline(mini_corpus, mini_gold, config, tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert expected in manifest["warnings"]
+    assert f"{NP_VPC}: {expected}" in manifest["warnings"]
     assert not any("k=4" in warning for warning in manifest["warnings"])
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -296,9 +297,10 @@ def test_tfidf_twin_files_are_the_count_files(quick_start_runs):
                 == (out / pattern.format(NP_VPC)).read_bytes()), pattern
 
 
-def spy_on_clustering(monkeypatch):
-    """The provenance of each geometry ``run_pipeline`` sweeps and runs AP on."""
-    calls = {"run_sweep": [], "affinity_propagation": []}
+def spy_on(monkeypatch, *attrs):
+    """The provenance of each geometry that ``run_pipeline`` passes to the
+    ``experiment`` functions ``attrs``, by function."""
+    calls = {attr: [] for attr in attrs}
     for attr, seen in calls.items():
         def spy(geometry, *args, _run=getattr(experiment, attr), _seen=seen, **kwargs):
             _seen.append(geometry.provenance)
@@ -314,10 +316,40 @@ def spy_on_clustering(monkeypatch):
     (3.0, list(REPRESENTATIONS))])
 def test_each_distinct_geometry_is_swept_and_clustered_once(
         monkeypatch, mini_corpus, mini_gold, tmp_path, sigma2, clustered):
-    calls = spy_on_clustering(monkeypatch)
+    calls = spy_on(monkeypatch, "run_sweep", "affinity_propagation")
     config = tiny_config(sweep=dataclasses.replace(tiny_config().sweep, sigma2=sigma2))
     run_pipeline(mini_corpus, mini_gold, config, tmp_path)
     assert calls == {"run_sweep": clustered, "affinity_propagation": clustered}
+
+
+@pytest.mark.parametrize("sigma2, clustered", [
+    (0.5, [NP_VPC, NP_VPC_NMF, NP_W2V]),   # NP_VPC_tfidf's files are copies
+    (6.0, list(REPRESENTATIONS))])         # 7 of 16 rows kept
+def test_the_pipeline_runs_the_stage_functions_once_per_distinct_geometry(
+        monkeypatch, mini_corpus, mini_gold, tmp_path, sigma2, clustered):
+    calls = spy_on(monkeypatch, "sweep", "cluster")
+    config = quick_start_config()
+    config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, sigma2=sigma2))
+    run_pipeline(mini_corpus, mini_gold, config, tmp_path)
+    assert calls == {"sweep": clustered, "cluster": clustered}
+    twin_files = [(tmp_path / pattern.format(NP_VPC_TFIDF)).read_bytes()
+                  == (tmp_path / pattern.format(NP_VPC)).read_bytes()
+                  for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
+                                  "ap_{}.csv.meta.json")]
+    assert twin_files == [NP_VPC_TFIDF not in clustered] * 4
+
+
+def test_a_run_into_an_earlier_runs_directory_fails_and_writes_nothing(
+        quick_start_runs, mini_corpus, mini_gold):
+    # the manifest lists every file of its directory as the run's own
+    *_, out = quick_start_runs["gold"]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    config = quick_start_config()
+    config = dataclasses.replace(config, sweep=dataclasses.replace(
+        config.sweep, representations=(NP_VPC,)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'output directory {out} is not empty')}$"):
+        run_pipeline(mini_corpus, mini_gold, config, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_tfidf_with_columns_cut_is_clustered_on_its_own_geometry(
@@ -375,7 +407,7 @@ def test_twin_reports_its_own_convergence_warnings(monkeypatch, caplog, mini_cor
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     expected = [warning
                 for name in (NP_VPC, NP_VPC_TFIDF)
-                for warning in (*(f"{name} k={k}: every K-Means cell (2 repetition(s)) "
+                for warning in (*(f"{name}: k={k}: every K-Means cell (2 repetition(s)) "
                                   "hit max_iter before converging" for k in (2, 3)),
                                 f"{name}: {AP_NOT_CONVERGED}")]
     assert manifest["warnings"] == expected
