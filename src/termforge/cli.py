@@ -5,7 +5,7 @@
     termforge featurize <couples.tsv> -o <dir> [--sigma1 N --sigma2 N]
     termforge encode    nmf|w2v ...
     termforge cluster   kmeans|ap <rep> ...
-    termforge evaluate  <clustering.csv> <rep> <gold.tsv>
+    termforge evaluate  <clustering.csv> <rep> <gold.tsv> -o row.csv
     termforge sweep     <rep> --gold <tsv> -o curves.csv
     termforge pipeline  --corpus <path> --gold <tsv> --out <dir> ...
 
@@ -26,10 +26,10 @@ from pathlib import Path
 
 from .clustering import AP_NOT_CONVERGED, MEDIAN_PREFERENCE, Geometry, load_clustering
 from .corpus import corpus_stats, load_corpus
-from .evaluation import evaluate_clustering, format_value, load_gold_standard
+from .evaluation import format_value, load_gold_standard
 from .experiment import (PipelineConfig, build_matrices, cluster, config_from_dict,
-                         encode_nmf, encode_w2v, extract, kmeans_cell, run_pipeline,
-                         sweep)
+                         encode_nmf, encode_w2v, evaluate, extract, kmeans_cell,
+                         require_empty_dir, run_pipeline, sweep, write_report_csv)
 from .extraction import SCHEMES, read_couples_tsv
 from .matrices import (REPRESENTATIONS, Thresholds, load_matrix, load_representation,
                        save_matrix)
@@ -113,14 +113,9 @@ def _cmd_cluster(args) -> None:
 def _cmd_evaluate(args) -> None:
     clustering = load_clustering(args.clustering)
     rep = load_representation(args.rep)
-    gold = load_gold_standard(args.gold)
-    report = evaluate_clustering(Geometry(rep), clustering, gold)
-    name = args.representation or rep.provenance
-    print("representation,algorithm,n_clusters,ratio,purity,ari,dunn2,silhouette,coverage")
-    values = (clustering.n_clusters / gold.n_labels, report.purity, report.adjusted_rand,
-              report.dunn2, report.silhouette, report.coverage)
-    print(",".join([name, clustering.algorithm, str(clustering.n_clusters),
-                    *map(format_value, values)]))
+    row = evaluate(Geometry(rep), clustering, load_gold_standard(args.gold),
+                   args.representation or rep.provenance)
+    write_report_csv([row], args.out)
 
 
 def _cmd_sweep(args) -> None:
@@ -141,15 +136,9 @@ def _cmd_pipeline(args) -> None:
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     config = _config(args, base)
-    corpus = load_corpus(args.corpus)
-    gold = None
-    if args.gold:
-        try:
-            gold = load_gold_standard(args.gold)
-        except FileNotFoundError:
-            print(f"warning: [evaluation] gold standard not found: {args.gold}; "
-                  "external indices will be NA", file=sys.stderr)
-    rows = run_pipeline(corpus, gold, config, args.out)
+    require_empty_dir(args.out)   # before the loads, which may take long
+    gold = load_gold_standard(args.gold) if args.gold else None
+    rows = run_pipeline(load_corpus(args.corpus), gold, config, args.out)
     log.info("report with %d rows written to %s", len(rows), Path(args.out) / "report.csv")
 
 
@@ -228,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("clustering")
     p.add_argument("rep", help=REP_HELP)
     p.add_argument("gold")
+    p.add_argument("-o", "--out", required=True, help="report.csv header and row output")
     p.add_argument("--representation", default=None, help="name for the output row")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -4,8 +4,7 @@ Internal indices read a pairwise dissimilarity matrix aligned with the
 clustering's label order, or the clustered representation's Geometry, and
 the clustering's ids in that order.  External indices compare against a
 gold standard and are computed on the intersection of clustered and gold
-terms only, with the coverage fraction reported alongside rather than
-silently folded in.
+terms only.
 
 Undefined values stay undefined: silhouette/Dunn2 need at least two
 clusters, Dunn2 with only singleton (or zero-spread) clusters is +inf, and
@@ -41,10 +40,9 @@ class GoldStandard:
 @dataclass(frozen=True)
 class IndexReport:
     purity: float | None          # None without a gold standard
-    adjusted_rand: float | None
+    ari: float | None
     dunn2: float | None           # may be +inf; None when n_clusters < 2
     silhouette: float | None      # None when n_clusters < 2
-    coverage: float | None        # clustered terms found in gold / all clustered
 
 
 def load_gold_standard(path: str | Path) -> GoldStandard:
@@ -233,11 +231,9 @@ def evaluate_clustering(dissimilarity: np.ndarray | Geometry, clustering: Cluste
         contingency = _contingency(clustering, gold)
         pur = _purity(contingency)
         ari = _adjusted_rand(contingency)
-        cov = sum(contingency.values()) / len(clustering.labels)
     else:
-        pur = ari = cov = None
-    return IndexReport(purity=pur, adjusted_rand=ari, dunn2=dn2,
-                       silhouette=sil, coverage=cov)
+        pur = ari = None
+    return IndexReport(purity=pur, ari=ari, dunn2=dn2, silhouette=sil)
 
 
 def format_value(x) -> str:

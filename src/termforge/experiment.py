@@ -13,10 +13,10 @@ cells (common random numbers); cells run and are aggregated in grid order,
 and every float is serialized with ``repr``.  Identical inputs and master
 seed therefore produce byte-identical output files.  ``run_pipeline`` calls
 the CLI's stage functions ``sweep`` and ``cluster`` once per distinct
-geometry: when the sigma2 cut keeps every row and column, ``NP_VPC_tfidf``'s
-files are copies of ``NP_VPC``'s, which equal the stage commands' output on
-``np_vpc.mtx``.  Warnings read ``<name>: <message>``; ``run_sweep`` returns
-the messages and its caller adds the name.
+geometry, then ``evaluate``: when the sigma2 cut keeps every row and column,
+``NP_VPC_tfidf``'s files are copies of ``NP_VPC``'s, which equal the stage
+commands' output on ``np_vpc.mtx``.  Warnings read ``<name>: <message>``;
+``run_sweep`` returns the messages and its caller adds the name.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class ReportRow:
-    clusterer: str             # "KM" or "AP"
+    clusterer: str             # CLUSTERERS: "KM" or "AP"
     representation: str
     n_clusters: int
     ratio: float | None        # n_clusters / |gold labels|
@@ -166,10 +166,8 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
             clustering = kmeans(geometry, cell)
             unconverged += not clustering.converged
             report = evaluate_clustering(geometry, clustering, gold)
-            batch.append(RepetitionRecord(
-                k=k, repetition=r, seed=cell.seed,
-                purity=report.purity, ari=report.adjusted_rand,
-                dunn2=report.dunn2, silhouette=report.silhouette))
+            batch.append(RepetitionRecord(k=k, repetition=r, seed=cell.seed,
+                                          **dataclasses.asdict(report)))
         if unconverged == len(batch):
             warnings.append(f"k={k}: every K-Means cell ({len(batch)} repetition(s)) "
                             "hit max_iter before converging")
@@ -346,6 +344,23 @@ def cluster(geometry: Geometry, config: KmeansConfig | ApConfig, path: str | Pat
     return clustering
 
 
+CLUSTERERS = {"kmeans": "KM", "affinity_propagation": "AP"}   # others keep their name
+
+
+def _ratio(n_clusters: int, gold: GoldStandard | None) -> float | None:
+    return n_clusters / gold.n_labels if gold is not None else None
+
+
+def evaluate(geometry: Geometry, clustering: Clustering, gold: GoldStandard | None,
+             representation: str) -> ReportRow:
+    """The evaluation stage: the clustering's ``report.csv`` row."""
+    report = evaluate_clustering(geometry, clustering, gold)
+    return ReportRow(clusterer=CLUSTERERS.get(clustering.algorithm, clustering.algorithm),
+                     representation=representation, n_clusters=clustering.n_clusters,
+                     ratio=_ratio(clustering.n_clusters, gold),
+                     **dataclasses.asdict(report))
+
+
 REPORT_HEADER = ("clusterer", "representation", "n_clusters", "ratio",
                  "purity", "ari", "dunn2", "silhouette")
 CURVES_HEADER = ("k", "purity", "ari", "dunn2", "silhouette")
@@ -401,6 +416,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ValueError(f"bad pipeline config: {exc}") from None
 
 
+def require_empty_dir(out_dir: str | Path) -> Path:
+    """``out_dir``, refused if it holds anything (the manifest lists every file in it)."""
+    out = Path(out_dir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"output directory {out} is not empty")
+    return out
+
+
 def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                  config: PipelineConfig, out_dir: str | Path) -> tuple[ReportRow, ...]:
     """Full workflow: representations, K-Means sweep + k selection, one AP
@@ -408,18 +431,15 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     and a manifest.  Without a gold standard the external columns are NA.
     Each dense representation is freed once its geometry holds the
     normalized rows, so one copy of it is live during its sweep and AP.
-    ``out_dir`` must be empty or new: the manifest lists every file in it.
+    ``out_dir`` must be empty or new (``require_empty_dir``).
 
     When the sigma2 cut keeps every row and column of the counts, each
     tf-idf row is its count row times ln(M / df_i) > 0, so ``NP_VPC_tfidf``
     has ``NP_VPC``'s cosine geometry: it is not clustered again, its files
     are copies of ``NP_VPC``'s and its report rows and warnings are
     ``NP_VPC``'s under its own name."""
-    out = Path(out_dir)
+    out = require_empty_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if any(out.iterdir()):
-        # the manifest lists every file here as this run's artifact
-        raise ValueError(f"output directory {out} is not empty")
     warnings: list[str] = []
     if gold is None:
         warnings.append("no gold standard: purity/ari/ratio columns are NA")
@@ -431,7 +451,6 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
                 f"{name}: dropped {len(reps[name].dropped_labels)} NP(s) "
                 f"without usable features: {', '.join(reps[name].dropped_labels[:5])}")
 
-    n_gold_labels = gold.n_labels if gold is not None else None
     km_rows: list[ReportRow] = []
     ap_rows: list[ReportRow] = []
     selected: dict[str, int] = {}
@@ -453,7 +472,7 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
         with _stage(f"ap:{name}"):
             clustering = cluster(geometry, config.ap, out / f"ap_{name}.csv")
             # AP freed D; it is formed again from the normalized rows
-            index_report = evaluate_clustering(geometry, clustering, gold)
+            ap_row = evaluate(geometry, clustering, gold, name)
         del geometry   # before the next geometry is built
         for twin in names[1:]:
             for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
@@ -469,16 +488,10 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             # a k whose every repetition was +inf reports dunn2 as inf
             km_rows.append(ReportRow(
                 clusterer="KM", representation=rep_name, n_clusters=k_sel,
-                ratio=(k_sel / n_gold_labels if n_gold_labels else None),
-                purity=row.purity, ari=row.ari,
+                ratio=_ratio(k_sel, gold), purity=row.purity, ari=row.ari,
                 dunn2=math.inf if row.dunn2 is None else row.dunn2,
                 silhouette=row.silhouette))
-            ap_rows.append(ReportRow(
-                clusterer="AP", representation=rep_name,
-                n_clusters=clustering.n_clusters,
-                ratio=(clustering.n_clusters / n_gold_labels if n_gold_labels else None),
-                purity=index_report.purity, ari=index_report.adjusted_rand,
-                dunn2=index_report.dunn2, silhouette=index_report.silhouette))
+            ap_rows.append(dataclasses.replace(ap_row, representation=rep_name))
 
     rows = tuple(km_rows + ap_rows)
     write_report_csv(rows, out / "report.csv")

@@ -16,7 +16,7 @@ from termforge.cli import main
 from termforge.clustering import AP_NOT_CONVERGED, ApConfig, KmeansConfig, load_clustering
 from termforge.corpus import load_corpus
 from termforge.embeddings import SkipgramConfig, load_embeddings
-from termforge.experiment import PipelineConfig, SweepConfig, derive_seed
+from termforge.experiment import REPORT_HEADER, PipelineConfig, SweepConfig, derive_seed
 from termforge.extraction import ExtractionConfig, extract_corpus, read_couples_tsv
 from termforge.matrices import (
     NP_VPC,
@@ -135,14 +135,23 @@ def test_stages_write_the_pipeline_bytes(workdir, tmp_path, mini_corpus_path,
         assert stage_output.read_bytes() == (run / name).read_bytes(), name
 
     # cluster kmeans -k 4 is the sweep's cell (4, 0): its seed and indices
-    code, out, err = run_cli(["evaluate", str(stages / "km.csv"), str(counts),
-                              str(mini_gold_path)])
+    code, _, err = run_cli(["evaluate", str(stages / "km.csv"), str(counts),
+                            str(mini_gold_path), "-o", str(stages / "km_row.csv")])
     assert code == 0, err
     cell = next(line.split(",") for line in (run / f"repetitions_{NP_VPC}.csv")
                 .read_text().splitlines() if line.startswith("4,0,"))
-    assert out.splitlines()[1].split(",")[4:8] == cell[3:7]
+    assert (stages / "km_row.csv").read_text().splitlines()[1].split(",")[4:8] == cell[3:7]
     meta = json.loads((stages / "km.csv.meta.json").read_text())
     assert meta["config"]["seed"] == int(cell[2])
+
+    # evaluate on cluster ap's file writes report.csv's header and AP row
+    code, _, err = run_cli(["evaluate", str(workdir / "ap.csv"), str(counts),
+                            str(mini_gold_path), "--representation", NP_VPC,
+                            "-o", str(stages / "ap_row.csv")])
+    assert code == 0, err
+    header, *rows = (run / "report.csv").read_text().splitlines(keepends=True)
+    ap_row = next(row for row in rows if row.startswith(f"AP,{NP_VPC},"))
+    assert (stages / "ap_row.csv").read_text() == header + ap_row
 
 
 def test_extract_without_couples_fails_and_writes_nothing(tmp_path):
@@ -255,26 +264,26 @@ def test_cluster_ap_rejects_a_non_finite_preference(workdir, tmp_path, preferenc
     assert not out.exists()
 
 
-def test_evaluate_row(workdir, mini_gold_path):
+def test_evaluate_row(workdir, mini_gold_path, tmp_path):
+    row = tmp_path / "row.csv"
     code, out, _ = run_cli(["evaluate", str(workdir / "km.csv"),
                             str(workdir / "mat" / "np_vpc.mtx"),
-                            str(mini_gold_path), "--representation", NP_VPC])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == ("representation,algorithm,n_clusters,ratio,purity,"
-                        "ari,dunn2,silhouette,coverage")
+                            str(mini_gold_path), "--representation", NP_VPC,
+                            "-o", str(row)])
+    assert code == 0 and out == ""
+    lines = row.read_text().splitlines()
+    assert lines[0] == ",".join(REPORT_HEADER)
     cells = lines[1].split(",")
-    assert cells[0] == NP_VPC and cells[1] == "kmeans"
+    assert cells[0] == "KM" and cells[1] == NP_VPC
     assert cells[2] == "3" and cells[3] == "1.0"
     assert 0.0 <= float(cells[4]) <= 1.0
-    assert float(cells[8]) == 0.75   # 12 gold terms among the 16 clustered
 
 
 def test_evaluate_rejects_label_mismatch(workdir, mini_gold_path, tmp_path):
     other = tmp_path / "other_rep.txt"
     other.write_text("2 2\nalpha\t1.0 0.0\nbeta\t0.0 1.0\n")
     code, _, err = run_cli(["evaluate", str(workdir / "km.csv"), str(other),
-                            str(mini_gold_path)])
+                            str(mini_gold_path), "-o", str(tmp_path / "row.csv")])
     assert code == 1
     assert "error:" in err and "label sets differ" in err
 
@@ -284,7 +293,8 @@ def test_evaluate_names_a_clustering_in_another_row_order(workdir, mini_gold_pat
     reordered = tmp_path / "km.csv"
     reordered.write_text("\n".join([header, *rows[::-1]]) + "\n")
     code, _, err = run_cli(["evaluate", str(reordered),
-                            str(workdir / "mat" / "np_vpc.mtx"), str(mini_gold_path)])
+                            str(workdir / "mat" / "np_vpc.mtx"), str(mini_gold_path),
+                            "-o", str(tmp_path / "row.csv")])
     assert code == 1
     assert ("error: clustering and representation hold the same NP keys in another "
             "order: they first differ at position 0;") in err, err
@@ -391,6 +401,18 @@ def test_pipeline_refuses_a_non_empty_out(tmp_path, mini_corpus_path, mini_gold_
     assert (out / "report.csv").read_text() == "an earlier run's report\n"
 
 
+def test_pipeline_refuses_a_non_empty_out_before_loading_anything(
+        monkeypatch, tmp_path, mini_gold_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.csv").write_text("an earlier run's report\n")
+    for name in ("load_corpus", "load_gold_standard"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("loaded an input"))
+    code, _, err = run_cli(["pipeline", "--corpus", "c.conllu", "--gold",
+                            str(mini_gold_path), "--out", str(out)])
+    assert code == 1 and err == f"error: output directory {out} is not empty\n", err
+
+
 def test_pipeline_config_from_a_manifest_writes_the_same_artifacts(
         tmp_path, mini_corpus_path, mini_gold_path):
     inputs = ["--corpus", str(mini_corpus_path), "--gold", str(mini_gold_path)]
@@ -457,18 +479,17 @@ def test_pipeline_rejects_a_bad_config_file(tmp_path, mini_corpus_path, text, fr
     assert not out.exists()
 
 
-def test_pipeline_missing_gold_continues_without_external_indices(
-        tmp_path, mini_corpus_path):
+def test_pipeline_missing_gold_fails_before_loading_the_corpus(monkeypatch, tmp_path):
+    # as in evaluate and sweep --gold; a run without gold omits --gold
     out = tmp_path / "run"
     missing = tmp_path / "nope.tsv"
-    code, _, err = run_cli(["pipeline", "--corpus", str(mini_corpus_path),
+    monkeypatch.setattr(cli, "load_corpus", lambda *args: pytest.fail("loaded the corpus"))
+    code, _, err = run_cli(["pipeline", "--corpus", "c.conllu",
                             "--gold", str(missing), "--out", str(out)]
                            + PIPELINE_FLAGS)
-    assert code == 0
-    assert (f"warning: [evaluation] gold standard not found: {missing}; "
-            "external indices will be NA") in err
-    first_row = (out / "report.csv").read_text().splitlines()[1].split(",")
-    assert first_row[3] == first_row[4] == first_row[5] == "NA"
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n", err
+    assert not out.exists()
 
 
 def test_pipeline_representation_subset(tmp_path, mini_corpus_path, mini_gold_path):
@@ -533,7 +554,7 @@ def test_errors_exit_one_with_message(tmp_path, workdir):
 @pytest.mark.parametrize("stage", [
     ["cluster", "kmeans", "{rep}", "-o", "{out}", "-k", "2"],
     ["cluster", "ap", "{rep}", "-o", "{out}"],
-    ["evaluate", "{clustering}", "{rep}", "{gold}"],
+    ["evaluate", "{clustering}", "{rep}", "{gold}", "-o", "{out}"],
     ["sweep", "{rep}", "-o", "{out}", "--k-max", "3"],
 ], ids=["kmeans", "ap", "evaluate", "sweep"])
 def test_stages_reject_a_repeated_representation_key(tmp_path, workdir, mini_gold_path,

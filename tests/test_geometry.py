@@ -43,7 +43,7 @@ def reference_cells(rep, gold, config):
                                          clustering, gold)
             cells.append(RepetitionRecord(
                 k=k, repetition=r, seed=seed,
-                purity=report.purity, ari=report.adjusted_rand,
+                purity=report.purity, ari=report.ari,
                 dunn2=report.dunn2, silhouette=report.silhouette))
     return tuple(cells)
 
@@ -270,6 +270,7 @@ def test_evaluate_command_still_rejects_a_bad_representation(
     save_clustering(clustering, tmp_path / "km.csv")
     rep_path = tmp_path / "rep.txt"
     rep_path.write_text(f"3 2\nalpha\t1.0 0.0\nbeta\t{bad_row}\ngamma\t0.0 1.0\n")
-    code = main(["evaluate", str(tmp_path / "km.csv"), str(rep_path), str(mini_gold_path)])
+    code = main(["evaluate", str(tmp_path / "km.csv"), str(rep_path), str(mini_gold_path),
+                 "-o", str(tmp_path / "row.csv")])
     assert code == 1
     assert message in capsys.readouterr().err

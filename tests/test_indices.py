@@ -211,7 +211,6 @@ def test_purity_scores_only_the_gold_intersection():
     clustering = make_clustering([0, 0, 1])
     gs = gold({"p0": "A", "p1": "B"})   # p2 is not in the gold standard
     assert purity(clustering, gs) == pytest.approx(0.5)
-    assert evaluate_clustering(np.zeros((3, 3)), clustering, gs).coverage == pytest.approx(2 / 3)
 
 
 def test_purity_empty_intersection_is_an_error():
@@ -340,17 +339,15 @@ def test_evaluate_clustering_full_report():
     gs = gold({"p0": "A", "p1": "A", "p2": "B", "p3": "B"})
     report = evaluate_clustering(FOUR_POINT_D, FOUR_POINT_CLUSTERING, gs)
     assert report.purity == 1.0
-    assert report.adjusted_rand == 1.0
+    assert report.ari == 1.0
     assert report.dunn2 == pytest.approx(4.5)
     assert report.silhouette == pytest.approx(5 / 6)
-    assert report.coverage == 1.0
 
 
 def test_evaluate_clustering_without_gold():
     report = evaluate_clustering(FOUR_POINT_D, FOUR_POINT_CLUSTERING, None)
     assert report.purity is None
-    assert report.adjusted_rand is None
-    assert report.coverage is None
+    assert report.ari is None
     assert report.silhouette == pytest.approx(5 / 6)
 
 
