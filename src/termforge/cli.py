@@ -18,6 +18,7 @@ cell (K, 0), derive_seed(seed, K, 0); so they write the pipeline's bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .clustering import AP_NOT_CONVERGED, MEDIAN_PREFERENCE, Geometry, load_clustering
-from .corpus import corpus_stats, load_corpus
+from .corpus import CorpusStats, corpus_stats, load_corpus
 from .evaluation import format_value, load_gold_standard
 from .experiment import (PipelineConfig, build_matrices, cluster, config_from_dict,
                          encode_nmf, encode_w2v, evaluate, extract, kmeans_cell,
@@ -65,11 +66,11 @@ def real_or_median(text: str) -> float | str:
 
 
 def _cmd_stats(args) -> None:
-    print("corpus,n_documents,n_sentences,n_words,words_per_document")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["corpus", *(field.name for field in dataclasses.fields(CorpusStats))])
     for path in args.corpus:
-        stats = corpus_stats(load_corpus(path))
-        print(",".join([str(path), str(stats.n_documents), str(stats.n_sentences),
-                        str(stats.n_words), format_value(stats.words_per_document)]))
+        stats = dataclasses.astuple(corpus_stats(load_corpus(path)))
+        writer.writerow([path, *map(format_value, stats)])
 
 
 def _cmd_extract(args) -> None:
@@ -94,7 +95,7 @@ def _cmd_encode_nmf(args) -> None:
 
 
 def _cmd_encode_w2v(args) -> None:
-    keys = ([line for line in Path(args.compose).read_text(encoding="utf-8").splitlines()
+    keys = ([line for line in Path(args.compose).read_text(encoding="utf-8-sig").splitlines()
              if line.strip()] if args.compose else None)
     encode_w2v(load_corpus(args.corpus), _config(args), args.out, keys, args.rep_out)
 

@@ -20,6 +20,7 @@ commands' output on ``np_vpc.mtx``.  Warnings read ``<name>: <message>``;
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -40,7 +41,7 @@ from .clustering import (AP_NOT_CONVERGED, ApConfig, Clustering, Geometry,
 from .corpus import Corpus
 from .embeddings import (SkipgramConfig, np_vectors, require_composed, save_embeddings,
                          train_skipgram)
-from .evaluation import GoldStandard, evaluate_clustering, format_value
+from .evaluation import GoldStandard, IndexReport, evaluate_clustering, format_value
 from .extraction import (Couple, Role, SCHEMES, extract_corpus,
                          write_couples_tsv)
 from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
@@ -52,6 +53,7 @@ from .matrices import (NP_VPC, NP_VPC_NMF, NP_VPC_TFIDF, NP_W2V,
 from .nmf import nmf
 
 log = logging.getLogger(__name__)
+INDICES = tuple(field.name for field in dataclasses.fields(IndexReport))   # index columns
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,9 @@ class RepetitionRecord:
 @dataclass(frozen=True)
 class SweepRow:
     k: int
-    purity: float | None       # means over defined repetition values
+    purity: float | None       # means of the finite repetition values (_mean)
     ari: float | None
-    dunn2: float | None        # None when every repetition was undefined/inf
+    dunn2: float | None        # +inf when every defined repetition value was +inf
     silhouette: float | None
 
 
@@ -131,14 +133,18 @@ def kmeans_cell(master_seed: int, k: int, repetition: int) -> KmeansConfig:
     return KmeansConfig(k=k, seed=derive_seed(master_seed, k, repetition))
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+def _mean(values: Sequence[float | None]) -> float | None:
+    """Mean of the finite values; +inf if every defined value is +inf; None if none is."""
+    finite = [value for value in values if value is not None and math.isfinite(value)]
+    if finite:
+        return sum(finite) / len(finite)
+    return math.inf if math.inf in values else None
 
 
 def run_sweep(geometry: Geometry, gold: GoldStandard | None,
               config: SweepConfig) -> SweepResult:
     """K-Means over k = k_min..min(k_max, distinct rows), `repetitions`
-    seeded runs per k; means per k exclude undefined values (counted).
+    seeded runs per k, each k's row the ``_mean`` of its cells' indices.
     Every cell reuses the one geometry.  Warnings are returned in the
     result, not logged and without a name: the caller reports each once."""
     warnings: list[str] = []
@@ -172,17 +178,12 @@ def run_sweep(geometry: Geometry, gold: GoldStandard | None,
             warnings.append(f"k={k}: every K-Means cell ({len(batch)} repetition(s)) "
                             "hit max_iter before converging")
         records.extend(batch)
-        purities = [rec.purity for rec in batch if rec.purity is not None]
-        aris = [rec.ari for rec in batch if rec.ari is not None]
-        dunns = [rec.dunn2 for rec in batch
-                 if rec.dunn2 is not None and math.isfinite(rec.dunn2)]
-        sils = [rec.silhouette for rec in batch if rec.silhouette is not None]
-        excluded = len(batch) - len(dunns)
-        if excluded:
-            log.info("%s k=%d: %d undefined dunn2 value(s) excluded from the mean",
-                     geometry.provenance, k, excluded)
-        rows.append(SweepRow(k=k, purity=_mean(purities), ari=_mean(aris),
-                             dunn2=_mean(dunns), silhouette=_mean(sils)))
+        rows.append(SweepRow(k=k, **{name: _mean([getattr(rec, name) for rec in batch])
+                                     for name in INDICES}))
+        infinite = sum(rec.dunn2 == math.inf for rec in batch)
+        if infinite:
+            log.info("%s k=%d: %d dunn2 value(s) are +inf%s", geometry.provenance, k, infinite,
+                     "" if rows[-1].dunn2 == math.inf else ", excluded from the mean")
     return SweepResult(representation=geometry.provenance, rows=tuple(rows),
                        cells=tuple(records), warnings=tuple(warnings))
 
@@ -327,7 +328,12 @@ def build_representations(corpus: Corpus, config: PipelineConfig,
         if NP_VPC in wanted:
             reps[NP_VPC] = representation_from_matrix(counts, NP_VPC)
         if NP_VPC_TFIDF in wanted:
-            reps[NP_VPC_TFIDF] = representation_from_matrix(weighted, NP_VPC_TFIDF)
+            # a cut keeps a subset of the rows and columns, so equal shapes mean
+            # that sigma2 kept them all (neither count matrix has an all-zero
+            # row); each tf-idf row is then its count row times ln(M/df_i) > 0,
+            # which only scales it, so the count rows give the one cosine geometry
+            reps[NP_VPC_TFIDF] = representation_from_matrix(
+                counts if weighted.shape == counts.shape else weighted, NP_VPC_TFIDF)
         if NP_VPC_NMF in wanted:
             reps[NP_VPC_NMF] = encode_nmf(counts, config, out_dir / f"rep_{NP_VPC_NMF}.txt")
         if NP_W2V in wanted:
@@ -347,46 +353,46 @@ def cluster(geometry: Geometry, config: KmeansConfig | ApConfig, path: str | Pat
 CLUSTERERS = {"kmeans": "KM", "affinity_propagation": "AP"}   # others keep their name
 
 
-def _ratio(n_clusters: int, gold: GoldStandard | None) -> float | None:
-    return n_clusters / gold.n_labels if gold is not None else None
+def _report_row(clusterer: str, representation: str, n_clusters: int,
+                gold: GoldStandard | None, indices: IndexReport | SweepRow) -> ReportRow:
+    """A ``report.csv`` row; ratio = n_clusters / |gold labels|."""
+    return ReportRow(clusterer=clusterer, representation=representation,
+                     n_clusters=n_clusters,
+                     ratio=n_clusters / gold.n_labels if gold is not None else None,
+                     **{name: getattr(indices, name) for name in INDICES})
 
 
 def evaluate(geometry: Geometry, clustering: Clustering, gold: GoldStandard | None,
              representation: str) -> ReportRow:
     """The evaluation stage: the clustering's ``report.csv`` row."""
-    report = evaluate_clustering(geometry, clustering, gold)
-    return ReportRow(clusterer=CLUSTERERS.get(clustering.algorithm, clustering.algorithm),
-                     representation=representation, n_clusters=clustering.n_clusters,
-                     ratio=_ratio(clustering.n_clusters, gold),
-                     **dataclasses.asdict(report))
+    return _report_row(CLUSTERERS.get(clustering.algorithm, clustering.algorithm),
+                       representation, clustering.n_clusters, gold,
+                       evaluate_clustering(geometry, clustering, gold))
 
 
-REPORT_HEADER = ("clusterer", "representation", "n_clusters", "ratio",
-                 "purity", "ari", "dunn2", "silhouette")
-CURVES_HEADER = ("k", "purity", "ari", "dunn2", "silhouette")
-REPETITIONS_HEADER = ("k", "repetition", "seed", "purity", "ari", "dunn2",
-                      "silhouette")
+REPORT_HEADER = tuple(field.name for field in dataclasses.fields(ReportRow))
 
 
-def _write_table(path: Path, header: tuple[str, ...], records) -> None:
-    """CSV with ``header``; each column is the record attribute of that name."""
+def _write_table(path: Path, kind: type, records) -> None:
+    """CSV of ``records``, one column per field of the dataclass ``kind``."""
+    names = [field.name for field in dataclasses.fields(kind)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for record in records:
-            fh.write(",".join(format_value(getattr(record, column))
-                              for column in header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([format_value(getattr(record, name)) for name in names]
+                         for record in records)
 
 
 def write_report_csv(rows: Sequence[ReportRow], path: Path) -> None:
-    _write_table(path, REPORT_HEADER, rows)
+    _write_table(path, ReportRow, rows)
 
 
 def write_curves_csv(result: SweepResult, path: Path) -> None:
-    _write_table(path, CURVES_HEADER, result.rows)
+    _write_table(path, SweepRow, result.rows)
 
 
 def write_repetitions_csv(result: SweepResult, path: Path) -> None:
-    _write_table(path, REPETITIONS_HEADER, result.cells)
+    _write_table(path, RepetitionRecord, result.cells)
 
 
 def sweep(geometry: Geometry, gold: GoldStandard | None, config: SweepConfig,
@@ -433,11 +439,10 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     normalized rows, so one copy of it is live during its sweep and AP.
     ``out_dir`` must be empty or new (``require_empty_dir``).
 
-    When the sigma2 cut keeps every row and column of the counts, each
-    tf-idf row is its count row times ln(M / df_i) > 0, so ``NP_VPC_tfidf``
-    has ``NP_VPC``'s cosine geometry: it is not clustered again, its files
-    are copies of ``NP_VPC``'s and its report rows and warnings are
-    ``NP_VPC``'s under its own name."""
+    When the sigma2 cut keeps every row and column of the counts,
+    ``NP_VPC_tfidf`` has ``NP_VPC``'s cosine geometry (``build_representations``):
+    it is not clustered again, its files are copies of ``NP_VPC``'s and its
+    report rows and warnings are ``NP_VPC``'s under its own name."""
     out = require_empty_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
@@ -456,8 +461,6 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
     selected: dict[str, int] = {}
     shapes = {name: reps[name].matrix.shape for name in REPRESENTATIONS if name in reps}
     names_of = {name: [name] for name in shapes}   # geometry -> the names that have it
-    # a cut keeps a subset of the rows and columns, so equal shapes mean
-    # that sigma2 kept them all (neither count matrix has an all-zero row)
     if NP_VPC in shapes and shapes.get(NP_VPC_TFIDF) == shapes[NP_VPC]:
         del names_of[NP_VPC_TFIDF], reps[NP_VPC_TFIDF]
         names_of[NP_VPC].append(NP_VPC_TFIDF)
@@ -478,19 +481,15 @@ def run_pipeline(corpus: Corpus, gold: GoldStandard | None,
             for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
                             "ap_{}.csv.meta.json"):
                 shutil.copyfile(out / pattern.format(name), out / pattern.format(twin))
-        row = next(row for row in result.rows if row.k == k_sel)
+        km_row = _report_row("KM", name, k_sel, gold,
+                             next(row for row in result.rows if row.k == k_sel))
         messages = result.warnings + (() if clustering.converged else (AP_NOT_CONVERGED,))
         for rep_name in names:
             for message in messages:
                 warnings.append(f"{rep_name}: {message}")
                 log.warning(warnings[-1])
             selected[rep_name] = k_sel
-            # a k whose every repetition was +inf reports dunn2 as inf
-            km_rows.append(ReportRow(
-                clusterer="KM", representation=rep_name, n_clusters=k_sel,
-                ratio=_ratio(k_sel, gold), purity=row.purity, ari=row.ari,
-                dunn2=math.inf if row.dunn2 is None else row.dunn2,
-                silhouette=row.silhouette))
+            km_rows.append(dataclasses.replace(km_row, representation=rep_name))
             ap_rows.append(dataclasses.replace(ap_row, representation=rep_name))
 
     rows = tuple(km_rows + ap_rows)

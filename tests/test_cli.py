@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,17 @@ def test_stats_csv(mini_corpus_path):
     lines = out.splitlines()
     assert lines[0] == "corpus,n_documents,n_sentences,n_words,words_per_document"
     assert lines[1] == f"{mini_corpus_path},2,52,322,161.0"
+
+
+def test_stats_quotes_a_path_with_a_comma(mini_corpus_path, tmp_path):
+    corpus = tmp_path / "a,b" / "c.conllu"
+    corpus.parent.mkdir()
+    shutil.copyfile(mini_corpus_path, corpus)
+    code, out, _ = run_cli(["stats", str(corpus)])
+    assert code == 0
+    lines = list(csv.reader(io.StringIO(out)))
+    assert [len(line) for line in lines] == [5, 5]
+    assert lines[1][0] == str(corpus)
 
 
 def test_stats_multiple_corpora(mini_corpus_path, demo_path):
@@ -228,6 +241,22 @@ def test_encode_w2v_output(workdir):
                for key in rep.row_labels)
 
 
+def test_encode_w2v_drops_a_byte_order_mark_from_the_compose_keys(
+        workdir, tmp_path, mini_corpus_path):
+    keys = (workdir / "mat" / "np_vpc.mtx.rows").read_bytes()
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / f"{name}.rows").write_bytes(prefix + keys)
+        code, _, err = run_cli(["encode", "w2v", str(mini_corpus_path),
+                                "-o", str(tmp_path / f"emb_{name}.txt"),
+                                "--dim", "8", "--epochs", "1",
+                                "--compose", str(tmp_path / f"{name}.rows"),
+                                "--rep-out", str(tmp_path / f"rep_{name}.txt")])
+        assert code == 0, err
+        outputs.append((tmp_path / f"rep_{name}.txt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cluster_kmeans_output(workdir):
     clustering = load_clustering(workdir / "km.csv")
     assert clustering.algorithm == "kmeans"
@@ -277,6 +306,20 @@ def test_evaluate_row(workdir, mini_gold_path, tmp_path):
     assert cells[0] == "KM" and cells[1] == NP_VPC
     assert cells[2] == "3" and cells[3] == "1.0"
     assert 0.0 <= float(cells[4]) <= 1.0
+
+
+def test_evaluate_quotes_a_representation_name_with_a_comma(workdir, mini_gold_path,
+                                                            tmp_path):
+    row = tmp_path / "row.csv"
+    code, _, err = run_cli(["evaluate", str(workdir / "km.csv"),
+                            str(workdir / "mat" / "np_vpc.mtx"),
+                            str(mini_gold_path), "--representation", "NP,VPC",
+                            "-o", str(row)])
+    assert code == 0, err
+    with open(row, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    assert [len(line) for line in lines] == [8, 8]
+    assert lines[1][1] == "NP,VPC"
 
 
 def test_evaluate_rejects_label_mismatch(workdir, mini_gold_path, tmp_path):

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from termforge.clustering import Geometry, KmeansConfig, affinity_propagation, kmeans
+from termforge import experiment
 from termforge.evaluation import GoldStandard
 from termforge.experiment import (
     PipelineConfig,
@@ -116,6 +118,25 @@ def test_run_sweep_means_recompute_from_cells():
             assert row.dunn2 == pytest.approx(sum(finite_dunns) / len(finite_dunns))
         else:
             assert row.dunn2 is None
+
+
+def test_mean_is_over_the_finite_values_and_inf_only_when_all_are():
+    assert experiment._mean([1.0, math.inf, None, 2.0]) == 1.5
+    assert experiment._mean([None, math.inf, math.inf]) == math.inf
+    assert experiment._mean([None, None]) is None
+
+
+def test_run_sweep_mean_dunn2_of_an_all_infinite_k_is_inf(caplog):
+    # k = 5 on 5 distinct rows gives every row a cluster of its own, whose
+    # diameter is 0, so every cell's Dunn2 is +inf
+    with caplog.at_level(logging.INFO, logger="termforge.experiment"):
+        result = run_sweep(Geometry(sweep_rep(n=5)), sweep_gold(5),
+                           small_config(k_min=4, k_max=5, repetitions=2))
+    assert [cell.dunn2 for cell in result.cells if cell.k == 5] == [math.inf, math.inf]
+    assert result.rows[-1] == SweepRow(k=5, purity=1.0, ari=0.0, dunn2=math.inf,
+                                       silhouette=0.0)
+    assert "k=5: 2 dunn2 value(s) are +inf" in caplog.text
+    assert "excluded" not in caplog.text
 
 
 def test_run_sweep_clips_k_max_with_warning():

@@ -297,6 +297,34 @@ def test_tfidf_twin_files_are_the_count_files(quick_start_runs):
                 == (out / pattern.format(NP_VPC)).read_bytes()), pattern
 
 
+def quick_start_of(representations, **sweep):
+    config = quick_start_config()
+    return dataclasses.replace(config, sweep=dataclasses.replace(
+        config.sweep, representations=representations, **sweep))
+
+
+def test_a_tfidf_only_run_writes_the_full_runs_tfidf_files(quick_start_runs, mini_corpus,
+                                                            mini_gold, tmp_path):
+    *_, full = quick_start_runs["gold"]
+    run_pipeline(mini_corpus, mini_gold, quick_start_of((NP_VPC_TFIDF,)), tmp_path)
+    for pattern in ("curves_{}.csv", "repetitions_{}.csv", "ap_{}.csv",
+                    "ap_{}.csv.meta.json"):
+        name = pattern.format(NP_VPC_TFIDF)
+        assert (tmp_path / name).read_bytes() == (full / name).read_bytes(), name
+    tfidf_rows = [[line for line in (out / "report.csv").read_text().splitlines()
+                   if line.split(",")[1] == NP_VPC_TFIDF] for out in (full, tmp_path)]
+    assert len(tfidf_rows[0]) == 2 and tfidf_rows[0] == tfidf_rows[1]
+
+
+def test_a_k_whose_every_dunn2_is_inf_has_an_inf_mean_in_the_curves(mini_corpus, mini_gold,
+                                                                     tmp_path):
+    # sigma2 = 6 keeps 7 rows of NP_VPC_tfidf: at k = 7 each is a cluster of its own
+    run_pipeline(mini_corpus, mini_gold, quick_start_of((NP_VPC_TFIDF,), sigma2=6.0),
+                 tmp_path)
+    curves = (tmp_path / f"curves_{NP_VPC_TFIDF}.csv").read_text().splitlines()
+    assert curves[-1] == "7,1.0,0.0,inf,0.0"
+
+
 def spy_on(monkeypatch, *attrs):
     """The provenance of each geometry that ``run_pipeline`` passes to the
     ``experiment`` functions ``attrs``, by function."""
